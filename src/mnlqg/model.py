@@ -330,11 +330,14 @@ def _matrix_field(doc, key, shape):
 
 
 def _matrix_value(value, name, shape):
+    """Finite float array from a JSON value; shape None skips the shape check."""
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{name} is not a numeric matrix: {exc}") from exc
-    if arr.shape != shape:
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{name} has a non-finite entry")
+    if shape is not None and arr.shape != shape:
         raise SchemaError(f"{name} must have shape {shape[0]}x{shape[1]}, got {arr.shape}")
     return arr
 
@@ -348,8 +351,8 @@ def _noise_terms(noise_doc, key, shape):
         if not isinstance(entry, dict) or "sigma" not in entry or "pattern" not in entry:
             raise SchemaError(f"noise.{key}[{i}] must be an object with sigma and pattern")
         sigma = entry["sigma"]
-        if not isinstance(sigma, (int, float)) or isinstance(sigma, bool):
-            raise SchemaError(f"noise.{key}[{i}].sigma must be a number")
+        if not isinstance(sigma, (int, float)) or isinstance(sigma, bool) or not np.isfinite(sigma):
+            raise SchemaError(f"noise.{key}[{i}].sigma must be a finite number")
         pattern = _matrix_value(entry["pattern"], f"noise.{key}[{i}].pattern", shape)
         terms.append(NoiseTerm(float(sigma), pattern))
     return tuple(terms)
@@ -412,19 +415,13 @@ def save_problem(problem: ProblemInstance) -> str:
 def load_controller(text: str) -> Controller:
     """Parse a controller document ({"F": ..., "K": ..., "L": ...})."""
     doc = _parse_document(text)
-    if "F" not in doc:
-        raise SchemaError("missing field 'F'")
-    try:
-        F = np.array(doc["F"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"F is not a numeric matrix: {exc}") from exc
+    for key in ("F", "K", "L"):
+        if key not in doc:
+            raise SchemaError(f"missing field {key!r}")
+    F, K, L = (_matrix_value(doc[key], key, None) for key in ("F", "K", "L"))
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
         raise SchemaError(f"F must be square, got shape {F.shape}")
     n = F.shape[0]
-    if "K" not in doc or "L" not in doc:
-        raise SchemaError("missing field 'K' or 'L'")
-    K = np.array(doc["K"], dtype=float)
-    L = np.array(doc["L"], dtype=float)
     if K.ndim != 2 or K.shape[1] != n:
         raise SchemaError(f"K must have {n} columns, got shape {K.shape}")
     if L.ndim != 2 or L.shape[0] != n:

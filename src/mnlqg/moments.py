@@ -17,14 +17,17 @@ represented explicitly through column-major vectorization,
 
     Psi = Phi.T (x) Phi.T + sum_i sigma_i^2 lift_i.T (x) lift_i.T,
 
-and its covariance-side dual Gamma drops the transposes.  Both share the same
-spectrum; the closed loop is mean-square stable iff the spectral radius is
-below one, in which case the steady-state value matrix P' and second moment
-S' solve the generalized discrete Lyapunov equations
+and its covariance-side dual Gamma drops the transposes, so Gamma = Psi.T and
+both share one spectrum.  The closed loop is mean-square stable iff the
+spectral radius is below one, in which case the steady-state value matrix P'
+and second moment S' solve the generalized discrete Lyapunov equations
 
     P' = Psi(P') + Q',        S' = Gamma(S') + W',
 
-and the average cost of the policy is <P', W'> = <S', Q'>.
+and the average cost of the policy is <P', W'> = <S', Q'>.  A policy
+evaluation builds I - Psi once, decides stability once, and solves both
+equations with it (the covariance side with the transpose): one float64
+LAPACK solve per side, refined with extended-precision residuals.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 import numpy.linalg as la
 
 from .exceptions import DualityViolation, EigenvalueFailure, NotMsStable
-from .matrixmath import frobenius, solve_linear_extended, symmetrize
+from .matrixmath import frobenius, solve_linear_extended, symmetrize, unvec, vec
 from .model import Controller, ProblemInstance
 
 __all__ = [
@@ -168,18 +171,13 @@ def build_augmented(problem: ProblemInstance, ctrl: Controller) -> AugmentedClos
 
 
 def build_second_moment_matrix(aug: AugmentedClosedLoop, side: str) -> SecondMomentOperator:
-    """Explicit (2n)^2 x (2n)^2 matrix of the value or covariance operator."""
+    """Explicit (2n)^2 x (2n)^2 matrix of Psi ("value") or Gamma = Psi.T."""
     if side not in ("value", "covariance"):
         raise ValueError(f"side must be 'value' or 'covariance', got {side!r}")
-    if side == "value":
-        T = np.kron(aug.Phi.T, aug.Phi.T)
-        for s2, M in aug.lifts():
-            T = T + s2 * np.kron(M.T, M.T)
-    else:
-        T = np.kron(aug.Phi, aug.Phi)
-        for s2, M in aug.lifts():
-            T = T + s2 * np.kron(M, M)
-    return SecondMomentOperator(T, side)
+    T = np.kron(aug.Phi.T, aug.Phi.T)
+    for s2, M in aug.lifts():
+        T += s2 * np.kron(M.T, M.T)
+    return SecondMomentOperator(T if side == "value" else T.T, side)
 
 
 def spectral_radius(op: SecondMomentOperator) -> float:
@@ -204,61 +202,66 @@ def is_ms_stable(aug: AugmentedClosedLoop) -> tuple[bool, float]:
     return radius < 1.0 - STABILITY_MARGIN, radius
 
 
-def _extended_operator_matrix(aug, side):
-    """The (I - T) system matrix and right-hand side in extended precision.
+def _lyapunov_matrix(aug: AugmentedClosedLoop) -> np.ndarray:
+    """I - Psi of a mean-square stable loop; raises NotMsStable otherwise."""
+    psi = build_second_moment_matrix(aug, "value")
+    radius = spectral_radius(psi)
+    if not radius < 1.0 - STABILITY_MARGIN:
+        raise NotMsStable(radius)
+    return np.eye(psi.matrix.shape[0]) - psi.matrix
 
-    Building the Kronecker lift in longdouble keeps the policy-evaluation
-    forward error below one float64 ulp of the solution, so evaluations of
-    nearly identical policies differ only by rounding and policy
-    iteration's step settles within the solvers' stopping floor of a few
-    dozen ulps of the solution norm (``riccati.STEP_FLOOR_ULPS``).
+
+def _solve_side(aug: AugmentedClosedLoop, lyap: np.ndarray, side: str) -> np.ndarray:
+    """Solve one side given I - Psi, refining with longdouble residuals.
+
+    Both operators are M -> sum_i s2_i D_i.T M D_i over (1, Phi) and the
+    lifts, transposed on the covariance side, so the residual
+    rhs - (M - op(M)) is applied in matrix form, without a Kronecker product.
     """
-    ld = np.longdouble
-    Phi = aug.Phi.astype(ld)
-    if side == "value":
-        T = np.kron(Phi.T, Phi.T)
-        for s2, lift in aug.lifts():
-            lifted = lift.astype(ld)
-            T = T + ld(s2) * np.kron(lifted.T, lifted.T)
-        rhs = aug.Qprime.astype(ld)
-    else:
-        T = np.kron(Phi, Phi)
-        for s2, lift in aug.lifts():
-            lifted = lift.astype(ld)
-            T = T + ld(s2) * np.kron(lifted, lifted)
-        rhs = aug.Wprime.astype(ld)
-    return np.eye(T.shape[0], dtype=ld) - T, rhs
+    value = side == "value"
+    A_lin, rhs = (lyap, aug.Qprime) if value else (lyap.T, aug.Wprime)
+    terms = [
+        (np.longdouble(s2), (D if value else D.T).astype(np.longdouble))
+        for s2, D in ((1.0, aug.Phi),) + aug.lifts()
+    ]
+    rhs_ld, d = rhs.astype(np.longdouble), rhs.shape[0]
+
+    def residual(x):
+        M = x.reshape((d, d), order="F")
+        R = rhs_ld - M
+        for s2, D in terms:
+            R += s2 * (D.T @ M @ D)
+        return vec(R)
+
+    x = solve_linear_extended(A_lin, vec(rhs), residual)
+    return symmetrize(unvec(x)).astype(np.float64)
 
 
 def solve_lyapunov(aug: AugmentedClosedLoop, side: str) -> np.ndarray:
     """Steady-state solution of the generalized Lyapunov equation.
 
     side="value" returns P' solving P' = Psi(P') + Q'; side="covariance"
-    returns S' solving S' = Gamma(S') + W'.  Solved directly as the dense
-    linear system (I - T) vec(M) = vec(rhs); the system is assembled and
-    eliminated in extended precision and the symmetrized result is rounded
-    to float64, so the returned matrix is accurate to the last float64
-    digits (dense desk-scale method, (2n)^2 unknowns).
+    returns S' solving S' = Gamma(S') + W'.  The dense system
+    (I - T) vec(M) = vec(rhs) ((2n)^2 unknowns) is solved in float64 with
+    I - Psi, or its transpose I - Gamma, and refined with residuals in
+    extended precision (``matrixmath.solve_linear_extended``); the
+    symmetrized result is rounded to float64, within one ulp per entry.
 
     Raises NotMsStable when the loop's spectral radius is not inside the
     stability margin.
     """
     if side not in ("value", "covariance"):
         raise ValueError(f"side must be 'value' or 'covariance', got {side!r}")
-    stable, radius = is_ms_stable(aug)
-    if not stable:
-        raise NotMsStable(radius)
-    A_lin, rhs = _extended_operator_matrix(aug, side)
-    x = solve_linear_extended(A_lin, rhs.reshape(-1, order="F"))
-    M = x.reshape(rhs.shape, order="F")
-    return symmetrize(M).astype(np.float64)
+    return _solve_side(aug, _lyapunov_matrix(aug), side)
 
 
 def solve_both(aug: AugmentedClosedLoop) -> AugmentedSolution:
-    """Solve the value-side and covariance-side equations together."""
+    """Solve both sides as ``solve_lyapunov`` does, sharing one I - Psi and
+    one stability decision (NotMsStable when the loop is not stable)."""
+    lyap = _lyapunov_matrix(aug)
     return AugmentedSolution(
-        Pprime=solve_lyapunov(aug, "value"),
-        Sprime=solve_lyapunov(aug, "covariance"),
+        Pprime=_solve_side(aug, lyap, "value"),
+        Sprime=_solve_side(aug, lyap, "covariance"),
     )
 
 

@@ -39,6 +39,7 @@ from .exceptions import (
     InitialPolicyNotStabilizing,
     IterateNotStabilizing,
     MaxIterationsExceeded,
+    NotMsStable,
     SingularBlock,
     SolverError,
 )
@@ -331,23 +332,24 @@ def policy_iteration_solve(
     is larger (see ``_step_converged``).
 
     The initial policy must be mean-square stabilizing
-    (InitialPolicyNotStabilizing otherwise), and every improved policy is
-    checked before it is evaluated (IterateNotStabilizing on failure; the
-    solver never falls back to a different method silently).
+    (InitialPolicyNotStabilizing otherwise), and so must every improved
+    policy (IterateNotStabilizing), as decided once by its evaluation; the
+    solver never falls back to a different method silently.
     """
     sys = problem.system
     A, B, C = sys.A, sys.B, sys.C
     aug = moments.build_augmented(problem, initial)
-    stable, radius = moments.is_ms_stable(aug)
-    if not stable:
-        raise InitialPolicyNotStabilizing(radius)
-
     tuples: list[ValueCovarianceTuple] = []
     history: list[HistoryEntry] = []
     previous: ValueCovarianceTuple | None = None
     start = time.perf_counter()
     for k in range(max_iter + 1):
-        sol = moments.solve_both(aug)
+        try:
+            sol = moments.solve_both(aug)
+        except NotMsStable as exc:
+            if k == 0:
+                raise InitialPolicyNotStabilizing(exc.radius) from exc
+            raise IterateNotStabilizing(k, exc.radius) from exc
         X = moments.extract_tuple(sol)
         tuples.append(X)
         delta = None if previous is None else X.distance(previous)
@@ -357,9 +359,6 @@ def policy_iteration_solve(
         K, L = gain_operators(X, problem)
         improved = Controller(A + B @ K - L @ C, K, L)
         aug = moments.build_augmented(problem, improved)
-        stable, radius = moments.is_ms_stable(aug)
-        if not stable:
-            raise IterateNotStabilizing(k + 1, radius)
         previous = X
     raise MaxIterationsExceeded("policy iteration", max_iter, history[-1].delta)
 

@@ -4,7 +4,9 @@ Everything here is deliberately written from the defining recursions and
 expectations, independent of the package's solver code paths: the classical
 decoupled Riccati designs are plain fixed-point iterations on the mean
 system, the second-moment operator is applied by expanding the expectation
-congruence term by term (no Kronecker products), and the scalar fixed point
+congruence term by term (no Kronecker products), the extended-precision
+Lyapunov reference assembles the Kronecker lift in longdouble and eliminates
+it with a plain Gaussian elimination (no LAPACK), and the scalar fixed point
 comes from the closed-form quadratic.
 """
 
@@ -91,3 +93,57 @@ def scalar_noise_free_fixed_point():
     k = -0.5 * p / (1.0 + p)
     ell = 0.5 * s / (0.01 + s)
     return p, s, k, ell
+
+
+def solve_by_extended_elimination(A, b):
+    """Solve A x = b by Gaussian elimination with partial pivoting in
+    extended precision.
+
+    Inputs are promoted to ``np.longdouble`` (80-bit on x86; identical to
+    float64 on platforms without extended precision); returns the
+    longdouble solution.
+    """
+    A = np.array(A, dtype=np.longdouble)
+    x = np.array(b, dtype=np.longdouble)
+    n = A.shape[0]
+    for k in range(n - 1):
+        pivot = k + int(np.argmax(np.abs(A[k:, k])))
+        if pivot != k:
+            A[[k, pivot]] = A[[pivot, k]]
+            x[[k, pivot]] = x[[pivot, k]]
+        if A[k, k] == 0.0:
+            raise la.LinAlgError("matrix is singular")
+        mult = A[k + 1 :, k] / A[k, k]
+        A[k + 1 :, k + 1 :] -= mult[:, None] * A[k, k + 1 :]
+        x[k + 1 :] -= mult * x[k]
+    if A[n - 1, n - 1] == 0.0:
+        raise la.LinAlgError("matrix is singular")
+    for k in range(n - 1, -1, -1):
+        x[k] = (x[k] - A[k, k + 1 :] @ x[k + 1 :]) / A[k, k]
+    return x
+
+
+def lyapunov_extended(aug, side):
+    """Generalized Lyapunov solution assembled and eliminated in longdouble.
+
+    Builds I - T with T = Phi.T (x) Phi.T + sum_i s2_i lift_i.T (x) lift_i.T
+    on the value side (no transposes on the covariance side) in extended
+    precision and returns the symmetrized longdouble solution, unrounded.
+    """
+    ld = np.longdouble
+    Phi = aug.Phi.astype(ld)
+    if side == "value":
+        T = np.kron(Phi.T, Phi.T)
+        for s2, lift in aug.lifts():
+            lifted = lift.astype(ld)
+            T = T + ld(s2) * np.kron(lifted.T, lifted.T)
+        rhs = aug.Qprime.astype(ld)
+    else:
+        T = np.kron(Phi, Phi)
+        for s2, lift in aug.lifts():
+            lifted = lift.astype(ld)
+            T = T + ld(s2) * np.kron(lifted, lifted)
+        rhs = aug.Wprime.astype(ld)
+    x = solve_by_extended_elimination(np.eye(T.shape[0], dtype=ld) - T, rhs.reshape(-1, order="F"))
+    M = x.reshape(rhs.shape, order="F")
+    return 0.5 * (M + M.T)

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mnlqg
 from mnlqg import pendulum_problem, save_controller, save_problem, value_iteration_solve
 from mnlqg.bench import SUMMARY_COLUMNS, TRACE_COLUMNS
 from mnlqg.cli import main
@@ -59,6 +63,48 @@ class TestValidateCommand:
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
         assert "Q not positive definite" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("A", float("nan")), ("noise.A[0].sigma", float("inf"))],
+        ids=["nan-in-A", "infinite-sigma"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_non_finite_number_is_input_error(self, tmp_path, capsys, command, field, value):
+        doc = json.loads(save_problem(make_scalar_problem(sigma_a=0.3)))
+        if field == "A":
+            doc["A"][0][0] = value
+        else:
+            doc["noise"]["A"][0]["sigma"] = value
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)]
+        if command == "solve":
+            argv += ["--out", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "ok" not in captured.out
+        assert captured.err.startswith(f"error: {field} ") and "finite" in captured.err
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("module", ["mnlqg", "mnlqg.cli"])
+    def test_exit_codes(self, module, scalar_file):
+        src = os.path.dirname(os.path.dirname(mnlqg.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", module, *args], env=env, capture_output=True, text=True
+            )
+
+        ok = run("validate", scalar_file)
+        assert ok.returncode == 0
+        assert ok.stdout.strip() == "ok"
+        missing = run("validate", scalar_file + ".missing")
+        assert missing.returncode == 2
+        assert "error:" in missing.stderr
 
 
 class TestSolveCommand:

@@ -145,6 +145,25 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="Q"):
             load_problem(doc)
 
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ('"A": [[1.0, 0.1]', '"A": [[NaN, 0.1]', r"^A has a non-finite entry"),
+            ('"W": [[0', '"W": [[-Infinity', r"^W has a non-finite entry"),
+            ('"sigma": 1.0', '"sigma": Infinity', r"^noise\.B\[0\]\.sigma must be a finite"),
+            ('"sigma": 1.0', '"sigma": NaN', r"^noise\.B\[0\]\.sigma must be a finite"),
+        ],
+        ids=["nan-in-A", "infinity-in-W", "infinite-sigma", "nan-sigma"],
+    )
+    def test_non_finite_number_is_schema_error(self, old, new, field):
+        assert old in PENDULUM_DOC
+        with pytest.raises(SchemaError, match=field):
+            load_problem(PENDULUM_DOC.replace(old, new, 1))
+
+    def test_non_finite_controller_gain_is_schema_error(self):
+        with pytest.raises(SchemaError, match="^L has a non-finite entry"):
+            load_controller('{"F": [[1.0]], "K": [[1.0]], "L": [[NaN]]}')
+
     def test_malformed_document_is_parse_error(self):
         with pytest.raises(ParseError):
             load_problem("{not json")

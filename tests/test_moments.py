@@ -12,8 +12,10 @@ from mnlqg import (
     is_ms_stable,
     open_loop_controller,
     pendulum_problem,
+    random_problem,
     solve_lyapunov,
     spectral_radius,
+    stabilizing_initial_controller,
 )
 from mnlqg.exceptions import DualityViolation, NotMsStable
 from mnlqg.matrixmath import unvec, vec
@@ -24,6 +26,7 @@ from oracles import (
     apply_covariance_operator,
     apply_value_operator,
     lyapunov_by_recursion,
+    lyapunov_extended,
 )
 
 
@@ -281,6 +284,56 @@ class TestSolveLyapunov:
         direct_s = solve_lyapunov(aug, "covariance")
         recursed_s = lyapunov_by_recursion(aug, "covariance", iterations=200)
         assert np.allclose(direct_s, recursed_s, atol=1e-8)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is float64 here, so the reference is no more precise",
+)
+class TestExtendedPrecisionAccuracy:
+    """solve_lyapunov lands within one float64 ulp per entry of the unrounded
+    longdouble solution; the policy-iteration stopping floor
+    (riccati.STEP_FLOOR_ULPS) relies on evaluations this accurate."""
+
+    @staticmethod
+    def assert_within_one_ulp(aug):
+        for side in ("value", "covariance"):
+            M = solve_lyapunov(aug, side)
+            reference = lyapunov_extended(aug, side)
+            error = np.abs(M.astype(np.longdouble) - reference)
+            assert np.all(error <= np.spacing(np.abs(M))), side
+
+    @pytest.mark.parametrize("seed", range(7000, 7010))
+    def test_random_problem_initial_policy(self, seed):
+        problem, _ = random_problem(seed)
+        self.assert_within_one_ulp(
+            build_augmented(problem, stabilizing_initial_controller(problem))
+        )
+
+    def test_six_state_compensator_near_the_boundary(self):
+        from mnlqg import CostModel, NoiseModel, NoiseTerm, ProblemInstance, SystemModel
+        from mnlqg.matrixmath import specrad
+
+        rng = np.random.default_rng(3)
+        n, m, p = 6, 2, 2
+        A = rng.standard_normal((n, n))
+        A *= 0.8 / specrad(A)
+        problem = ProblemInstance(
+            SystemModel(
+                A=A,
+                B=rng.standard_normal((n, m)),
+                C=rng.standard_normal((p, n)),
+                noise_a=(NoiseTerm(0.25, rng.standard_normal((n, n))),),
+                noise_b=(NoiseTerm(0.25, rng.standard_normal((n, m))),),
+                noise_c=(NoiseTerm(0.25, rng.standard_normal((p, n))),),
+            ),
+            CostModel(np.eye(n + m)),
+            NoiseModel(W=0.01 * np.eye(n + p), X0=np.zeros((n, n))),
+        )
+        aug = build_augmented(problem, make_random_controller(problem, rng, scale=0.05))
+        stable, radius = is_ms_stable(aug)
+        assert stable and radius > 0.9, "test construction should be stable near the boundary"
+        self.assert_within_one_ulp(aug)
 
 
 class TestEvaluateCost:

@@ -24,10 +24,12 @@ from mnlqg import (
     value_iteration_solve,
     value_iteration_step,
 )
+from mnlqg import moments, riccati
 from mnlqg.exceptions import (
     Diverged,
     DualityViolation,
     InitialPolicyNotStabilizing,
+    IterateNotStabilizing,
     SingularBlock,
 )
 
@@ -258,6 +260,41 @@ class TestPolicyIteration:
             pendulum_quiet, stabilizing_initial_controller(pendulum_quiet), tol=1e-12
         )
         assert report.residual_norm <= 10 * 1e-12
+
+
+class TestStabilityDecision:
+    """Each policy evaluation builds the operator and decides stability once."""
+
+    def test_one_operator_and_radius_per_evaluation(self, monkeypatch):
+        problem, _ = random_problem(7000)
+        initial = stabilizing_initial_controller(problem)
+        calls = {"build": 0, "radius": 0}
+        build, radius = moments.build_second_moment_matrix, moments.spectral_radius
+
+        def counted_build(aug, side):
+            calls["build"] += 1
+            return build(aug, side)
+
+        def counted_radius(op):
+            calls["radius"] += 1
+            return radius(op)
+
+        monkeypatch.setattr(moments, "build_second_moment_matrix", counted_build)
+        monkeypatch.setattr(moments, "spectral_radius", counted_radius)
+        report = policy_iteration_solve(problem, initial)
+        # iterations + 1 evaluations in the loop, one more for the report's cost
+        assert calls["build"] == report.iterations + 2
+        assert calls["radius"] <= report.iterations + 2
+
+    def test_destabilizing_improvement_is_reported(self, scalar_problem, monkeypatch):
+        # K = 2 puts an eigenvalue 0.5 + 2 = 2.5 into the compensator F = A + B K
+        monkeypatch.setattr(
+            riccati, "gain_operators", lambda X, problem: (np.array([[2.0]]), np.zeros((1, 1)))
+        )
+        with pytest.raises(IterateNotStabilizing) as excinfo:
+            policy_iteration_solve(scalar_problem, open_loop_controller(scalar_problem))
+        assert excinfo.value.iteration == 1
+        assert excinfo.value.radius >= 1.0
 
 
 class TestStoppingRule:

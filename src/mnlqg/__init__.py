@@ -58,7 +58,6 @@ from .riccati import (
     noise_free_controller,
     noise_free_gains,
     open_loop_controller,
-    optimal_cost,
     policy_iteration_solve,
     q_operators,
     riccati_residual,
@@ -109,7 +108,6 @@ __all__ = [
     "noise_free_controller",
     "noise_free_gains",
     "open_loop_controller",
-    "optimal_cost",
     "policy_iteration_solve",
     "q_operators",
     "riccati_residual",

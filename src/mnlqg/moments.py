@@ -150,20 +150,25 @@ def build_augmented(problem: ProblemInstance, ctrl: Controller) -> AugmentedClos
         )
     A, B, C = sys.A, sys.B, sys.C
     K, L = ctrl.K, ctrl.L
-    Z = np.zeros((n, n))
-    Phi = np.block([[A, B @ K], [L @ C, ctrl.F]])
+
+    def blocks(xx, xz, zx, zz):
+        out = np.empty((2 * n, 2 * n))
+        out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:] = xx, xz, zx, zz
+        return out
+
+    Phi = blocks(A, B @ K, L @ C, ctrl.F)
     Qxx, Qxu, Qux, Quu = problem.q_blocks()
-    Qprime = np.block([[Qxx, Qxu @ K], [K.T @ Qux, K.T @ Quu @ K]])
+    Qprime = blocks(Qxx, Qxu @ K, K.T @ Qux, K.T @ Quu @ K)
     Wxx, Wxy, Wyx, Wyy = problem.w_blocks()
-    Wprime = np.block([[Wxx, Wxy @ L.T], [L @ Wyx, L @ Wyy @ L.T]])
+    Wprime = blocks(Wxx, Wxy @ L.T, L @ Wyx, L @ Wyy @ L.T)
     lifts_a = tuple(
-        (t.sigma**2, np.block([[t.pattern, Z], [Z, Z]])) for t in sys.noise_a
+        (t.sigma**2, blocks(t.pattern, 0.0, 0.0, 0.0)) for t in sys.noise_a
     )
     lifts_b = tuple(
-        (t.sigma**2, np.block([[Z, t.pattern @ K], [Z, Z]])) for t in sys.noise_b
+        (t.sigma**2, blocks(0.0, t.pattern @ K, 0.0, 0.0)) for t in sys.noise_b
     )
     lifts_c = tuple(
-        (t.sigma**2, np.block([[Z, Z], [L @ t.pattern, Z]])) for t in sys.noise_c
+        (t.sigma**2, blocks(0.0, 0.0, L @ t.pattern, 0.0)) for t in sys.noise_c
     )
     return AugmentedClosedLoop(
         Phi, symmetrize(Qprime), symmetrize(Wprime), lifts_a, lifts_b, lifts_c

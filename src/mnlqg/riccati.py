@@ -7,13 +7,14 @@ X = (P, Phat, S, Shat) through two quadratic-form operators
     G(X)  over stacked (state, input)   -- the control side,
     H(X)  over stacked (state, output)  -- the estimation side,
 
-whose off-diagonal and corner blocks give the gain updates
+whose gain blocks (``q_operators``) give the gain updates
 
     K(X) = -G_uu^{-1} G_ux,      L(X) = H_xy H_yy^{-1},
 
-and whose Schur complements give the fixed-point map.  The residual R(X)
-stacks the four defining equations; X* solves R(X*) = 0 and the optimal
-compensator is (A + B K(X*) - L(X*) C, K(X*), L(X*)).
+and whose Schur complements, which reuse the gains as -G_ux^T K and
+L H_xy^T, give the fixed-point map; G and H are never assembled whole.  The
+residual R(X) stacks the four defining equations; X* solves R(X*) = 0 and
+the optimal compensator is (A + B K(X*) - L(X*) C, K(X*), L(X*)).
 
 Two solvers are provided:
 
@@ -35,7 +36,6 @@ import numpy.linalg as la
 from . import moments
 from .exceptions import (
     Diverged,
-    DualityViolation,
     InitialPolicyNotStabilizing,
     IterateNotStabilizing,
     MaxIterationsExceeded,
@@ -43,7 +43,7 @@ from .exceptions import (
     SingularBlock,
     SolverError,
 )
-from .matrixmath import frobenius, symmetrize
+from .matrixmath import symmetrize
 from .model import Controller, ProblemInstance
 from .moments import ValueCovarianceTuple
 
@@ -61,7 +61,6 @@ __all__ = [
     "value_iteration_step",
     "value_iteration_solve",
     "policy_iteration_solve",
-    "optimal_cost",
     "noise_free_gains",
     "open_loop_controller",
     "noise_free_controller",
@@ -82,10 +81,12 @@ STEP_FLOOR_ULPS = 32
 
 @dataclass(frozen=True, eq=False)
 class QFunctionPair:
-    """Control-side and estimation-side quadratic-form matrices at some X."""
+    """Gain-relevant blocks of the control-side G(X) and estimation-side H(X)."""
 
-    G: np.ndarray  # (n+m) x (n+m)
-    H: np.ndarray  # (n+p) x (n+p)
+    Gux: np.ndarray  # m x n
+    Guu: np.ndarray  # m x m
+    Hxy: np.ndarray  # n x p
+    Hyy: np.ndarray  # p x p
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,12 +156,10 @@ def _check_condition(M, name):
         raise SingularBlock(name, cond)
 
 
-def gain_operators(X: ValueCovarianceTuple, problem: ProblemInstance):
-    """Gains (K, L) determined by X through the gain-relevant blocks.
+def q_operators(X: ValueCovarianceTuple, problem: ProblemInstance) -> QFunctionPair:
+    """The gain blocks G_ux, G_uu, H_xy, H_yy of G(X) and H(X), formed only here.
 
-    Only the G_ux/G_uu and H_xy/H_yy blocks enter, and none of them depend
-    on the gains themselves, so this is an explicit function of X.  Raises
-    SingularBlock when G_uu or H_yy is numerically singular.
+    None of them depends on the gains; G_xu = G_ux^T and H_yx = H_xy^T.
     """
     sys = problem.system
     A, B, C = sys.A, sys.B, sys.C
@@ -172,72 +171,58 @@ def gain_operators(X: ValueCovarianceTuple, problem: ProblemInstance):
     for t in sys.noise_b:
         Guu = Guu + t.sigma**2 * (t.pattern.T @ P_sum @ t.pattern)
     Gux = Qux + B.T @ X.P @ A
-    _check_condition(Guu, "G_uu")
-    K = -la.solve(Guu, Gux)
 
     S_sum = X.S + X.Shat
     Hyy = Wyy + C @ X.S @ C.T
     for t in sys.noise_c:
         Hyy = Hyy + t.sigma**2 * (t.pattern @ S_sum @ t.pattern.T)
     Hxy = Wxy + A @ X.S @ C.T
-    _check_condition(Hyy, "H_yy")
-    L = la.solve(Hyy.T, Hxy.T).T
+    return QFunctionPair(Gux, Guu, Hxy, Hyy)
+
+
+def _gains(q: QFunctionPair):
+    """(K, L) from the gain blocks, each solve after its condition check."""
+    _check_condition(q.Guu, "G_uu")
+    K = -la.solve(q.Guu, q.Gux)
+    _check_condition(q.Hyy, "H_yy")
+    L = la.solve(q.Hyy.T, q.Hxy.T).T
     return K, L
 
 
-def q_operators(
-    X: ValueCovarianceTuple, problem: ProblemInstance, K: np.ndarray, L: np.ndarray
-) -> QFunctionPair:
-    """Full G(X) and H(X) matrices; (K, L) must be gain_operators(X, problem)."""
-    sys = problem.system
-    A, B, C = sys.A, sys.B, sys.C
-    n, m, p = sys.n, sys.m, sys.p
-    K = np.asarray(K, dtype=float)
-    L = np.asarray(L, dtype=float)
-
-    G = problem.cost.Q + np.block(
-        [[A.T @ X.P @ A, A.T @ X.P @ B], [B.T @ X.P @ A, B.T @ X.P @ B]]
-    )
-    P_sum = X.P + X.Phat
-    G_top = np.zeros((n, n))
-    for t in sys.noise_a:
-        G_top += t.sigma**2 * (t.pattern.T @ P_sum @ t.pattern)
-    for t in sys.noise_c:
-        G_top += t.sigma**2 * (t.pattern.T @ L.T @ X.Phat @ L @ t.pattern)
-    G_bot = np.zeros((m, m))
-    for t in sys.noise_b:
-        G_bot += t.sigma**2 * (t.pattern.T @ P_sum @ t.pattern)
-    G = G + np.block([[G_top, np.zeros((n, m))], [np.zeros((m, n)), G_bot]])
-
-    H = problem.noise.W + np.block(
-        [[A @ X.S @ A.T, A @ X.S @ C.T], [C @ X.S @ A.T, C @ X.S @ C.T]]
-    )
-    S_sum = X.S + X.Shat
-    H_top = np.zeros((n, n))
-    for t in sys.noise_a:
-        H_top += t.sigma**2 * (t.pattern @ S_sum @ t.pattern.T)
-    for t in sys.noise_b:
-        H_top += t.sigma**2 * (t.pattern @ K @ X.Shat @ K.T @ t.pattern.T)
-    H_bot = np.zeros((p, p))
-    for t in sys.noise_c:
-        H_bot += t.sigma**2 * (t.pattern @ S_sum @ t.pattern.T)
-    H = H + np.block([[H_top, np.zeros((n, p))], [np.zeros((p, n)), H_bot]])
-
-    return QFunctionPair(symmetrize(G), symmetrize(H))
+def gain_operators(X: ValueCovarianceTuple, problem: ProblemInstance):
+    """Gains (K, L) at X; SingularBlock when G_uu or H_yy is singular."""
+    return _gains(q_operators(X, problem))
 
 
 def riccati_residual(X: ValueCovarianceTuple, problem: ProblemInstance) -> RiccatiResidual:
-    """R(X): one symmetric n x n residual block per unknown."""
-    n = problem.n
-    K, L = gain_operators(X, problem)
-    q = q_operators(X, problem, K, L)
-    Gxx, Gxu = q.G[:n, :n], q.G[:n, n:]
-    Gux, Guu = q.G[n:, :n], q.G[n:, n:]
-    Hxx, Hxy = q.H[:n, :n], q.H[:n, n:]
-    Hyx, Hyy = q.H[n:, :n], q.H[n:, n:]
-    Zg = Gxu @ la.solve(Guu, Gux)
-    Zh = Hxy @ la.solve(Hyy, Hyx)
-    A, B, C = problem.system.A, problem.system.B, problem.system.C
+    """R(X): one symmetric n x n residual block per unknown.
+
+    Besides the gain blocks, forms only the corners G_xx and H_xx; the Schur
+    complements G_xu G_uu^{-1} G_ux = -G_ux^T K and H_xy H_yy^{-1} H_yx =
+    L H_xy^T reuse the gains."""
+    sys = problem.system
+    A, B, C = sys.A, sys.B, sys.C
+    q = q_operators(X, problem)
+    K, L = _gains(q)
+
+    P_sum = X.P + X.Phat
+    Gxx = problem.q_blocks()[0] + A.T @ X.P @ A
+    for t in sys.noise_a:
+        Gxx = Gxx + t.sigma**2 * (t.pattern.T @ P_sum @ t.pattern)
+    for t in sys.noise_c:
+        LC = L @ t.pattern
+        Gxx = Gxx + t.sigma**2 * (LC.T @ X.Phat @ LC)
+
+    S_sum = X.S + X.Shat
+    Hxx = problem.w_blocks()[0] + A @ X.S @ A.T
+    for t in sys.noise_a:
+        Hxx = Hxx + t.sigma**2 * (t.pattern @ S_sum @ t.pattern.T)
+    for t in sys.noise_b:
+        BK = t.pattern @ K
+        Hxx = Hxx + t.sigma**2 * (BK @ X.Shat @ BK.T)
+
+    Zg = -q.Gux.T @ K
+    Zh = L @ q.Hxy.T
     ALC = A - L @ C
     ABK = A + B @ K
     return RiccatiResidual(
@@ -361,32 +346,6 @@ def policy_iteration_solve(
         aug = moments.build_augmented(problem, improved)
         previous = X
     raise MaxIterationsExceeded("policy iteration", max_iter, history[-1].delta)
-
-
-def optimal_cost(
-    X: ValueCovarianceTuple,
-    K: np.ndarray,
-    L: np.ndarray,
-    problem: ProblemInstance,
-) -> float:
-    """Cost at a converged solution, from the cost-weight/covariance side.
-
-    Returns <Q_xx, S> + <[I; K]^T Q [I; K], Shat> and asserts agreement with
-    the dual form <W_xx, P> + <[I, -L] W [I, -L]^T, Phat>; raises
-    DualityViolation on disagreement beyond 1e-9 relative.
-    """
-    n = problem.n
-    K = np.asarray(K, dtype=float)
-    L = np.asarray(L, dtype=float)
-    Qxx = problem.q_blocks()[0]
-    Wxx = problem.w_blocks()[0]
-    IK = np.vstack([np.eye(n), K])
-    J_q = frobenius(Qxx, X.S) + frobenius(IK.T @ problem.cost.Q @ IK, X.Shat)
-    IL = np.hstack([np.eye(n), -L])
-    J_w = frobenius(Wxx, X.P) + frobenius(IL @ problem.noise.W @ IL.T, X.Phat)
-    if abs(J_q - J_w) > 1e-9 * (1.0 + abs(J_q)):
-        raise DualityViolation(J_q, J_w)
-    return J_q
 
 
 # ---------------------------------------------------------------------------

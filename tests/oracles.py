@@ -6,14 +6,19 @@ decoupled Riccati designs are plain fixed-point iterations on the mean
 system, the second-moment operator is applied by expanding the expectation
 congruence term by term (no Kronecker products), the extended-precision
 Lyapunov reference assembles the Kronecker lift in longdouble and eliminates
-it with a plain Gaussian elimination (no LAPACK), and the scalar fixed point
-comes from the closed-form quadratic.
+it with a plain Gaussian elimination (no LAPACK), the quadratic-form
+operators G(X) and H(X) are assembled as full matrices and cut into blocks
+(the package forms the blocks directly), and the scalar fixed point comes
+from the closed-form quadratic.
 """
 
 import math
 
 import numpy as np
 import numpy.linalg as la
+
+from mnlqg.exceptions import DualityViolation
+from mnlqg.matrixmath import frobenius
 
 
 def dare_control_fixed_point(A, B, Qxx, Qxu, Quu, tol=1e-14, max_iter=1_000_000):
@@ -147,3 +152,95 @@ def lyapunov_extended(aug, side):
     x = solve_by_extended_elimination(np.eye(T.shape[0], dtype=ld) - T, rhs.reshape(-1, order="F"))
     M = x.reshape(rhs.shape, order="F")
     return 0.5 * (M + M.T)
+
+
+def _symmetrize(M):
+    return 0.5 * (M + M.T)
+
+
+def q_matrices(X, problem, K, L):
+    """Full quadratic-form matrices (G(X), H(X)) over stacked (state, input)
+    and (state, output), assembled with ``np.block`` and symmetrized; (K, L)
+    are the gains entering the output- and input-noise terms."""
+    sys = problem.system
+    A, B, C = sys.A, sys.B, sys.C
+    n, m, p = sys.n, sys.m, sys.p
+    K = np.asarray(K, dtype=float)
+    L = np.asarray(L, dtype=float)
+
+    G = problem.cost.Q + np.block(
+        [[A.T @ X.P @ A, A.T @ X.P @ B], [B.T @ X.P @ A, B.T @ X.P @ B]]
+    )
+    P_sum = X.P + X.Phat
+    G_top = np.zeros((n, n))
+    for t in sys.noise_a:
+        G_top += t.sigma**2 * (t.pattern.T @ P_sum @ t.pattern)
+    for t in sys.noise_c:
+        G_top += t.sigma**2 * (t.pattern.T @ L.T @ X.Phat @ L @ t.pattern)
+    G_bot = np.zeros((m, m))
+    for t in sys.noise_b:
+        G_bot += t.sigma**2 * (t.pattern.T @ P_sum @ t.pattern)
+    G = G + np.block([[G_top, np.zeros((n, m))], [np.zeros((m, n)), G_bot]])
+
+    H = problem.noise.W + np.block(
+        [[A @ X.S @ A.T, A @ X.S @ C.T], [C @ X.S @ A.T, C @ X.S @ C.T]]
+    )
+    S_sum = X.S + X.Shat
+    H_top = np.zeros((n, n))
+    for t in sys.noise_a:
+        H_top += t.sigma**2 * (t.pattern @ S_sum @ t.pattern.T)
+    for t in sys.noise_b:
+        H_top += t.sigma**2 * (t.pattern @ K @ X.Shat @ K.T @ t.pattern.T)
+    H_bot = np.zeros((p, p))
+    for t in sys.noise_c:
+        H_bot += t.sigma**2 * (t.pattern @ S_sum @ t.pattern.T)
+    H = H + np.block([[H_top, np.zeros((n, p))], [np.zeros((p, n)), H_bot]])
+
+    return _symmetrize(G), _symmetrize(H)
+
+
+def riccati_residual_full(X, problem):
+    """R(X) as (P, Phat, S, Shat) blocks from the full G and H.
+
+    The gains and both Schur complements are solved from the blocks of the
+    assembled matrices: K = -G_uu^{-1} G_ux, L = H_xy H_yy^{-1},
+    Zg = G_xu G_uu^{-1} G_ux and Zh = H_xy H_yy^{-1} H_yx.
+    """
+    n = problem.n
+    A, B, C = problem.system.A, problem.system.B, problem.system.C
+    # the gain blocks do not depend on the gains, so zero gains give them
+    G, H = q_matrices(X, problem, np.zeros((problem.m, n)), np.zeros((n, problem.p)))
+    K = -la.solve(G[n:, n:], G[n:, :n])
+    L = la.solve(H[n:, n:].T, H[:n, n:].T).T
+    G, H = q_matrices(X, problem, K, L)
+    Zg = G[:n, n:] @ la.solve(G[n:, n:], G[n:, :n])
+    Zh = H[:n, n:] @ la.solve(H[n:, n:], H[n:, :n])
+    ALC = A - L @ C
+    ABK = A + B @ K
+    return (
+        _symmetrize(-X.P + G[:n, :n] - Zg),
+        _symmetrize(-X.Phat + ALC.T @ X.Phat @ ALC + Zg),
+        _symmetrize(-X.S + H[:n, :n] - Zh),
+        _symmetrize(-X.Shat + ABK @ X.Shat @ ABK.T + Zh),
+    )
+
+
+def optimal_cost(X, K, L, problem):
+    """Cost at a converged solution, from the cost-weight/covariance side.
+
+    Returns <Q_xx, S> + <[I; K]^T Q [I; K], Shat> and asserts agreement with
+    the dual form <W_xx, P> + <[I, -L] W [I, -L]^T, Phat>; raises
+    DualityViolation on disagreement beyond 1e-9 relative.
+    """
+    n = problem.n
+    K = np.asarray(K, dtype=float)
+    L = np.asarray(L, dtype=float)
+    Qxx = problem.q_blocks()[0]
+    Wxx = problem.w_blocks()[0]
+    IK = np.vstack([np.eye(n), K])
+    J_q = frobenius(Qxx, X.S) + frobenius(IK.T @ problem.cost.Q @ IK, X.Shat)
+    IL = np.hstack([np.eye(n), -L])
+    J_w = frobenius(Wxx, X.P) + frobenius(IL @ problem.noise.W @ IL.T, X.Phat)
+    if abs(J_q - J_w) > 1e-9 * (1.0 + abs(J_q)):
+        raise DualityViolation(J_q, J_w)
+    return J_q

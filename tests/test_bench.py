@@ -1,3 +1,8 @@
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -252,3 +257,18 @@ class TestBenchConfig:
         assert config.max_iter_for("value_iteration") == 100_000
         override = BenchConfig(max_iter=77)
         assert override.max_iter_for("policy_iteration") == 77
+
+
+class TestBenchmarkContract:
+    def test_traced_functions_resolve(self, monkeypatch):
+        # The benchmark's tracer wraps these module attributes by name; a
+        # rename or removal makes its traced runs fail.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracer)  # for its dataclasses
+        spec.loader.exec_module(tracer)
+        assert tracer.TRACED
+        for module, attr in tracer.TRACED:
+            target = importlib.import_module(f"{tracer.PACKAGE}.{module}")
+            assert callable(getattr(target, attr, None)), f"{module}.{attr}"

@@ -88,6 +88,28 @@ class TestBuildAugmented:
             [[sys.A, sys.B @ ctrl.K], [ctrl.L @ sys.C, ctrl.F]]
         )
         assert np.array_equal(aug.Phi, expected)
+        # weights and lifts: bitwise the np.block assembly, on nonzero gains
+        # and noise on A, B and C
+        K, L = ctrl.K, ctrl.L
+        assert np.all(K != 0.0) and np.all(L != 0.0)
+        Qxx, Qxu, Qux, Quu = problem.q_blocks()
+        Qprime = np.block([[Qxx, Qxu @ K], [K.T @ Qux, K.T @ Quu @ K]])
+        assert np.array_equal(aug.Qprime, 0.5 * (Qprime + Qprime.T))
+        Wxx, Wxy, Wyx, Wyy = problem.w_blocks()
+        Wprime = np.block([[Wxx, Wxy @ L.T], [L @ Wyx, L @ Wyy @ L.T]])
+        assert np.array_equal(aug.Wprime, 0.5 * (Wprime + Wprime.T))
+        Z = np.zeros((problem.n, problem.n))
+        (ta,), (tb,), (tc,) = sys.noise_a, sys.noise_b, sys.noise_c
+        expected_lifts = (
+            (ta.sigma**2, np.block([[ta.pattern, Z], [Z, Z]])),
+            (tb.sigma**2, np.block([[Z, tb.pattern @ K], [Z, Z]])),
+            (tc.sigma**2, np.block([[Z, Z], [L @ tc.pattern, Z]])),
+        )
+        assert all(s2 != 0.0 for s2, _ in expected_lifts)
+        assert (len(aug.lifts_a), len(aug.lifts_b), len(aug.lifts_c)) == (1, 1, 1)
+        for (s2, lift), (s2_expected, block) in zip(aug.lifts(), expected_lifts):
+            assert s2 == s2_expected
+            assert np.array_equal(lift, block)
 
     def test_dimension_mismatch_rejected(self, scalar_problem):
         bad = Controller(F=np.eye(2), K=[[0.0, 0.0]], L=[[0.0], [0.0]])

@@ -14,7 +14,6 @@ from mnlqg import (
     noise_free_controller,
     noise_free_gains,
     open_loop_controller,
-    optimal_cost,
     pendulum_problem,
     policy_iteration_solve,
     q_operators,
@@ -37,6 +36,9 @@ from conftest import make_scalar_problem
 from oracles import (
     dare_control_fixed_point,
     dare_filter_fixed_point,
+    optimal_cost,
+    q_matrices,
+    riccati_residual_full,
     scalar_noise_free_fixed_point,
 )
 
@@ -81,13 +83,52 @@ class TestGainOperators:
             gain_operators(zero_tuple(1), problem)
 
 
+def rel_err(actual, expected):
+    return la.norm(actual - expected) / la.norm(expected)
+
+
+def random_spd(rng, n):
+    M = rng.standard_normal((n, n))
+    return M @ M.T + 0.1 * np.eye(n)
+
+
+def three_state_noisy_problem():
+    """n=3, m=2, p=2 instance with A, B and C noise terms."""
+    rng = np.random.default_rng(3)
+    n, m, p = 3, 2, 2
+    system = SystemModel(
+        A=0.5 * rng.standard_normal((n, n)),
+        B=rng.standard_normal((n, m)),
+        C=rng.standard_normal((p, n)),
+        noise_a=(NoiseTerm(0.2, rng.standard_normal((n, n))),),
+        noise_b=(
+            NoiseTerm(0.3, rng.standard_normal((n, m))),
+            NoiseTerm(0.1, rng.standard_normal((n, m))),
+        ),
+        noise_c=(NoiseTerm(0.25, rng.standard_normal((p, n))),),
+    )
+    Q = rng.standard_normal((n + m, n + m))
+    W = rng.standard_normal((n + p, n + p))
+    return ProblemInstance(
+        system,
+        CostModel(Q @ Q.T + np.eye(n + m)),
+        NoiseModel(W=W @ W.T + np.eye(n + p), X0=np.zeros((n, n))),
+    )
+
+
+ORACLE_CASES = [("random", seed) for seed in range(7000, 7010)] + [("three-state", 3)]
+
+
 class TestQOperators:
     def test_at_zero_returns_penalties(self, scalar_mult_problem):
         X = zero_tuple(1)
         K, L = gain_operators(X, scalar_mult_problem)
-        q = q_operators(X, scalar_mult_problem, K, L)
-        assert np.array_equal(q.G, scalar_mult_problem.cost.Q)
-        assert np.array_equal(q.H, scalar_mult_problem.noise.W)
+        G, H = q_matrices(X, scalar_mult_problem, K, L)
+        assert np.array_equal(G, scalar_mult_problem.cost.Q)
+        assert np.array_equal(H, scalar_mult_problem.noise.W)
+        q = q_operators(X, scalar_mult_problem)
+        assert np.array_equal(q.Guu, G[1:, 1:])
+        assert np.array_equal(q.Hyy, H[1:, 1:])
 
     def test_noise_free_reduces_to_classical(self):
         rng = np.random.default_rng(11)
@@ -106,21 +147,45 @@ class TestQOperators:
         S = S @ S.T
         X = ValueCovarianceTuple(P, np.zeros((n, n)), S, np.zeros((n, n)))
         K, L = gain_operators(X, problem)
-        q = q_operators(X, problem, K, L)
+        G, H = q_matrices(X, problem, K, L)
         G_expected = problem.cost.Q + np.block(
             [[A.T @ P @ A, A.T @ P @ B], [B.T @ P @ A, B.T @ P @ B]]
         )
         H_expected = problem.noise.W + np.block(
             [[A @ S @ A.T, A @ S @ C.T], [C @ S @ A.T, C @ S @ C.T]]
         )
-        assert np.allclose(q.G, G_expected, atol=1e-13)
-        assert np.allclose(q.H, H_expected, atol=1e-13)
+        assert np.allclose(G, G_expected, atol=1e-13)
+        assert np.allclose(H, H_expected, atol=1e-13)
+        q = q_operators(X, problem)
+        assert np.allclose(q.Gux, G_expected[n:, :n], atol=1e-13)
+        assert np.allclose(q.Guu, G_expected[n:, n:], atol=1e-13)
+        assert np.allclose(q.Hxy, H_expected[:n, n:], atol=1e-13)
+        assert np.allclose(q.Hyy, H_expected[n:, n:], atol=1e-13)
 
     def test_scalar_state_noise_couples_value_blocks(self, scalar_mult_problem):
         # sigma_A = 0.3 with P = Phat = 1 adds 0.09 twice to G_xx.
         X = tuple_from_scalars(1.0, 1.0, 0.0, 0.0)
-        q = q_operators(X, scalar_mult_problem, [[0.0]], [[0.0]])
-        assert q.G[0, 0] == pytest.approx(1.0 + 0.25 + 0.09 + 0.09, rel=1e-14)
+        G, _ = q_matrices(X, scalar_mult_problem, [[0.0]], [[0.0]])
+        assert G[0, 0] == pytest.approx(1.0 + 0.25 + 0.09 + 0.09, rel=1e-14)
+
+    @pytest.mark.parametrize("kind, seed", ORACLE_CASES)
+    def test_blocks_and_residual_match_full_matrix_oracle(self, kind, seed):
+        if kind == "random":
+            problem, _ = random_problem(seed)
+        else:
+            problem = three_state_noisy_problem()
+        n = problem.n
+        rng = np.random.default_rng(seed)
+        X = ValueCovarianceTuple(*(random_spd(rng, n) for _ in range(4)))
+        q = q_operators(X, problem)
+        G, H = q_matrices(X, problem, *gain_operators(X, problem))
+        assert rel_err(q.Gux, G[n:, :n]) <= 1e-13
+        assert rel_err(q.Guu, G[n:, n:]) <= 1e-13
+        assert rel_err(q.Hxy, H[:n, n:]) <= 1e-13
+        assert rel_err(q.Hyy, H[n:, n:]) <= 1e-13
+        R = riccati_residual(X, problem)
+        for block, expected in zip(R.blocks(), riccati_residual_full(X, problem)):
+            assert rel_err(block, expected) <= 1e-13
 
 
 class TestRiccatiResidual:

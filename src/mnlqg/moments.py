@@ -28,6 +28,15 @@ and the average cost of the policy is <P', W'> = <S', Q'>.  A policy
 evaluation builds I - Psi once, decides stability once, and solves both
 equations with it (the covariance side with the transpose): one float64
 LAPACK solve per side, refined with extended-precision residuals.
+
+Stability is decided without eigenvalues where possible.  Psi maps positive
+semidefinite matrices to positive semidefinite ones, so the positive-operator
+criterion (Damm, *Rational Matrix Equations in Stochastic Control*, 2004)
+applies: with X solving X - Psi(X) = I and R = X - Psi(X) recomputed for the
+rounded X, X > 0 and R >= r I with r > 0 give Psi(X) <= (1 - r / lmax(X)) X,
+hence rho(Psi) <= 1 - r / lmax(X); and R > 0 with X not positive
+semidefinite gives rho(Psi) > 1.  Only when this test cannot decide is the
+dense spectral radius computed.
 """
 
 from __future__ import annotations
@@ -46,11 +55,13 @@ __all__ = [
     "AugmentedClosedLoop",
     "SecondMomentOperator",
     "AugmentedSolution",
+    "StabilityDecision",
     "ValueCovarianceTuple",
     "build_augmented",
     "build_second_moment_matrix",
     "spectral_radius",
     "is_ms_stable",
+    "decide_stability",
     "solve_lyapunov",
     "solve_both",
     "evaluate_cost",
@@ -207,28 +218,116 @@ def is_ms_stable(aug: AugmentedClosedLoop) -> tuple[bool, float]:
     return radius < 1.0 - STABILITY_MARGIN, radius
 
 
-def _lyapunov_matrix(aug: AugmentedClosedLoop) -> np.ndarray:
-    """I - Psi of a mean-square stable loop; raises NotMsStable otherwise."""
+def _operator_terms(aug: AugmentedClosedLoop, value: bool):
+    """Longdouble pairs (s2_i, D_i) with op(M) = sum_i s2_i D_i.T M D_i.
+
+    The pairs run over (1, Phi) and the lifts, transposed on the covariance
+    side, so an operator is applied in matrix form, without a Kronecker
+    product.
+    """
+    return [
+        (np.longdouble(s2), (D if value else D.T).astype(np.longdouble))
+        for s2, D in ((1.0, aug.Phi),) + aug.lifts()
+    ]
+
+
+def _positive_operator_test(aug: AugmentedClosedLoop, lyap: np.ndarray) -> bool | None:
+    """Stability certificate from one solve with ``lyap`` = I - Psi.
+
+    Solves X - Psi(X) = I, symmetrizes X and recomputes R = X - Psi(X) in
+    longdouble.  Psi is a positive operator, so (Damm 2004):
+
+    * X > 0 and R >= r I, r > 0: Psi(X) <= X - r I <= (1 - r / lmax(X)) X,
+      hence rho(Psi) <= 1 - r / lmax(X).  True when that bound is below
+      1 - STABILITY_MARGIN.
+    * R > 0 and X not positive semidefinite: a stable loop would have
+      X = sum_k Psi^k(R) >= R > 0, hence rho(Psi) > 1.  False.
+
+    None otherwise (singular or non-finite solve, R not positive definite,
+    X nearly singular, or a bound too close to 1).  Eigenvalues count only
+    beyond an allowance for the rounding of R and of ``eigvalsh``.
+    """
+    d = aug.dim
+    try:
+        X = symmetrize(unvec(la.solve(lyap, vec(np.eye(d)))))
+    except la.LinAlgError:
+        return None
+    if not np.all(np.isfinite(X)):
+        return None
+    X_ld = X.astype(np.longdouble)
+    R = X_ld.copy()
+    for s2, D in _operator_terms(aug, value=True):
+        R -= s2 * (D.T @ X_ld @ D)
+    wX = la.eigvalsh(X)
+    wR = la.eigvalsh(symmetrize(R).astype(np.float64))
+    # ||X||_F + ||Psi(X)||_F <= gain * ||X||_F: the scale of the longdouble sum
+    gain = 1.0 + sum(s2 * float(la.norm(D)) ** 2 for s2, D in ((1.0, aug.Phi),) + aug.lifts())
+    eps, eps_ld = np.finfo(np.float64).eps, float(np.finfo(np.longdouble).eps)
+    slack_X = d * eps * max(-wX[0], wX[-1])
+    slack_R = d * eps * max(-wR[0], wR[-1]) + 4 * d * eps_ld * gain * float(la.norm(X))
+    r = wR[0] - slack_R
+    if not r > 0.0:
+        return None
+    if wX[0] > slack_X:
+        return True if 1.0 - r / (wX[-1] + slack_X) < 1.0 - STABILITY_MARGIN else None
+    return False if wX[0] < -slack_X else None
+
+
+@dataclass(eq=False)
+class StabilityDecision:
+    """One mean-square stability decision of a closed loop.
+
+    ``operator`` is Psi and ``lyap`` is I - Psi.  ``exact_radius`` holds the
+    spectral radius once it has been computed: by the fallback when the
+    positive-operator test cannot decide, or on request by ``radius()``.
+    """
+
+    stable: bool
+    operator: SecondMomentOperator
+    lyap: np.ndarray
+    exact_radius: float | None = None
+
+    def radius(self) -> float:
+        """The exact spectral radius, computed on first request."""
+        if self.exact_radius is None:
+            self.exact_radius = spectral_radius(self.operator)
+        return self.exact_radius
+
+
+def decide_stability(aug: AugmentedClosedLoop) -> StabilityDecision:
+    """Decide mean-square stability by the positive-operator test first.
+
+    The test costs one extra solve with I - Psi.  When it cannot decide, the
+    decision is the exact one of ``is_ms_stable``: spectral radius below
+    1 - STABILITY_MARGIN.
+    """
     psi = build_second_moment_matrix(aug, "value")
-    radius = spectral_radius(psi)
-    if not radius < 1.0 - STABILITY_MARGIN:
-        raise NotMsStable(radius)
-    return np.eye(psi.matrix.shape[0]) - psi.matrix
+    lyap = np.eye(psi.matrix.shape[0]) - psi.matrix
+    verdict = _positive_operator_test(aug, lyap)
+    decision = StabilityDecision(bool(verdict), psi, lyap)
+    if verdict is None:
+        decision.stable = decision.radius() < 1.0 - STABILITY_MARGIN
+    return decision
+
+
+def _lyapunov_matrix(aug: AugmentedClosedLoop) -> np.ndarray:
+    """I - Psi of a mean-square stable loop (``decide_stability``); raises
+    NotMsStable with the exact spectral radius otherwise."""
+    decision = decide_stability(aug)
+    if not decision.stable:
+        raise NotMsStable(decision.radius())
+    return decision.lyap
 
 
 def _solve_side(aug: AugmentedClosedLoop, lyap: np.ndarray, side: str) -> np.ndarray:
     """Solve one side given I - Psi, refining with longdouble residuals.
 
-    Both operators are M -> sum_i s2_i D_i.T M D_i over (1, Phi) and the
-    lifts, transposed on the covariance side, so the residual
-    rhs - (M - op(M)) is applied in matrix form, without a Kronecker product.
+    The residual rhs - (M - op(M)) is applied in matrix form
+    (``_operator_terms``).
     """
     value = side == "value"
     A_lin, rhs = (lyap, aug.Qprime) if value else (lyap.T, aug.Wprime)
-    terms = [
-        (np.longdouble(s2), (D if value else D.T).astype(np.longdouble))
-        for s2, D in ((1.0, aug.Phi),) + aug.lifts()
-    ]
+    terms = _operator_terms(aug, value)
     rhs_ld, d = rhs.astype(np.longdouble), rhs.shape[0]
 
     def residual(x):
@@ -252,8 +351,8 @@ def solve_lyapunov(aug: AugmentedClosedLoop, side: str) -> np.ndarray:
     extended precision (``matrixmath.solve_linear_extended``); the
     symmetrized result is rounded to float64, within one ulp per entry.
 
-    Raises NotMsStable when the loop's spectral radius is not inside the
-    stability margin.
+    Raises NotMsStable when the loop is not mean-square stable, as decided
+    by ``decide_stability``.
     """
     if side not in ("value", "covariance"):
         raise ValueError(f"side must be 'value' or 'covariance', got {side!r}")
@@ -262,7 +361,9 @@ def solve_lyapunov(aug: AugmentedClosedLoop, side: str) -> np.ndarray:
 
 def solve_both(aug: AugmentedClosedLoop) -> AugmentedSolution:
     """Solve both sides as ``solve_lyapunov`` does, sharing one I - Psi and
-    one stability decision (NotMsStable when the loop is not stable)."""
+    one stability decision (``decide_stability``: the positive-operator
+    test, and the spectral radius only when it cannot decide; NotMsStable
+    with the exact radius when the loop is not stable)."""
     lyap = _lyapunov_matrix(aug)
     return AugmentedSolution(
         Pprime=_solve_side(aug, lyap, "value"),

@@ -365,7 +365,8 @@ def noise_free_gains(problem: ProblemInstance, tol: float = 1e-13, max_iter: int
 
     Fixed-point iteration of the two decoupled discrete Riccati recursions
     on the mean system; used to build fallback initial policies for policy
-    iteration when the open loop is not mean-square stable.
+    iteration when the open loop is not mean-square stable.  Every solve
+    with G_uu or H_yy follows its condition check (SingularBlock).
     """
     sys = problem.system
     A, B, C = sys.A, sys.B, sys.C
@@ -383,18 +384,28 @@ def noise_free_gains(problem: ProblemInstance, tol: float = 1e-13, max_iter: int
             M = M_next
         raise MaxIterationsExceeded(label, max_iter, float(la.norm(M_next - M)))
 
+    def control_block(P):
+        Guu = Quu + B.T @ P @ B
+        _check_condition(Guu, "G_uu")
+        return Guu
+
+    def filter_block(S):
+        Hyy = Wyy + C @ S @ C.T
+        _check_condition(Hyy, "H_yy")
+        return Hyy
+
     def control_update(P):
         Gux = Qux + B.T @ P @ A
-        return symmetrize(Qxx + A.T @ P @ A - (Qxu + A.T @ P @ B) @ la.solve(Quu + B.T @ P @ B, Gux))
+        return symmetrize(Qxx + A.T @ P @ A - (Qxu + A.T @ P @ B) @ la.solve(control_block(P), Gux))
 
     def filter_update(S):
         Hyx = Wyx + C @ S @ A.T
-        return symmetrize(Wxx + A @ S @ A.T - (Wxy + A @ S @ C.T) @ la.solve(Wyy + C @ S @ C.T, Hyx))
+        return symmetrize(Wxx + A @ S @ A.T - (Wxy + A @ S @ C.T) @ la.solve(filter_block(S), Hyx))
 
     P = iterate(control_update, Qxx, "noise-free control Riccati recursion")
     S = iterate(filter_update, Wxx, "noise-free filter Riccati recursion")
-    K = -la.solve(Quu + B.T @ P @ B, Qux + B.T @ P @ A)
-    L = la.solve((Wyy + C @ S @ C.T).T, (Wxy + A @ S @ C.T).T).T
+    K = -la.solve(control_block(P), Qux + B.T @ P @ A)
+    L = la.solve(filter_block(S).T, (Wxy + A @ S @ C.T).T).T
     return K, L
 
 
@@ -410,22 +421,26 @@ def stabilizing_initial_controller(problem: ProblemInstance) -> Controller:
 
     Prefers the open-loop policy (A, 0, 0); when that is not mean-square
     stabilizing, falls back to the classical noise-free design.  Raises
-    InitialPolicyNotStabilizing when neither candidate stabilizes the loop.
+    InitialPolicyNotStabilizing when neither candidate stabilizes the loop,
+    or when the noise-free design itself fails.  Each candidate is checked
+    by ``moments.decide_stability``, so the dense spectral radius is
+    computed only when the positive-operator test cannot decide, or to
+    report the radius of a rejected candidate in that error.
     """
     ol = open_loop_controller(problem)
-    stable, ol_radius = moments.is_ms_stable(moments.build_augmented(problem, ol))
-    if stable:
+    ol_check = moments.decide_stability(moments.build_augmented(problem, ol))
+    if ol_check.stable:
         return ol
     try:
         ctrl = noise_free_controller(problem)
     except SolverError as exc:
         raise InitialPolicyNotStabilizing(
-            ol_radius, f"noise-free fallback failed: {exc}"
+            ol_check.radius(), f"noise-free fallback failed: {exc}"
         ) from exc
-    stable, radius = moments.is_ms_stable(moments.build_augmented(problem, ctrl))
-    if stable:
+    check = moments.decide_stability(moments.build_augmented(problem, ctrl))
+    if check.stable:
         return ctrl
     raise InitialPolicyNotStabilizing(
-        ol_radius,
-        f"noise-free fallback is also not stabilizing (radius {radius:.6g})",
+        ol_check.radius(),
+        f"noise-free fallback is also not stabilizing (radius {check.radius():.6g})",
     )

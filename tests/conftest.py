@@ -36,6 +36,20 @@ def make_scalar_problem(sigma_a=0.0, w_diag=(0.01, 0.01)):
     )
 
 
+def make_singular_filter_problem():
+    """Scalar a=1.2, c=0 with no output noise: the filter's H_yy block is 0.
+
+    The open loop is not mean-square stable (radius 1.44), so an ``auto``
+    initial policy needs the noise-free design, whose filter recursion hits
+    the singular block at once.
+    """
+    return ProblemInstance(
+        SystemModel(A=[[1.2]], B=[[1.0]], C=[[0.0]]),
+        CostModel(np.eye(2)),
+        NoiseModel(W=np.diag([1.0, 0.0]), X0=np.zeros((1, 1))),
+    )
+
+
 def make_random_controller(problem, rng, scale=0.3):
     """Arbitrary (not necessarily stabilizing) controller with matching dims."""
     n, m, p = problem.n, problem.m, problem.p

@@ -12,7 +12,7 @@ from mnlqg import pendulum_problem, save_controller, save_problem, value_iterati
 from mnlqg.bench import SUMMARY_COLUMNS, TRACE_COLUMNS
 from mnlqg.cli import main
 
-from conftest import make_scalar_problem
+from conftest import make_scalar_problem, make_singular_filter_problem
 
 
 @pytest.fixture
@@ -173,6 +173,17 @@ class TestSolveCommand:
         path.write_text(json.dumps(doc))
         out = tmp_path / "report.json"
         assert main(["solve", str(path), "--out", str(out)]) == 2
+
+    def test_failed_noise_free_fallback_is_a_solver_error(self, tmp_path, capsys):
+        path = tmp_path / "singular.json"
+        path.write_text(save_problem(make_singular_filter_problem()))
+        out = tmp_path / "report.json"
+        code = main(
+            ["solve", str(path), "--method", "pi", "--init", "auto", "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "noise-free fallback failed: H_yy block is numerically singular" in err
 
     def test_diverging_vi_exits_three(self, tmp_path, capsys):
         doc = json.loads(save_problem(pendulum_problem(1.0)))

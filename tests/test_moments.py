@@ -10,16 +10,20 @@ from mnlqg import (
     evaluate_cost,
     extract_tuple,
     is_ms_stable,
+    noise_free_controller,
     open_loop_controller,
     pendulum_problem,
+    policy_iteration_solve,
     random_problem,
+    solve_both,
     solve_lyapunov,
     spectral_radius,
     stabilizing_initial_controller,
 )
 from mnlqg.exceptions import DualityViolation, NotMsStable
 from mnlqg.matrixmath import unvec, vec
-from mnlqg.moments import SecondMomentOperator
+from mnlqg.moments import STABILITY_MARGIN, SecondMomentOperator, decide_stability
+from mnlqg.riccati import gain_operators
 
 from conftest import make_random_controller, make_scalar_problem
 from oracles import (
@@ -217,6 +221,130 @@ class TestMsStable:
         )
         assert not stable
         assert radius == pytest.approx(0.81 + 0.36, rel=1e-10)
+
+
+def scaled_noise(problem, factor):
+    """The same instance with every noise standard deviation times ``factor``."""
+    from mnlqg import NoiseTerm, ProblemInstance, SystemModel
+
+    sys = problem.system
+
+    def scale(terms):
+        return tuple(NoiseTerm(factor * t.sigma, t.pattern) for t in terms)
+
+    system = SystemModel(
+        sys.A, sys.B, sys.C, scale(sys.noise_a), scale(sys.noise_b), scale(sys.noise_c)
+    )
+    return ProblemInstance(system, problem.cost, problem.noise)
+
+
+def scalar_loop(a):
+    """Open loop of x+ = a x with no noise: every operator eigenvalue is a^2."""
+    from mnlqg import CostModel, NoiseModel, ProblemInstance, SystemModel
+
+    problem = ProblemInstance(
+        SystemModel(A=[[a]], B=[[1.0]], C=[[1.0]]),
+        CostModel(np.eye(2)),
+        NoiseModel(W=np.eye(2), X0=np.zeros((1, 1))),
+    )
+    return build_augmented(problem, open_loop_controller(problem))
+
+
+class TestPositiveOperatorTest:
+    """``decide_stability`` agrees with the exact spectral-radius decision."""
+
+    @staticmethod
+    def assert_sound(aug):
+        """Certified loops lie inside the margin; rejected loops raise
+        NotMsStable with the exact radius, bitwise.  Returns the decision."""
+        radius = spectral_radius(build_second_moment_matrix(aug, "value"))
+        decision = decide_stability(aug)
+        if decision.stable:
+            assert radius < 1.0 - STABILITY_MARGIN
+            solve_both(aug)
+        else:
+            assert not radius < 1.0 - STABILITY_MARGIN
+            with pytest.raises(NotMsStable) as excinfo:
+                solve_both(aug)
+            assert excinfo.value.radius == radius
+        return decision
+
+    @pytest.mark.parametrize("seed", range(7000, 7050))
+    def test_random_initial_policies_iterates_and_scaled_noise(self, seed):
+        problem, _ = random_problem(seed)
+        initial = stabilizing_initial_controller(problem)
+        loops = [build_augmented(problem, initial)]
+        A, B, C = problem.system.A, problem.system.B, problem.system.C
+        report = policy_iteration_solve(problem, initial)
+        for X in report.solution_history:
+            K, L = gain_operators(X, problem)
+            loops.append(build_augmented(problem, Controller(A + B @ K - L @ C, K, L)))
+        for factor in (1.5, 3.0, 10.0):
+            loops.append(build_augmented(scaled_noise(problem, factor), initial))
+        decisions = [self.assert_sound(aug) for aug in loops]
+        # the initial policy and the iterates are stable
+        assert all(d.stable for d in decisions[:-3])
+
+    @pytest.mark.parametrize("eta", [0.0, 0.0125, 0.025, 0.0375, 0.05, 0.06, 0.1, 1.0])
+    def test_pendulum_levels(self, eta):
+        problem = pendulum_problem(eta)
+        for ctrl in (open_loop_controller(problem), noise_free_controller(problem)):
+            self.assert_sound(build_augmented(problem, ctrl))
+
+    def test_verdict_holds_for_any_candidate(self):
+        """The test certifies whatever X its solve returns: solving with a
+        wrong operator I - c Psi may leave the decision open, never make it
+        wrong."""
+        from mnlqg.moments import _positive_operator_test
+
+        loops = []
+        for seed in range(7000, 7010):
+            problem, _ = random_problem(seed)
+            initial = stabilizing_initial_controller(problem)
+            loops.append(build_augmented(problem, initial))
+            loops.append(build_augmented(scaled_noise(problem, 3.0), initial))
+        problem = pendulum_problem(0.05)
+        for ctrl in (open_loop_controller(problem), noise_free_controller(problem)):
+            loops.append(build_augmented(problem, ctrl))
+        seen = set()
+        for aug in loops:
+            psi = build_second_moment_matrix(aug, "value")
+            radius = spectral_radius(psi)
+            for c in (0.5, 0.9, 1.0, 1.1, 2.0):
+                verdict = _positive_operator_test(aug, np.eye(aug.dim**2) - c * psi.matrix)
+                seen.add(verdict)
+                if verdict is True:
+                    assert radius < 1.0 - STABILITY_MARGIN
+                elif verdict is False:
+                    assert not radius < 1.0 - STABILITY_MARGIN
+        assert seen == {True, False, None}
+
+    def test_exactly_singular_operator_falls_back(self):
+        aug = scalar_loop(1.0)  # I - Psi is the zero matrix
+        decision = decide_stability(aug)
+        assert not decision.stable
+        assert decision.exact_radius == 1.0
+        with pytest.raises(NotMsStable) as excinfo:
+            solve_both(aug)
+        assert excinfo.value.radius == 1.0
+
+    def test_radius_just_inside_the_margin_is_rejected(self):
+        aug = scalar_loop(np.sqrt(1.0 - 0.5 * STABILITY_MARGIN))
+        radius = spectral_radius(build_second_moment_matrix(aug, "value"))
+        assert 1.0 - STABILITY_MARGIN < radius < 1.0
+        decision = decide_stability(aug)
+        assert not decision.stable
+        assert decision.exact_radius == radius  # decided by the fallback
+        with pytest.raises(NotMsStable) as excinfo:
+            solve_both(aug)
+        assert excinfo.value.radius == radius
+
+    def test_certified_verdicts_skip_the_radius(self):
+        stable = decide_stability(scalar_open_loop_aug(sigma_a=0.3))
+        unstable = decide_stability(scalar_loop(1.2))
+        assert stable.stable and stable.exact_radius is None
+        assert not unstable.stable and unstable.exact_radius is None
+        assert unstable.radius() == pytest.approx(1.44, rel=1e-12)
 
 
 class TestSolveLyapunov:

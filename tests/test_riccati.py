@@ -32,7 +32,7 @@ from mnlqg.exceptions import (
     SingularBlock,
 )
 
-from conftest import make_scalar_problem
+from conftest import make_scalar_problem, make_singular_filter_problem
 from oracles import (
     dare_control_fixed_point,
     dare_filter_fixed_point,
@@ -362,6 +362,37 @@ class TestStabilityDecision:
         assert excinfo.value.radius >= 1.0
 
 
+class TestEigvalsOffThePolicyPath:
+    """The positive-operator test decides stability without eigenvalues."""
+
+    @pytest.mark.parametrize(
+        "make_problem",
+        [lambda: random_problem(7000)[0], lambda: pendulum_problem(0.05)],
+        ids=["random-7000", "pendulum-0.05"],
+    )
+    def test_no_spectral_radius_calls(self, make_problem, monkeypatch):
+        problem = make_problem()
+        calls = []
+        radius = moments.spectral_radius
+
+        def counted_radius(op):
+            calls.append(op)
+            return radius(op)
+
+        monkeypatch.setattr(moments, "spectral_radius", counted_radius)
+        report = policy_iteration_solve(problem, stabilizing_initial_controller(problem))
+        assert report.converged
+        assert calls == []
+
+    def test_destabilizing_improvement_keeps_exact_radius(self):
+        problem, _ = random_problem(315)
+        with pytest.raises(IterateNotStabilizing) as excinfo:
+            policy_iteration_solve(problem, stabilizing_initial_controller(problem))
+        assert excinfo.value.iteration == 1
+        assert excinfo.value.radius == pytest.approx(1.0233645609376563, rel=1e-9)
+        assert "spectral radius 1.02336)" in str(excinfo.value)
+
+
 class TestStoppingRule:
     # Iterates with norms in the thousands cannot resolve an absolute step
     # of 1e-12 in float64; the default tolerance alone cannot be relied on here.
@@ -477,6 +508,19 @@ class TestInitialPolicies:
         problem = pendulum_problem(1.0)  # not ms-compensatable at this level
         with pytest.raises(InitialPolicyNotStabilizing):
             stabilizing_initial_controller(problem)
+
+    def test_noise_free_gains_singular_block(self):
+        with pytest.raises(SingularBlock, match="H_yy"):
+            noise_free_gains(make_singular_filter_problem())
+
+    def test_auto_reports_failed_noise_free_fallback(self):
+        with pytest.raises(InitialPolicyNotStabilizing) as excinfo:
+            stabilizing_initial_controller(make_singular_filter_problem())
+        assert "noise-free fallback failed: H_yy block is numerically singular" in str(
+            excinfo.value
+        )
+        assert excinfo.value.radius == pytest.approx(1.44, rel=1e-12)
+        assert isinstance(excinfo.value.__cause__, SingularBlock)
 
 
 class TestSymmetryInvariant:

@@ -12,8 +12,8 @@ directions are
 with effective stage weight Q' and injected covariance W' obtained by
 congruence of Q and W with [[I, 0], [0, K]] and [[I, 0], [0, L]].
 
-The linear operator M -> E[Phi_t.T M Phi_t] acting on symmetric matrices is
-represented explicitly through column-major vectorization,
+The linear operator M -> E[Phi_t.T M Phi_t] has the explicit matrix, under
+column-major vectorization,
 
     Psi = Phi.T (x) Phi.T + sum_i sigma_i^2 lift_i.T (x) lift_i.T,
 
@@ -24,10 +24,24 @@ and second moment S' solve the generalized discrete Lyapunov equations
 
     P' = Psi(P') + Q',        S' = Gamma(S') + W',
 
-and the average cost of the policy is <P', W'> = <S', Q'>.  A policy
-evaluation builds I - Psi once, decides stability once, and solves both
-equations with it (the covariance side with the transpose): one float64
-LAPACK solve per side, refined with extended-precision residuals.
+and the average cost of the policy is <P', W'> = <S', Q'>.
+
+Both operators map symmetric matrices to symmetric ones, and every dense
+computation here works on that subspace: a symmetric d x d matrix (d = 2n)
+is represented by its d(d+1)/2 lower-triangle entries in column-major order
+(``_hvec``), in the basis E_ii, E_ij + E_ji.  The reduced operator Psi_s
+(``_reduced_operator``) is built from (1, Phi) and the lifts by index
+gathers.  Psi_s loses no part of the spectral radius: rho(Psi) is attained
+at a positive semidefinite eigenvector (Krein-Rutman), which is symmetric.
+Under the trace inner product <M, N> = hvec(M).T Omega hvec(N), with Omega
+= diag(1 on the diagonal, 2 off it), Gamma is the adjoint of Psi, so
+
+    I - Gamma_s = Omega^-1 (I - Psi_s).T Omega.
+
+A policy evaluation builds I - Psi_s once, decides stability once, and
+solves both equations with it (the covariance side with the transpose, for
+the unknown Omega hvec(S')): one float64 LAPACK solve per side, refined with
+extended-precision residuals.
 
 Stability is decided without eigenvalues where possible.  Psi maps positive
 semidefinite matrices to positive semidefinite ones, so the positive-operator
@@ -41,13 +55,16 @@ dense spectral radius computed.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import numpy.linalg as la
 
 from .exceptions import DualityViolation, EigenvalueFailure, NotMsStable
-from .matrixmath import frobenius, solve_linear_extended, symmetrize, unvec, vec
+from .matrixmath import frobenius, solve_linear_extended, symmetrize
 from .model import Controller, ProblemInstance
 
 __all__ = [
@@ -187,7 +204,13 @@ def build_augmented(problem: ProblemInstance, ctrl: Controller) -> AugmentedClos
 
 
 def build_second_moment_matrix(aug: AugmentedClosedLoop, side: str) -> SecondMomentOperator:
-    """Explicit (2n)^2 x (2n)^2 matrix of Psi ("value") or Gamma = Psi.T."""
+    """Explicit (2n)^2 x (2n)^2 matrix of Psi ("value") or Gamma = Psi.T.
+
+    The Kronecker form on all (2n)^2 entries.  Policy evaluation never
+    builds it: ``decide_stability`` and the Lyapunov solves use the reduced
+    operator on symmetric matrices (``_reduced_operator``), and
+    ``spectral_radius`` reduces this matrix before ``eigvals``.
+    """
     if side not in ("value", "covariance"):
         raise ValueError(f"side must be 'value' or 'covariance', got {side!r}")
     T = np.kron(aug.Phi.T, aug.Phi.T)
@@ -196,16 +219,101 @@ def build_second_moment_matrix(aug: AugmentedClosedLoop, side: str) -> SecondMom
     return SecondMomentOperator(T if side == "value" else T.T, side)
 
 
-def spectral_radius(op: SecondMomentOperator) -> float:
-    """Magnitude of the dominant eigenvalue of the operator matrix."""
+class _HalfIndices(NamedTuple):
+    """Index arrays of the half-vectorization of symmetric d x d matrices.
+
+    Entry k of ``_hvec(M)`` is M[i[k], j[k]], i >= j, in column-major
+    order; lo and up are the positions of (i, j) and (j, i) in the
+    column-major ``vec`` of a d x d matrix; off marks the entries with
+    i > j, and omega is 1 on the diagonal entries and 2 off them.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    lo: np.ndarray
+    up: np.ndarray
+    off: np.ndarray
+    omega: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _half_indices(d: int) -> _HalfIndices:
+    j, i = np.triu_indices(d)
+    h = _HalfIndices(i, j, i + d * j, j + d * i, i != j, np.where(i == j, 1.0, 2.0))
+    for a in h:
+        a.setflags(write=False)
+    return h
+
+
+def _hvec(M):
+    """The lower-triangle entries of M, column by column."""
+    h = _half_indices(M.shape[0])
+    return M[h.i, h.j]
+
+
+def _unhvec(x, d):
+    """The symmetric d x d matrix with lower triangle ``x`` (inverse of
+    ``_hvec``)."""
+    h = _half_indices(d)
+    M = np.empty((d, d), dtype=x.dtype)
+    M[h.i, h.j] = x
+    M[h.j, h.i] = x
+    return M
+
+
+def _restrict(rows, h: _HalfIndices):
+    """Psi_s from the lower-triangle rows (``h.lo``) of an operator matrix
+    on column-major vec: column (c, e) is the column of E_ce, plus that of
+    E_ec when c > e."""
+    psi = rows[:, h.lo]
+    np.add(psi, rows[:, h.up], out=psi, where=h.off)
+    return psi
+
+
+def _reduce(T):
+    """Psi_s from the full d^2 x d^2 matrix T of an operator that maps
+    symmetric matrices to symmetric ones."""
+    h = _half_indices(math.isqrt(T.shape[0]))
+    return _restrict(T[h.lo], h)
+
+
+def _reduced_operator(aug: AugmentedClosedLoop) -> np.ndarray:
+    """Psi_s: column (c, e) is hvec(Psi(E_ce + E_ec)), or hvec(Psi(E_cc)).
+
+    Builds only the lower-triangle rows of the operator matrix: row (a, b)
+    at column (c, e) is the sum over the terms (s2, D) of
+    s2 D[c, a] D[e, b], in the order of ``build_second_moment_matrix``, so
+    the result equals ``_reduce`` of that matrix bitwise.
+    """
+    d = aug.dim
+    h = _half_indices(d)
+    rows = 0.0
+    for s2, D in ((1.0, aug.Phi),) + aug.lifts():
+        X = D.T
+        rows = rows + s2 * (X[h.i, None, :] * X[h.j, :, None])
+    return _restrict(rows.reshape(len(h.i), d * d), h)
+
+
+def _radius(psi: np.ndarray) -> float:
+    """Magnitude of the dominant eigenvalue of a (reduced) operator matrix."""
     try:
-        eigs = la.eigvals(op.matrix)
+        eigs = la.eigvals(psi)
     except la.LinAlgError as exc:
         raise EigenvalueFailure(f"eigenvalue computation failed: {exc}") from exc
     radius = float(np.max(np.abs(eigs)))
     if not np.isfinite(radius):
         raise EigenvalueFailure("eigenvalue computation produced non-finite values")
     return radius
+
+
+def spectral_radius(op: SecondMomentOperator) -> float:
+    """Magnitude of the dominant eigenvalue of the operator.
+
+    Computed on the symmetric subspace: ``eigvals`` of the d(d+1)/2-square
+    ``_reduce(op.matrix)``, which has the same spectral radius as a
+    second-moment operator (Psi or Gamma) on all d^2 entries.
+    """
+    return _radius(_reduce(op.matrix))
 
 
 def is_ms_stable(aug: AugmentedClosedLoop) -> tuple[bool, float]:
@@ -232,10 +340,11 @@ def _operator_terms(aug: AugmentedClosedLoop, value: bool):
 
 
 def _positive_operator_test(aug: AugmentedClosedLoop, lyap: np.ndarray) -> bool | None:
-    """Stability certificate from one solve with ``lyap`` = I - Psi.
+    """Stability certificate from one solve with ``lyap`` = I - Psi_s.
 
-    Solves X - Psi(X) = I, symmetrizes X and recomputes R = X - Psi(X) in
-    longdouble.  Psi is a positive operator, so (Damm 2004):
+    Solves X - Psi(X) = I on the symmetric subspace and recomputes
+    R = X - Psi(X) in longdouble.  Psi is a positive operator, so
+    (Damm 2004):
 
     * X > 0 and R >= r I, r > 0: Psi(X) <= X - r I <= (1 - r / lmax(X)) X,
       hence rho(Psi) <= 1 - r / lmax(X).  True when that bound is below
@@ -249,7 +358,7 @@ def _positive_operator_test(aug: AugmentedClosedLoop, lyap: np.ndarray) -> bool 
     """
     d = aug.dim
     try:
-        X = symmetrize(unvec(la.solve(lyap, vec(np.eye(d)))))
+        X = _unhvec(la.solve(lyap, _hvec(np.eye(d))), d)
     except la.LinAlgError:
         return None
     if not np.all(np.isfinite(X)):
@@ -277,32 +386,33 @@ def _positive_operator_test(aug: AugmentedClosedLoop, lyap: np.ndarray) -> bool 
 class StabilityDecision:
     """One mean-square stability decision of a closed loop.
 
-    ``operator`` is Psi and ``lyap`` is I - Psi.  ``exact_radius`` holds the
-    spectral radius once it has been computed: by the fallback when the
+    ``psi`` is the reduced operator Psi_s on the symmetric subspace and
+    ``lyap`` is I - Psi_s.  ``exact_radius`` holds the spectral radius once
+    it has been computed (``eigvals`` of Psi_s): by the fallback when the
     positive-operator test cannot decide, or on request by ``radius()``.
     """
 
     stable: bool
-    operator: SecondMomentOperator
+    psi: np.ndarray
     lyap: np.ndarray
     exact_radius: float | None = None
 
     def radius(self) -> float:
         """The exact spectral radius, computed on first request."""
         if self.exact_radius is None:
-            self.exact_radius = spectral_radius(self.operator)
+            self.exact_radius = _radius(self.psi)
         return self.exact_radius
 
 
 def decide_stability(aug: AugmentedClosedLoop) -> StabilityDecision:
     """Decide mean-square stability by the positive-operator test first.
 
-    The test costs one extra solve with I - Psi.  When it cannot decide, the
-    decision is the exact one of ``is_ms_stable``: spectral radius below
-    1 - STABILITY_MARGIN.
+    Builds Psi_s and I - Psi_s once; the test costs one extra solve with
+    I - Psi_s.  When it cannot decide, the decision is the exact one of
+    ``is_ms_stable``: spectral radius below 1 - STABILITY_MARGIN.
     """
-    psi = build_second_moment_matrix(aug, "value")
-    lyap = np.eye(psi.matrix.shape[0]) - psi.matrix
+    psi = _reduced_operator(aug)
+    lyap = np.eye(psi.shape[0]) - psi
     verdict = _positive_operator_test(aug, lyap)
     decision = StabilityDecision(bool(verdict), psi, lyap)
     if verdict is None:
@@ -311,7 +421,7 @@ def decide_stability(aug: AugmentedClosedLoop) -> StabilityDecision:
 
 
 def _lyapunov_matrix(aug: AugmentedClosedLoop) -> np.ndarray:
-    """I - Psi of a mean-square stable loop (``decide_stability``); raises
+    """I - Psi_s of a mean-square stable loop (``decide_stability``); raises
     NotMsStable with the exact spectral radius otherwise."""
     decision = decide_stability(aug)
     if not decision.stable:
@@ -320,36 +430,42 @@ def _lyapunov_matrix(aug: AugmentedClosedLoop) -> np.ndarray:
 
 
 def _solve_side(aug: AugmentedClosedLoop, lyap: np.ndarray, side: str) -> np.ndarray:
-    """Solve one side given I - Psi, refining with longdouble residuals.
+    """Solve one side given I - Psi_s, refining with longdouble residuals.
 
-    The residual rhs - (M - op(M)) is applied in matrix form
-    (``_operator_terms``).
+    The value side solves (I - Psi_s) hvec(P') = hvec(Q').  The covariance
+    side solves (I - Psi_s).T y = Omega hvec(W') for y = Omega hvec(S'),
+    since I - Gamma_s = Omega^-1 (I - Psi_s).T Omega; the factors of Omega
+    are 1 and 2, so the scaling is exact.  The residual rhs - (M - op(M))
+    is applied in matrix form (``_operator_terms``).
     """
     value = side == "value"
     A_lin, rhs = (lyap, aug.Qprime) if value else (lyap.T, aug.Wprime)
     terms = _operator_terms(aug, value)
     rhs_ld, d = rhs.astype(np.longdouble), rhs.shape[0]
+    omega = 1.0 if value else _half_indices(d).omega
 
-    def residual(x):
-        M = x.reshape((d, d), order="F")
+    def residual(y):
+        M = _unhvec(y / omega, d)
         R = rhs_ld - M
         for s2, D in terms:
             R += s2 * (D.T @ M @ D)
-        return vec(R)
+        return omega * _hvec(R)
 
-    x = solve_linear_extended(A_lin, vec(rhs), residual)
-    return symmetrize(unvec(x)).astype(np.float64)
+    y = solve_linear_extended(A_lin, omega * _hvec(rhs), residual)
+    return _unhvec(y / omega, d).astype(np.float64)
 
 
 def solve_lyapunov(aug: AugmentedClosedLoop, side: str) -> np.ndarray:
     """Steady-state solution of the generalized Lyapunov equation.
 
     side="value" returns P' solving P' = Psi(P') + Q'; side="covariance"
-    returns S' solving S' = Gamma(S') + W'.  The dense system
-    (I - T) vec(M) = vec(rhs) ((2n)^2 unknowns) is solved in float64 with
-    I - Psi, or its transpose I - Gamma, and refined with residuals in
-    extended precision (``matrixmath.solve_linear_extended``); the
-    symmetrized result is rounded to float64, within one ulp per entry.
+    returns S' solving S' = Gamma(S') + W'.  The dense system on the
+    symmetric subspace (n(2n+1) unknowns, the lower triangle of P' or S')
+    is solved in float64 with I - Psi_s, or on the covariance side with its
+    transpose and the diagonal scaling Omega (see the module docstring),
+    and refined with residuals in extended precision
+    (``matrixmath.solve_linear_extended``); the exactly symmetric result is
+    rounded to float64, within one ulp per entry.
 
     Raises NotMsStable when the loop is not mean-square stable, as decided
     by ``decide_stability``.
@@ -360,8 +476,8 @@ def solve_lyapunov(aug: AugmentedClosedLoop, side: str) -> np.ndarray:
 
 
 def solve_both(aug: AugmentedClosedLoop) -> AugmentedSolution:
-    """Solve both sides as ``solve_lyapunov`` does, sharing one I - Psi and
-    one stability decision (``decide_stability``: the positive-operator
+    """Solve both sides as ``solve_lyapunov`` does, sharing one I - Psi_s
+    and one stability decision (``decide_stability``: the positive-operator
     test, and the spectral radius only when it cannot decide; NotMsStable
     with the exact radius when the loop is not stable)."""
     lyap = _lyapunov_matrix(aug)

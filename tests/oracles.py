@@ -9,7 +9,9 @@ Lyapunov reference assembles the Kronecker lift in longdouble and eliminates
 it with a plain Gaussian elimination (no LAPACK), the quadratic-form
 operators G(X) and H(X) are assembled as full matrices and cut into blocks
 (the package forms the blocks directly), and the scalar fixed point comes
-from the closed-form quadratic.
+from the closed-form quadratic.  The second-moment operator on all (2n)^2
+entries, and its restriction to symmetric matrices column by column, serve
+as references for the package's half-vectorized operator.
 """
 
 import math
@@ -66,6 +68,39 @@ def apply_covariance_operator(aug, M):
     out = aug.Phi @ M @ aug.Phi.T
     for s2, lift in aug.lifts():
         out = out + s2 * (lift @ M @ lift.T)
+    return out
+
+
+def full_value_operator(aug):
+    """The (2n)^2 x (2n)^2 matrix Phi.T (x) Phi.T + sum s2 lift.T (x) lift.T."""
+    T = np.kron(aug.Phi.T, aug.Phi.T)
+    for s2, lift in aug.lifts():
+        T = T + s2 * np.kron(lift.T, lift.T)
+    return T
+
+
+def full_spectral_radius(aug):
+    """Spectral radius of the value-side operator on all (2n)^2 entries."""
+    return float(np.max(np.abs(la.eigvals(full_value_operator(aug)))))
+
+
+def restrict_to_symmetric(T):
+    """Matrix of the operator T (on column-major vec) restricted to
+    symmetric matrices, in the basis E_cc, E_ce + E_ec (c > e) ordered
+    column by column over the lower triangle.
+
+    Column (c, e) is T applied to that basis matrix, read off at the
+    lower-triangle rows: T[:, (c, e)] + T[:, (e, c)] off the diagonal.
+    """
+    d = int(round(math.sqrt(T.shape[0])))
+    pairs = [(c, e) for e in range(d) for c in range(e, d)]
+    rows = [c + d * e for c, e in pairs]
+    out = np.empty((len(pairs), len(pairs)))
+    for k, (c, e) in enumerate(pairs):
+        column = T[rows, c + d * e]
+        if c != e:
+            column = column + T[rows, e + d * c]
+        out[:, k] = column
     return out
 
 

@@ -29,8 +29,10 @@ from conftest import make_random_controller, make_scalar_problem
 from oracles import (
     apply_covariance_operator,
     apply_value_operator,
+    full_spectral_radius,
     lyapunov_by_recursion,
     lyapunov_extended,
+    restrict_to_symmetric,
 )
 
 
@@ -185,6 +187,117 @@ class TestSpectralRadius:
         assert spectral_radius(psi) == pytest.approx(0.34, rel=1e-10)
 
 
+def six_state_loop(sigma):
+    """A 6-state compensator loop with noise of standard deviation ``sigma``
+    on A, B and C and a dense injected covariance W; stable for sigma below
+    about 0.276 (radius 0.92 at 0.25, 0.98 at 0.27)."""
+    from mnlqg import CostModel, NoiseModel, NoiseTerm, ProblemInstance, SystemModel
+    from mnlqg.matrixmath import specrad
+
+    rng = np.random.default_rng(3)
+    n, m, p = 6, 2, 2
+    A = rng.standard_normal((n, n))
+    A *= 0.8 / specrad(A)
+    B, C = rng.standard_normal((n, m)), rng.standard_normal((p, n))
+    patterns = rng.standard_normal((n, n)), rng.standard_normal((n, m)), rng.standard_normal((p, n))
+    ctrl = Controller(*(0.05 * rng.standard_normal(shape) for shape in ((n, n), (m, n), (n, p))))
+    G = rng.standard_normal((n + p, n + p))
+    system = SystemModel(
+        A=A,
+        B=B,
+        C=C,
+        noise_a=(NoiseTerm(sigma, patterns[0]),),
+        noise_b=(NoiseTerm(sigma, patterns[1]),),
+        noise_c=(NoiseTerm(sigma, patterns[2]),),
+    )
+    problem = ProblemInstance(
+        system, CostModel(np.eye(n + m)), NoiseModel(W=G @ G.T, X0=np.zeros((n, n)))
+    )
+    return build_augmented(problem, ctrl)
+
+
+class TestReducedOperator:
+    """Psi_s, the second-moment operator on the lower triangle of symmetric
+    matrices, against the full (2n)^2 x (2n)^2 Kronecker matrix."""
+
+    @staticmethod
+    def random_loop(n):
+        rng = np.random.default_rng(40 + n)
+        problem = random_problem_any(rng, n=n, m=2, p=2)
+        aug = build_augmented(problem, make_random_controller(problem, rng))
+        # a non-symmetric Phi and nonzero lifts of the A, B and C noise
+        assert not np.array_equal(aug.Phi, aug.Phi.T)
+        assert all(s2 > 0.0 and np.any(lift != 0.0) for s2, lift in aug.lifts())
+        return aug
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_equals_the_restriction_of_the_full_matrix(self, n):
+        from mnlqg.moments import _reduced_operator
+
+        aug = self.random_loop(n)
+        full = build_second_moment_matrix(aug, "value").matrix
+        psi_s = _reduced_operator(aug)
+        assert psi_s.shape == (n * (2 * n + 1),) * 2
+        assert np.array_equal(psi_s, restrict_to_symmetric(full))
+
+    @pytest.mark.parametrize("seed", range(7000, 7010))
+    def test_equals_the_restriction_on_random_problem_policies(self, seed):
+        from mnlqg.moments import _reduced_operator
+
+        problem, _ = random_problem(seed)
+        aug = build_augmented(problem, stabilizing_initial_controller(problem))
+        full = build_second_moment_matrix(aug, "value").matrix
+        assert np.array_equal(_reduced_operator(aug), restrict_to_symmetric(full))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_covariance_side_is_the_omega_adjoint(self, n):
+        """Gamma_s = Omega^-1 Psi_s.T Omega with Omega = diag(1 on the
+        diagonal, 2 off it), bitwise: the identity the covariance solve uses."""
+        from mnlqg.moments import _reduced_operator
+
+        aug = self.random_loop(n)
+        gamma = build_second_moment_matrix(aug, "covariance").matrix
+        omega = np.array([1.0 if c == e else 2.0 for e in range(2 * n) for c in range(e, 2 * n)])
+        adjoint = _reduced_operator(aug).T * omega / omega[:, None]
+        assert np.array_equal(restrict_to_symmetric(gamma), adjoint)
+
+    @pytest.mark.parametrize("seed", range(7000, 7050))
+    def test_spectral_radius_matches_full_eigvals(self, seed):
+        problem, _ = random_problem(seed)
+        initial = stabilizing_initial_controller(problem)
+        for aug in (
+            build_augmented(problem, initial),
+            build_augmented(scaled_noise(problem, 3.0), initial),
+        ):
+            reference = full_spectral_radius(aug)
+            for side in ("value", "covariance"):
+                radius = spectral_radius(build_second_moment_matrix(aug, side))
+                assert radius == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_spectral_radius_matches_full_eigvals_on_pendulum_candidates(self):
+        problem = pendulum_problem(0.05)
+        for ctrl in (open_loop_controller(problem), noise_free_controller(problem)):
+            aug = build_augmented(problem, ctrl)
+            radius = spectral_radius(build_second_moment_matrix(aug, "value"))
+            assert radius == pytest.approx(full_spectral_radius(aug), rel=1e-12, abs=0.0)
+            assert decide_stability(aug).radius() == radius
+
+    def test_evaluation_needs_no_kronecker_product(self, monkeypatch):
+        aug = six_state_loop(0.25)
+
+        def no_kron(*args, **kwargs):
+            raise AssertionError("np.kron called on the policy-evaluation path")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        sol = solve_both(aug)
+        for M, op, rhs in (
+            (sol.Pprime, apply_value_operator, aug.Qprime),
+            (sol.Sprime, apply_covariance_operator, aug.Wprime),
+        ):
+            assert np.array_equal(M, M.T)
+            assert la.norm(M - op(aug, M) - rhs) <= 1e-10 * (1.0 + la.norm(M))
+
+
 class TestMsStable:
     def test_scalar_stable(self):
         stable, radius = is_ms_stable(scalar_open_loop_aug(sigma_a=0.3))
@@ -295,7 +408,7 @@ class TestPositiveOperatorTest:
         """The test certifies whatever X its solve returns: solving with a
         wrong operator I - c Psi may leave the decision open, never make it
         wrong."""
-        from mnlqg.moments import _positive_operator_test
+        from mnlqg.moments import _positive_operator_test, _reduced_operator
 
         loops = []
         for seed in range(7000, 7010):
@@ -310,8 +423,9 @@ class TestPositiveOperatorTest:
         for aug in loops:
             psi = build_second_moment_matrix(aug, "value")
             radius = spectral_radius(psi)
+            psi_s = _reduced_operator(aug)
             for c in (0.5, 0.9, 1.0, 1.1, 2.0):
-                verdict = _positive_operator_test(aug, np.eye(aug.dim**2) - c * psi.matrix)
+                verdict = _positive_operator_test(aug, np.eye(len(psi_s)) - c * psi_s)
                 seen.add(verdict)
                 if verdict is True:
                     assert radius < 1.0 - STABILITY_MARGIN
@@ -484,6 +598,17 @@ class TestExtendedPrecisionAccuracy:
         stable, radius = is_ms_stable(aug)
         assert stable and radius > 0.9, "test construction should be stable near the boundary"
         self.assert_within_one_ulp(aug)
+
+    def test_covariance_side_near_the_boundary_with_dense_injected_noise(self):
+        """The covariance solve runs on (I - Psi_s).T with the Omega scaling;
+        cond(I - Psi_s) is about 300 at this radius."""
+        aug = six_state_loop(0.27)
+        stable, radius = is_ms_stable(aug)
+        assert stable and radius >= 0.98, "test construction should be stable near the boundary"
+        assert np.all(aug.Wprime != 0.0)
+        S = solve_lyapunov(aug, "covariance")
+        error = np.abs(S.astype(np.longdouble) - lyapunov_extended(aug, "covariance"))
+        assert np.all(error <= np.spacing(np.abs(S)))
 
 
 class TestEvaluateCost:

@@ -37,14 +37,12 @@ from .model import (
 from .moments import (
     AugmentedClosedLoop,
     AugmentedSolution,
-    SecondMomentOperator,
     ValueCovarianceTuple,
     build_augmented,
     build_second_moment_matrix,
     evaluate_cost,
     evaluate_policy,
     extract_tuple,
-    is_ms_stable,
     solve_both,
     solve_lyapunov,
     spectral_radius,
@@ -88,14 +86,12 @@ __all__ = [
     # moments
     "AugmentedClosedLoop",
     "AugmentedSolution",
-    "SecondMomentOperator",
     "ValueCovarianceTuple",
     "build_augmented",
     "build_second_moment_matrix",
     "evaluate_cost",
     "evaluate_policy",
     "extract_tuple",
-    "is_ms_stable",
     "solve_both",
     "solve_lyapunov",
     "spectral_radius",

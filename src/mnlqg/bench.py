@@ -29,7 +29,7 @@ import numpy.linalg as la
 
 from . import moments, riccati
 from .exceptions import RetryExhausted, SolverError, UnstableRollout
-from .matrixmath import psd_factor, specrad
+from .matrixmath import psd_factor
 from .model import Controller, CostModel, NoiseModel, NoiseTerm, ProblemInstance, SystemModel
 from .moments import ValueCovarianceTuple
 
@@ -62,19 +62,11 @@ REFERENCE_TOL = 1e-12
 class BenchConfig:
     """Benchmark configuration shared by the pendulum and random suites."""
 
-    etas: tuple[float, ...] = ()
-    count: int = 1
-    seed: int = 0
     tol: float = riccati.DEFAULT_TOL
     max_iter: int | None = None  # None: per-method defaults
     methods: tuple[str, ...] = METHODS
 
     def __post_init__(self):
-        for eta in self.etas:
-            if not 0.0 <= eta <= 1.0:
-                raise ValueError(f"eta must lie in [0, 1], got {eta}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
         if not self.methods:
             raise ValueError("methods must be nonempty")
         for method in self.methods:
@@ -228,7 +220,7 @@ def random_problem(seed: int, max_redraws: int = 20):
         )
         variances = rng.uniform(0.0, 1.0, size=3)
         eta = rng.uniform(0.0, 1.0)
-        rho_A = specrad(A)
+        rho_A = moments.spectral_radius(A)
         if rho_A <= 1e-12:
             continue
         A = A * (rho_target / rho_A)

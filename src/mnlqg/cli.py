@@ -161,10 +161,11 @@ def cmd_bench_pendulum(args) -> int:
     if not etas:
         raise ValueError("--etas must list at least one value")
     methods = _parse_methods(args.methods)
-    config = bench.BenchConfig(etas=etas, methods=methods)
+    config = bench.BenchConfig(methods=methods)
+    # every eta is range-checked here, before the first solve
+    problems = [bench.pendulum_problem(eta) for eta in etas]
     entries = []
-    for eta in etas:
-        problem = bench.pendulum_problem(eta)
+    for eta, problem in zip(etas, problems):
         result = bench.run_comparison(problem, config)
         entries.append((0, eta, result))
         for rec in result.records:
@@ -180,7 +181,7 @@ def cmd_bench_random(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
     methods = _parse_methods(args.methods)
-    config = bench.BenchConfig(count=args.count, seed=args.seed, methods=methods)
+    config = bench.BenchConfig(methods=methods)
     seeds = [args.seed + index for index in range(args.count)]
 
     def run_instance(instance_seed):

@@ -9,27 +9,10 @@ import numpy.linalg as la
 REFINE_STEPS = 2
 
 
-def vec(M):
-    """Stack the columns of M into a vector (column-major)."""
-    return np.asarray(M).reshape(-1, order="F")
-
-
-def unvec(v):
-    """Inverse of ``vec`` for square matrices."""
-    v = np.asarray(v)
-    d = int(round(np.sqrt(v.size)))
-    return v.reshape((d, d), order="F")
-
-
 def symmetrize(M):
     """Return (M + M.T) / 2."""
     M = np.asarray(M)
     return 0.5 * (M + M.T)
-
-
-def specrad(M):
-    """Spectral radius (largest eigenvalue magnitude) of a square matrix."""
-    return float(np.max(np.abs(la.eigvals(M))))
 
 
 def frobenius(A, B):
@@ -69,8 +52,9 @@ def solve_linear_extended(A, b, residual):
     ``residual(x)`` returns b - A x in ``np.longdouble`` (80-bit on x86) for
     the longdouble iterate ``x``.  Mixed-precision iterative refinement
     (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 12):
-    forward error below one float64 ulp while cond(A) * eps << 1.  Returns
-    the longdouble solution.
+    forward error below one float64 ulp while cond(A) * eps_longdouble stays
+    well below eps_float64, and about cond(A) * eps_longdouble relative to
+    ||x|| beyond that.  Returns the longdouble solution.
     """
     x = la.solve(A, b).astype(np.longdouble)
     for _ in range(REFINE_STEPS):

@@ -10,8 +10,11 @@ it with a plain Gaussian elimination (no LAPACK), the quadratic-form
 operators G(X) and H(X) are assembled as full matrices and cut into blocks
 (the package forms the blocks directly), and the scalar fixed point comes
 from the closed-form quadratic.  The second-moment operator on all (2n)^2
-entries, and its restriction to symmetric matrices column by column, serve
-as references for the package's half-vectorized operator.
+entries (the Kronecker matrix, with ``vec``/``unvec``), its restriction to
+symmetric matrices column by column and the half-vectorization ``hvec``
+serve as references for the package's operator Psi_s, which acts on the
+lower-triangle entries only; ``is_ms_stable`` decides stability from the
+Kronecker matrix's spectral radius.
 """
 
 import math
@@ -21,6 +24,46 @@ import numpy.linalg as la
 
 from mnlqg.exceptions import DualityViolation
 from mnlqg.matrixmath import frobenius
+from mnlqg.moments import STABILITY_MARGIN
+
+
+def vec(M):
+    """Stack the columns of M into a vector (column-major)."""
+    return np.asarray(M).reshape(-1, order="F")
+
+
+def unvec(v):
+    """Inverse of ``vec`` for square matrices."""
+    v = np.asarray(v)
+    d = int(round(np.sqrt(v.size)))
+    return v.reshape((d, d), order="F")
+
+
+def _lower_pairs(d):
+    """(row, column) of the lower-triangle entries of a d x d matrix, column
+    by column."""
+    return [(c, e) for e in range(d) for c in range(e, d)]
+
+
+def hvec(M):
+    """The lower-triangle entries of M, column by column: the coordinates of
+    a symmetric M in the basis E_cc, E_ce + E_ec (c > e)."""
+    M = np.asarray(M)
+    return np.array([M[c, e] for c, e in _lower_pairs(M.shape[0])])
+
+
+def unhvec(x):
+    """The symmetric matrix with lower triangle ``x`` (inverse of ``hvec``)."""
+    d = int(round((math.sqrt(8 * len(x) + 1) - 1) / 2))
+    M = np.empty((d, d))
+    for value, (c, e) in zip(x, _lower_pairs(d)):
+        M[c, e] = M[e, c] = value
+    return M
+
+
+def specrad(M):
+    """Spectral radius (largest eigenvalue magnitude) of a square matrix."""
+    return float(np.max(np.abs(la.eigvals(M))))
 
 
 def dare_control_fixed_point(A, B, Qxx, Qxu, Quu, tol=1e-14, max_iter=1_000_000):
@@ -81,7 +124,14 @@ def full_value_operator(aug):
 
 def full_spectral_radius(aug):
     """Spectral radius of the value-side operator on all (2n)^2 entries."""
-    return float(np.max(np.abs(la.eigvals(full_value_operator(aug)))))
+    return specrad(full_value_operator(aug))
+
+
+def is_ms_stable(aug):
+    """Mean-square stability decision and spectral radius from the Kronecker
+    matrix: stable when the radius is below 1 - STABILITY_MARGIN."""
+    radius = full_spectral_radius(aug)
+    return radius < 1.0 - STABILITY_MARGIN, radius
 
 
 def restrict_to_symmetric(T):
@@ -93,7 +143,7 @@ def restrict_to_symmetric(T):
     lower-triangle rows: T[:, (c, e)] + T[:, (e, c)] off the diagonal.
     """
     d = int(round(math.sqrt(T.shape[0])))
-    pairs = [(c, e) for e in range(d) for c in range(e, d)]
+    pairs = _lower_pairs(d)
     rows = [c + d * e for c, e in pairs]
     out = np.empty((len(pairs), len(pairs)))
     for k, (c, e) in enumerate(pairs):
@@ -184,8 +234,7 @@ def lyapunov_extended(aug, side):
             lifted = lift.astype(ld)
             T = T + ld(s2) * np.kron(lifted, lifted)
         rhs = aug.Wprime.astype(ld)
-    x = solve_by_extended_elimination(np.eye(T.shape[0], dtype=ld) - T, rhs.reshape(-1, order="F"))
-    M = x.reshape(rhs.shape, order="F")
+    M = unvec(solve_by_extended_elimination(np.eye(T.shape[0], dtype=ld) - T, vec(rhs)))
     return 0.5 * (M + M.T)
 
 

@@ -46,13 +46,15 @@ from mnlqg import (
 )
 from mnlqg.cli import main
 from mnlqg.exceptions import SolverError
-from mnlqg.matrixmath import frobenius, unvec, vec
+from mnlqg.matrixmath import frobenius
 
 from conftest import ACCEPTANCE_LINES, make_random_controller
 from oracles import (
     apply_value_operator,
     dare_control_fixed_point,
     dare_filter_fixed_point,
+    hvec,
+    unhvec,
 )
 
 TOL = 1e-12
@@ -331,7 +333,7 @@ def test_criterion_08_operator_correctness():
         M = M + M.T
         psi = build_second_moment_matrix(aug, "value")
         gamma = build_second_moment_matrix(aug, "covariance")
-        lhs = unvec(psi.matrix @ vec(M))
+        lhs = unhvec(psi @ hvec(M))
         rhs = apply_value_operator(aug, M)
         scale = 1.0 + np.max(np.abs(rhs))
         worst_entry = max(worst_entry, float(np.max(np.abs(lhs - rhs))) / scale)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mnlqg
 from mnlqg import (
     BenchConfig,
     Controller,
@@ -108,6 +109,23 @@ class TestRandomProblem:
 
         with pytest.raises(RetryExhausted):
             random_problem(0, max_redraws=0)
+
+    def test_generation_builds_no_kronecker_product(self, monkeypatch):
+        """The critical-noise bisections, here and in the benchmark's
+        generator (which calls the package API by name), work on Psi_s."""
+
+        def no_kron(*args, **kwargs):
+            raise AssertionError("np.kron called while generating an instance")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
+        spec = importlib.util.spec_from_file_location("perfbench_instances", path)
+        instances = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(instances)
+        problems = [random_problem(seed)[0] for seed in range(7000, 7005)]
+        problems.append(instances.synthetic_problem(mnlqg, 11, 4, 2, 2, 0.5))
+        for problem in problems:
+            assert open_loop_radius(problem) < 1.0
 
 
 class TestConvergenceMetric:
@@ -241,10 +259,6 @@ class TestMonteCarloCost:
 
 
 class TestBenchConfig:
-    def test_eta_validated(self):
-        with pytest.raises(ValueError):
-            BenchConfig(etas=(1.2,))
-
     def test_methods_validated(self):
         with pytest.raises(ValueError):
             BenchConfig(methods=("newton",))

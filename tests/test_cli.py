@@ -232,6 +232,17 @@ class TestBenchPendulumCommand:
         assert main(["bench-pendulum", "--etas", "0,banana", "--out", prefix]) == 2
         assert main(["bench-pendulum", "--etas", "2.0", "--out", prefix]) == 2
 
+    def test_out_of_range_eta_stops_before_any_solve(self, tmp_path, monkeypatch):
+        from mnlqg import bench
+
+        def no_solve(problem, config):
+            raise AssertionError("a level was solved before every eta was checked")
+
+        monkeypatch.setattr(bench, "run_comparison", no_solve)
+        prefix = tmp_path / "pend"
+        assert main(["bench-pendulum", "--etas", "0,2.0", "--out", str(prefix)]) == 2
+        assert not (tmp_path / "pend_summary.csv").exists()
+
 
 class TestBenchRandomCommand:
     def test_rows_and_ratios(self, tmp_path):

@@ -9,7 +9,6 @@ from mnlqg import (
     build_second_moment_matrix,
     evaluate_cost,
     extract_tuple,
-    is_ms_stable,
     noise_free_controller,
     open_loop_controller,
     pendulum_problem,
@@ -21,8 +20,7 @@ from mnlqg import (
     stabilizing_initial_controller,
 )
 from mnlqg.exceptions import DualityViolation, NotMsStable
-from mnlqg.matrixmath import unvec, vec
-from mnlqg.moments import STABILITY_MARGIN, SecondMomentOperator, decide_stability
+from mnlqg.moments import STABILITY_MARGIN, decide_stability
 from mnlqg.riccati import gain_operators
 
 from conftest import make_random_controller, make_scalar_problem
@@ -30,9 +28,14 @@ from oracles import (
     apply_covariance_operator,
     apply_value_operator,
     full_spectral_radius,
+    full_value_operator,
+    hvec,
+    is_ms_stable,
     lyapunov_by_recursion,
     lyapunov_extended,
     restrict_to_symmetric,
+    specrad,
+    unhvec,
 )
 
 
@@ -127,7 +130,7 @@ class TestSecondMomentMatrix:
     def test_scalar_with_state_noise(self):
         aug = scalar_open_loop_aug(sigma_a=0.3)
         psi = build_second_moment_matrix(aug, "value")
-        assert np.allclose(psi.matrix, np.diag([0.34, 0.25, 0.25, 0.25]), atol=1e-15)
+        assert np.allclose(psi, np.diag([0.34, 0.25, 0.25]), atol=1e-15)
 
     def test_zero_dynamics(self, scalar_problem):
         ctrl = Controller(F=[[0.0]], K=[[0.0]], L=[[0.0]])
@@ -141,7 +144,7 @@ class TestSecondMomentMatrix:
             lifts_c=(),
         )
         psi = build_second_moment_matrix(aug, "value")
-        assert np.array_equal(psi.matrix, np.zeros((4, 4)))
+        assert np.array_equal(psi, np.zeros((3, 3)))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_operator_application_identity(self, seed):
@@ -151,12 +154,12 @@ class TestSecondMomentMatrix:
         aug = build_augmented(problem, ctrl)
         M = rng.standard_normal((4, 4))
         M = M + M.T
-        psi = build_second_moment_matrix(aug, "value").matrix
-        gamma = build_second_moment_matrix(aug, "covariance").matrix
+        psi = build_second_moment_matrix(aug, "value")
+        gamma = build_second_moment_matrix(aug, "covariance")
         direct_v = apply_value_operator(aug, M)
         direct_c = apply_covariance_operator(aug, M)
-        assert np.allclose(unvec(psi @ vec(M)), direct_v, rtol=1e-12, atol=1e-13)
-        assert np.allclose(unvec(gamma @ vec(M)), direct_c, rtol=1e-12, atol=1e-13)
+        assert np.allclose(unhvec(psi @ hvec(M)), direct_v, rtol=1e-12, atol=1e-13)
+        assert np.allclose(unhvec(gamma @ hvec(M)), direct_c, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_shared_spectrum(self, seed):
@@ -176,10 +179,10 @@ class TestSecondMomentMatrix:
 
 class TestSpectralRadius:
     def test_identity(self):
-        assert spectral_radius(SecondMomentOperator(np.eye(4), "value")) == 1.0
+        assert spectral_radius(np.eye(4)) == 1.0
 
     def test_zero(self):
-        assert spectral_radius(SecondMomentOperator(np.zeros((4, 4)), "value")) == 0.0
+        assert spectral_radius(np.zeros((4, 4))) == 0.0
 
     def test_scalar_open_loop_value(self):
         aug = scalar_open_loop_aug(sigma_a=0.3)
@@ -192,7 +195,6 @@ def six_state_loop(sigma):
     on A, B and C and a dense injected covariance W; stable for sigma below
     about 0.276 (radius 0.92 at 0.25, 0.98 at 0.27)."""
     from mnlqg import CostModel, NoiseModel, NoiseTerm, ProblemInstance, SystemModel
-    from mnlqg.matrixmath import specrad
 
     rng = np.random.default_rng(3)
     n, m, p = 6, 2, 2
@@ -217,8 +219,9 @@ def six_state_loop(sigma):
 
 
 class TestReducedOperator:
-    """Psi_s, the second-moment operator on the lower triangle of symmetric
-    matrices, against the full (2n)^2 x (2n)^2 Kronecker matrix."""
+    """Psi_s and Gamma_s (``build_second_moment_matrix``), the second-moment
+    operators on the lower triangle of symmetric matrices, against the full
+    (2n)^2 x (2n)^2 Kronecker matrix of the oracles."""
 
     @staticmethod
     def random_loop(n):
@@ -232,34 +235,30 @@ class TestReducedOperator:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_equals_the_restriction_of_the_full_matrix(self, n):
-        from mnlqg.moments import _reduced_operator
-
         aug = self.random_loop(n)
-        full = build_second_moment_matrix(aug, "value").matrix
-        psi_s = _reduced_operator(aug)
+        psi_s = build_second_moment_matrix(aug, "value")
         assert psi_s.shape == (n * (2 * n + 1),) * 2
-        assert np.array_equal(psi_s, restrict_to_symmetric(full))
+        assert np.array_equal(psi_s, restrict_to_symmetric(full_value_operator(aug)))
 
     @pytest.mark.parametrize("seed", range(7000, 7010))
     def test_equals_the_restriction_on_random_problem_policies(self, seed):
-        from mnlqg.moments import _reduced_operator
-
         problem, _ = random_problem(seed)
         aug = build_augmented(problem, stabilizing_initial_controller(problem))
-        full = build_second_moment_matrix(aug, "value").matrix
-        assert np.array_equal(_reduced_operator(aug), restrict_to_symmetric(full))
+        full = full_value_operator(aug)
+        assert np.array_equal(
+            build_second_moment_matrix(aug, "value"), restrict_to_symmetric(full)
+        )
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_covariance_side_is_the_omega_adjoint(self, n):
         """Gamma_s = Omega^-1 Psi_s.T Omega with Omega = diag(1 on the
         diagonal, 2 off it), bitwise: the identity the covariance solve uses."""
-        from mnlqg.moments import _reduced_operator
-
         aug = self.random_loop(n)
-        gamma = build_second_moment_matrix(aug, "covariance").matrix
+        gamma_s = build_second_moment_matrix(aug, "covariance")
         omega = np.array([1.0 if c == e else 2.0 for e in range(2 * n) for c in range(e, 2 * n)])
-        adjoint = _reduced_operator(aug).T * omega / omega[:, None]
-        assert np.array_equal(restrict_to_symmetric(gamma), adjoint)
+        adjoint = build_second_moment_matrix(aug, "value").T * omega / omega[:, None]
+        assert np.array_equal(gamma_s, adjoint)
+        assert np.array_equal(gamma_s, restrict_to_symmetric(full_value_operator(aug).T))
 
     @pytest.mark.parametrize("seed", range(7000, 7050))
     def test_spectral_radius_matches_full_eigvals(self, seed):
@@ -299,10 +298,12 @@ class TestReducedOperator:
 
 
 class TestMsStable:
+    """``decide_stability`` and its exact radius on closed-form loops."""
+
     def test_scalar_stable(self):
-        stable, radius = is_ms_stable(scalar_open_loop_aug(sigma_a=0.3))
-        assert stable
-        assert radius == pytest.approx(0.34, rel=1e-10)
+        decision = decide_stability(scalar_open_loop_aug(sigma_a=0.3))
+        assert decision.stable
+        assert decision.radius() == pytest.approx(0.34, rel=1e-10)
 
     def test_marginal_is_not_stable(self):
         problem = make_scalar_problem()
@@ -314,11 +315,9 @@ class TestMsStable:
             CostModel(np.eye(2)),
             NoiseModel(W=np.eye(2), X0=np.zeros((1, 1))),
         )
-        stable, radius = is_ms_stable(
-            build_augmented(marginal, open_loop_controller(marginal))
-        )
-        assert not stable
-        assert radius == pytest.approx(1.0, rel=1e-10)
+        decision = decide_stability(build_augmented(marginal, open_loop_controller(marginal)))
+        assert not decision.stable
+        assert decision.radius() == pytest.approx(1.0, rel=1e-10)
 
     def test_noise_pushes_past_one(self):
         problem = make_scalar_problem(sigma_a=0.6)
@@ -329,11 +328,9 @@ class TestMsStable:
             CostModel(np.eye(2)),
             NoiseModel(W=np.eye(2), X0=np.zeros((1, 1))),
         )
-        stable, radius = is_ms_stable(
-            build_augmented(problem, open_loop_controller(problem))
-        )
-        assert not stable
-        assert radius == pytest.approx(0.81 + 0.36, rel=1e-10)
+        decision = decide_stability(build_augmented(problem, open_loop_controller(problem)))
+        assert not decision.stable
+        assert decision.radius() == pytest.approx(0.81 + 0.36, rel=1e-10)
 
 
 def scaled_noise(problem, factor):
@@ -408,7 +405,7 @@ class TestPositiveOperatorTest:
         """The test certifies whatever X its solve returns: solving with a
         wrong operator I - c Psi may leave the decision open, never make it
         wrong."""
-        from mnlqg.moments import _positive_operator_test, _reduced_operator
+        from mnlqg.moments import _positive_operator_test
 
         loops = []
         for seed in range(7000, 7010):
@@ -421,9 +418,8 @@ class TestPositiveOperatorTest:
             loops.append(build_augmented(problem, ctrl))
         seen = set()
         for aug in loops:
-            psi = build_second_moment_matrix(aug, "value")
-            radius = spectral_radius(psi)
-            psi_s = _reduced_operator(aug)
+            psi_s = build_second_moment_matrix(aug, "value")
+            radius = spectral_radius(psi_s)
             for c in (0.5, 0.9, 1.0, 1.1, 2.0):
                 verdict = _positive_operator_test(aug, np.eye(len(psi_s)) - c * psi_s)
                 seen.add(verdict)
@@ -500,7 +496,6 @@ class TestSolveLyapunov:
     @pytest.mark.parametrize("seed", range(6))
     def test_residual_contract(self, seed):
         from mnlqg import CostModel, NoiseModel, NoiseTerm, ProblemInstance, SystemModel
-        from mnlqg.matrixmath import specrad
 
         rng = np.random.default_rng(200 + seed)
         A = rng.standard_normal((2, 2))
@@ -556,8 +551,10 @@ class TestSolveLyapunov:
 )
 class TestExtendedPrecisionAccuracy:
     """solve_lyapunov lands within one float64 ulp per entry of the unrounded
-    longdouble solution; the policy-iteration stopping floor
-    (riccati.STEP_FLOOR_ULPS) relies on evaluations this accurate."""
+    longdouble solution while cond(I - Psi_s) is moderate (radius up to
+    0.984 here), and within the policy-iteration stopping floor
+    (riccati.STEP_FLOOR_ULPS) at radius 0.99987; the floor relies on
+    evaluations this accurate."""
 
     @staticmethod
     def assert_within_one_ulp(aug):
@@ -576,7 +573,6 @@ class TestExtendedPrecisionAccuracy:
 
     def test_six_state_compensator_near_the_boundary(self):
         from mnlqg import CostModel, NoiseModel, NoiseTerm, ProblemInstance, SystemModel
-        from mnlqg.matrixmath import specrad
 
         rng = np.random.default_rng(3)
         n, m, p = 6, 2, 2
@@ -609,6 +605,20 @@ class TestExtendedPrecisionAccuracy:
         S = solve_lyapunov(aug, "covariance")
         error = np.abs(S.astype(np.longdouble) - lyapunov_extended(aug, "covariance"))
         assert np.all(error <= np.spacing(np.abs(S)))
+
+    def test_within_the_stopping_floor_at_the_boundary(self):
+        """At radius 0.99987, cond(I - Psi_s) is about 3.7e4 and one ulp is
+        out of reach (measured: 10.2 ulps on the value side, 3.1 on the
+        covariance side); both stay below the 32-ulp stopping floor."""
+        from mnlqg.riccati import STEP_FLOOR_ULPS
+
+        aug = six_state_loop(0.275)
+        stable, radius = is_ms_stable(aug)
+        assert stable and radius > 0.9998, "test construction should sit at the boundary"
+        for side in ("value", "covariance"):
+            M = solve_lyapunov(aug, side)
+            error = np.abs(M.astype(np.longdouble) - lyapunov_extended(aug, side))
+            assert np.all(error <= STEP_FLOOR_ULPS * np.spacing(np.abs(M))), side
 
 
 class TestEvaluateCost:

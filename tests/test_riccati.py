@@ -333,30 +333,22 @@ class TestStabilityDecision:
     def test_one_operator_and_radius_per_evaluation(self, monkeypatch):
         problem, _ = random_problem(7000)
         initial = stabilizing_initial_controller(problem)
-        calls = {"build": 0, "full": 0, "radius": 0}
-        build, full = moments._reduced_operator, moments.build_second_moment_matrix
-        radius = moments.spectral_radius
+        calls = {"build": 0, "radius": 0}
+        build, radius = moments.build_second_moment_matrix, moments.spectral_radius
 
-        def counted_build(aug):
+        def counted_build(aug, side):
             calls["build"] += 1
-            return build(aug)
+            return build(aug, side)
 
-        def counted_full(aug, side):
-            calls["full"] += 1
-            return full(aug, side)
-
-        def counted_radius(op):
+        def counted_radius(matrix):
             calls["radius"] += 1
-            return radius(op)
+            return radius(matrix)
 
-        monkeypatch.setattr(moments, "_reduced_operator", counted_build)
-        monkeypatch.setattr(moments, "build_second_moment_matrix", counted_full)
+        monkeypatch.setattr(moments, "build_second_moment_matrix", counted_build)
         monkeypatch.setattr(moments, "spectral_radius", counted_radius)
         report = policy_iteration_solve(problem, initial)
         # iterations + 1 evaluations in the loop, one more for the report's cost
         assert calls["build"] == report.iterations + 2
-        # the full (2n)^2 x (2n)^2 operator is never built on this path
-        assert calls["full"] == 0
         assert calls["radius"] <= report.iterations + 2
 
     def test_destabilizing_improvement_is_reported(self, scalar_problem, monkeypatch):
@@ -383,9 +375,9 @@ class TestEigvalsOffThePolicyPath:
         calls = []
         radius = moments.spectral_radius
 
-        def counted_radius(op):
-            calls.append(op)
-            return radius(op)
+        def counted_radius(matrix):
+            calls.append(matrix)
+            return radius(matrix)
 
         monkeypatch.setattr(moments, "spectral_radius", counted_radius)
         report = policy_iteration_solve(problem, stabilizing_initial_controller(problem))

@@ -61,7 +61,6 @@ from .riccati import (
     riccati_residual,
     stabilizing_initial_controller,
     value_iteration_solve,
-    value_iteration_step,
 )
 
 __version__ = "0.1.0"
@@ -109,7 +108,6 @@ __all__ = [
     "riccati_residual",
     "stabilizing_initial_controller",
     "value_iteration_solve",
-    "value_iteration_step",
     # bench
     "BenchConfig",
     "ComparisonResult",

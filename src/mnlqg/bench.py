@@ -57,6 +57,15 @@ ZERO_ERROR_GUARD = 1e-300
 
 REFERENCE_TOL = 1e-12
 
+# Steps whose noise one generator call draws in ``monte_carlo_cost``: enough
+# to amortize the per-call overhead, few enough that the block buffers stay
+# small.  A block is shorter when its draws would pass _ROLLOUT_DRAWS values,
+# so the buffers grow with the number of trials no faster than one step's.
+_ROLLOUT_BLOCK = 8
+_ROLLOUT_DRAWS = 2**14
+# A rollout state above this magnitude counts as overflowed.
+_ROLLOUT_OVERFLOW = 1e100
+
 
 @dataclass(frozen=True)
 class BenchConfig:
@@ -369,44 +378,70 @@ def monte_carlo_cost(
     Simulates ``trials`` independent rollouts of length ``horizon`` with
     Gaussian additive noise (joint covariance W), Gaussian multiplicative
     scalars, x0 ~ N(0, X0), and xhat0 = 0; returns the mean over trials of
-    the time-averaged cost and its standard error.  Deterministic in
-    ``seed``.  Raises UnstableRollout when the state overflows.
+    the time-averaged cost and its standard error.  Raises UnstableRollout
+    at the first step whose state x overflows (non-finite or above 1e100 in
+    magnitude).
+
+    The rollouts simulate the augmented loop z = [x; xhat] of
+    ``moments.build_augmented``, trials along the last axis.  One step is
+    one stacked product plus the injected additive noise,
+
+        z' = [Phi | D_1 | ... | D_q] [z; s_1 g_1 z; ...; s_q g_q z] + [w; L v],
+
+    with D_i the sigma-free lift directions, s_i the noise terms' ``sigma``
+    and g_i ~ N(0, 1) per trial; the stage cost is z.T Q' z.  The noise of
+    a block of steps comes from one generator call, filled in the order of
+    the per-step recursion on (x, xhat): x0, then per step (w, v) and the
+    A, B and C scalars.  The estimate is therefore deterministic in ``seed``
+    and matches that recursion to about 1e-12 relative.
     """
     if horizon < 1 or trials < 1:
         raise ValueError("horizon and trials must be >= 1")
+    aug = moments.build_augmented(problem, ctrl)  # checks the controller's shapes
     sys = problem.system
     n, p = sys.n, sys.p
-    if ctrl.F.shape != (n, n) or ctrl.K.shape != (sys.m, n) or ctrl.L.shape != (n, p):
-        raise ValueError("controller dimensions do not match the problem")
-    rng = np.random.default_rng(seed)
+    d = 2 * n
+    sigmas = np.array([t.sigma for t in sys.noise_a + sys.noise_b + sys.noise_c])
+    q = sigmas.size
+    Tw = np.concatenate([aug.Phi] + [D for _, D in aug.lifts()], axis=1)
     W_factor = psd_factor(problem.noise.W)
+    inject = np.empty((d, n + p))
+    inject[:n] = W_factor[:n]
+    inject[n:] = ctrl.L @ W_factor[n:]
+
+    rng = np.random.default_rng(seed)
     X0_factor = psd_factor(problem.noise.X0)
-    x = rng.standard_normal((trials, n)) @ X0_factor.T
-    xhat = np.zeros((trials, n))
+    additive = trials * (n + p)
+    per_step = additive + trials * q
+    block = min(_ROLLOUT_BLOCK, max(1, _ROLLOUT_DRAWS // per_step))
+    # states[0] is the state entering a block; states[j + 1] is first set
+    # to the injected noise of step j and then receives the step product.
+    states = np.zeros((block + 1, d, trials))
+    states[0, :n] = X0_factor @ rng.standard_normal((trials, n)).T
+    draws = np.empty((block, per_step))
+    coef = np.ones((block, 1 + q, 1, trials))  # coef[:, 0] = 1 keeps z
+    lifted = np.empty((1 + q, d, trials))
+    stacked = lifted.reshape((1 + q) * d, trials)
+    step_product = np.empty((d, trials))
     costs = np.zeros(trials)
-    Q = problem.cost.Q
-    for step in range(horizon):
-        wv = rng.standard_normal((trials, n + p)) @ W_factor.T
-        alphas = [rng.standard_normal((trials, 1)) for _ in sys.noise_a]
-        betas = [rng.standard_normal((trials, 1)) for _ in sys.noise_b]
-        gammas = [rng.standard_normal((trials, 1)) for _ in sys.noise_c]
-
-        u = xhat @ ctrl.K.T
-        z = np.hstack([x, u])
-        costs += np.einsum("ti,ij,tj->t", z, Q, z)
-
-        y = x @ sys.C.T + wv[:, n:]
-        for g, t in zip(gammas, sys.noise_c):
-            y += t.sigma * g * (x @ t.pattern.T)
-        x_next = x @ sys.A.T + u @ sys.B.T + wv[:, :n]
-        for a, t in zip(alphas, sys.noise_a):
-            x_next += t.sigma * a * (x @ t.pattern.T)
-        for b, t in zip(betas, sys.noise_b):
-            x_next += t.sigma * b * (u @ t.pattern.T)
-        xhat = xhat @ ctrl.F.T + y @ ctrl.L.T
-        x = x_next
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e100:
-            raise UnstableRollout(step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, horizon, block):
+            k = min(block, horizon - start)
+            rng.standard_normal(out=draws[:k])
+            e = draws[:k, :additive].reshape(k, trials, n + p).transpose(0, 2, 1)
+            np.matmul(inject, e, out=states[1 : k + 1])
+            coef[:k, 1:, 0] = sigmas[:, None] * draws[:k, additive:].reshape(k, q, trials)
+            for j in range(k):
+                np.multiply(states[j], coef[j], out=lifted)
+                np.matmul(Tw, stacked, out=step_product)
+                states[j + 1] += step_product
+            # nan compares False, so a non-finite x also counts as overflowed
+            within = np.abs(states[1 : k + 1, :n]).max(axis=(1, 2)) <= _ROLLOUT_OVERFLOW
+            if not within.all():
+                raise UnstableRollout(start + int(np.argmin(within)))
+            visited = states[:k]
+            costs += ((aug.Qprime @ visited) * visited).sum((0, 1))
+            states[0] = states[k]
     per_trial = costs / horizon
     mean = float(per_trial.mean())
     stderr = float(per_trial.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0

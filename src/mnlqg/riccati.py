@@ -58,7 +58,6 @@ __all__ = [
     "gain_operators",
     "q_operators",
     "riccati_residual",
-    "value_iteration_step",
     "value_iteration_solve",
     "policy_iteration_solve",
     "noise_free_gains",
@@ -233,16 +232,6 @@ def riccati_residual(X: ValueCovarianceTuple, problem: ProblemInstance) -> Ricca
     )
 
 
-def value_iteration_step(
-    X: ValueCovarianceTuple, problem: ProblemInstance
-) -> ValueCovarianceTuple:
-    """One update X <- X + R(X), blockwise."""
-    R = riccati_residual(X, problem)
-    return ValueCovarianceTuple(
-        X.P + R.P, X.Phat + R.Phat, X.S + R.S, X.Shat + R.Shat
-    )
-
-
 def _finalize_report(problem, X_star, history, tuples, method):
     """Build the report fields shared by both solvers.
 
@@ -288,7 +277,10 @@ def value_iteration_solve(
     history = [HistoryEntry(delta=None, seconds=0.0)]
     start = time.perf_counter()
     for k in range(1, max_iter + 1):
-        X_next = value_iteration_step(X, problem)
+        R = riccati_residual(X, problem)
+        X_next = ValueCovarianceTuple(
+            X.P + R.P, X.Phat + R.Phat, X.S + R.S, X.Shat + R.Shat
+        )
         delta = X_next.distance(X)
         history.append(HistoryEntry(delta, time.perf_counter() - start))
         tuples.append(X_next)

@@ -14,7 +14,10 @@ entries (the Kronecker matrix, with ``vec``/``unvec``), its restriction to
 symmetric matrices column by column and the half-vectorization ``hvec``
 serve as references for the package's operator Psi_s, which acts on the
 lower-triangle entries only; ``is_ms_stable`` decides stability from the
-Kronecker matrix's spectral radius.
+Kronecker matrix's spectral radius.  ``monte_carlo_cost_reference``
+simulates the raw system equations (x, y, u, xhat) one step at a time, the
+reference for the package's augmented-loop rollout; ``value_iteration_step``
+is the single update X <- X + R(X) that value iteration applies.
 """
 
 import math
@@ -22,9 +25,11 @@ import math
 import numpy as np
 import numpy.linalg as la
 
-from mnlqg.exceptions import DualityViolation
-from mnlqg.matrixmath import frobenius
-from mnlqg.moments import STABILITY_MARGIN
+from mnlqg.bench import RolloutEstimate
+from mnlqg.exceptions import DualityViolation, UnstableRollout
+from mnlqg.matrixmath import frobenius, psd_factor
+from mnlqg.moments import STABILITY_MARGIN, ValueCovarianceTuple
+from mnlqg.riccati import riccati_residual
 
 
 def vec(M):
@@ -328,3 +333,61 @@ def optimal_cost(X, K, L, problem):
     if abs(J_q - J_w) > 1e-9 * (1.0 + abs(J_q)):
         raise DualityViolation(J_q, J_w)
     return J_q
+
+
+def monte_carlo_cost_reference(problem, ctrl, horizon, trials, seed):
+    """Monte-Carlo average cost from the raw system equations, step by step.
+
+    The reference for ``bench.monte_carlo_cost``: simulates x, y, u and xhat
+    one step at a time, drawing per step the additive noise (w, v) and then
+    the A, B and C noise scalars, exactly the stream the package draws in
+    blocks.  Raises UnstableRollout at the first step whose x is non-finite
+    or above 1e100 in magnitude.
+    """
+    if horizon < 1 or trials < 1:
+        raise ValueError("horizon and trials must be >= 1")
+    sys = problem.system
+    n, p = sys.n, sys.p
+    if ctrl.F.shape != (n, n) or ctrl.K.shape != (sys.m, n) or ctrl.L.shape != (n, p):
+        raise ValueError("controller dimensions do not match the problem")
+    rng = np.random.default_rng(seed)
+    W_factor = psd_factor(problem.noise.W)
+    X0_factor = psd_factor(problem.noise.X0)
+    x = rng.standard_normal((trials, n)) @ X0_factor.T
+    xhat = np.zeros((trials, n))
+    costs = np.zeros(trials)
+    Q = problem.cost.Q
+    for step in range(horizon):
+        wv = rng.standard_normal((trials, n + p)) @ W_factor.T
+        alphas = [rng.standard_normal((trials, 1)) for _ in sys.noise_a]
+        betas = [rng.standard_normal((trials, 1)) for _ in sys.noise_b]
+        gammas = [rng.standard_normal((trials, 1)) for _ in sys.noise_c]
+
+        u = xhat @ ctrl.K.T
+        z = np.hstack([x, u])
+        costs += np.einsum("ti,ij,tj->t", z, Q, z)
+
+        y = x @ sys.C.T + wv[:, n:]
+        for g, t in zip(gammas, sys.noise_c):
+            y += t.sigma * g * (x @ t.pattern.T)
+        x_next = x @ sys.A.T + u @ sys.B.T + wv[:, :n]
+        for a, t in zip(alphas, sys.noise_a):
+            x_next += t.sigma * a * (x @ t.pattern.T)
+        for b, t in zip(betas, sys.noise_b):
+            x_next += t.sigma * b * (u @ t.pattern.T)
+        xhat = xhat @ ctrl.F.T + y @ ctrl.L.T
+        x = x_next
+        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e100:
+            raise UnstableRollout(step)
+    per_trial = costs / horizon
+    mean = float(per_trial.mean())
+    stderr = float(per_trial.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return RolloutEstimate(horizon, trials, seed, mean, stderr)
+
+
+def value_iteration_step(X, problem):
+    """One update X <- X + R(X), blockwise."""
+    R = riccati_residual(X, problem)
+    return ValueCovarianceTuple(
+        X.P + R.P, X.Phat + R.Phat, X.S + R.S, X.Shat + R.Shat
+    )

@@ -10,6 +10,7 @@ import mnlqg
 from mnlqg import (
     BenchConfig,
     Controller,
+    NoiseModel,
     NoiseTerm,
     ProblemInstance,
     SystemModel,
@@ -26,9 +27,11 @@ from mnlqg import (
     spectral_radius,
     value_iteration_solve,
 )
+from mnlqg.bench import _ROLLOUT_BLOCK, _ROLLOUT_DRAWS
 from mnlqg.exceptions import UnstableRollout
 
 from conftest import make_scalar_problem
+from oracles import monte_carlo_cost_reference
 
 
 def open_loop_radius(problem):
@@ -256,6 +259,146 @@ class TestMonteCarloCost:
         bad = Controller(F=np.eye(2), K=np.zeros((1, 2)), L=np.zeros((2, 1)))
         with pytest.raises(ValueError):
             monte_carlo_cost(scalar_problem, bad, horizon=10, trials=4, seed=0)
+
+
+def two_terms_per_channel_problem():
+    """random_problem(7) with each noise term split into two terms of
+    different patterns and sizes, so the A, B and C scalars of a step are
+    six distinct draws."""
+    base, _ = random_problem(7)
+    sys_ = base.system
+
+    def split(terms):
+        (t,) = terms
+        return (
+            NoiseTerm(0.6 * t.sigma, t.pattern),
+            NoiseTerm(0.5 * t.sigma, t.pattern[::-1, ::-1]),
+        )
+
+    system = SystemModel(
+        sys_.A,
+        sys_.B,
+        sys_.C,
+        noise_a=split(sys_.noise_a),
+        noise_b=split(sys_.noise_b),
+        noise_c=split(sys_.noise_c),
+    )
+    return ProblemInstance(system, base.cost, base.noise)
+
+
+def nonzero_start_problem():
+    base, _ = random_problem(7)
+    X0 = np.array([[0.5, 0.1], [0.1, 0.2]])
+    return ProblemInstance(base.system, base.cost, NoiseModel(W=base.noise.W, X0=X0))
+
+
+ROLLOUT_PROBLEMS = {
+    "scalar": make_scalar_problem,
+    "random_7": lambda: random_problem(7)[0],
+    "two_terms_per_channel": two_terms_per_channel_problem,
+    "nonzero_start": nonzero_start_problem,
+}
+
+
+@pytest.fixture(scope="module")
+def rollout_pairs():
+    """(problem, VI controller) per entry of ROLLOUT_PROBLEMS."""
+    pairs = {}
+    for name, make in ROLLOUT_PROBLEMS.items():
+        problem = make()
+        pairs[name] = (problem, value_iteration_solve(problem).controller)
+    return pairs
+
+
+def assert_matches_reference(problem, ctrl, horizon, trials, seed):
+    fast = monte_carlo_cost(problem, ctrl, horizon, trials, seed)
+    ref = monte_carlo_cost_reference(problem, ctrl, horizon, trials, seed)
+    assert (fast.horizon, fast.trials, fast.seed) == (horizon, trials, seed)
+    for field in ("cost_mean", "cost_stderr"):
+        got, want = getattr(fast, field), getattr(ref, field)
+        if want == 0.0:
+            assert got == 0.0, field
+        else:
+            assert abs(got - want) <= 1e-12 * abs(want), (field, got, want)
+    return ref
+
+
+class TestRolloutMatchesReference:
+    """The augmented-loop rollout against the step-by-step simulation of the
+    raw system equations, on the same random stream."""
+
+    @pytest.mark.parametrize("name", sorted(ROLLOUT_PROBLEMS))
+    @pytest.mark.parametrize(
+        "horizon", [1, 7, _ROLLOUT_BLOCK - 1, _ROLLOUT_BLOCK + 1, 300]
+    )
+    def test_matches_reference(self, rollout_pairs, name, horizon):
+        problem, ctrl = rollout_pairs[name]
+        assert_matches_reference(problem, ctrl, horizon, trials=16, seed=horizon)
+
+    @pytest.mark.parametrize("name", sorted(ROLLOUT_PROBLEMS))
+    def test_single_trial(self, rollout_pairs, name):
+        problem, ctrl = rollout_pairs[name]
+        ref = assert_matches_reference(problem, ctrl, 2 * _ROLLOUT_BLOCK + 3, trials=1, seed=5)
+        assert ref.cost_stderr == 0.0
+
+    @pytest.mark.parametrize("name", sorted(ROLLOUT_PROBLEMS))
+    def test_shorter_blocks_for_many_trials(self, rollout_pairs, name):
+        problem, ctrl = rollout_pairs[name]
+        sys_ = problem.system
+        terms = len(sys_.noise_a) + len(sys_.noise_b) + len(sys_.noise_c)
+        per_trial = sys_.n + sys_.p + terms  # values drawn per trial and step
+        trials = _ROLLOUT_DRAWS // (3 * per_trial)  # blocks of three steps
+        assert _ROLLOUT_DRAWS // (trials * per_trial) == 3
+        assert_matches_reference(problem, ctrl, 2 * _ROLLOUT_BLOCK + 1, trials, seed=11)
+
+    def test_nonzero_start_enters_the_cost(self, rollout_pairs):
+        # the first stage cost sees x0 alone, so the draw of x0 is exercised
+        problem, ctrl = rollout_pairs["nonzero_start"]
+        ref = assert_matches_reference(problem, ctrl, 1, trials=16, seed=3)
+        assert ref.cost_mean > 0.0
+
+    def test_zero_cost_is_exact(self):
+        problem = make_scalar_problem(w_diag=(0.0, 0.0))
+        ctrl = Controller(F=[[0.2]], K=[[-0.1]], L=[[0.1]])
+        ref = assert_matches_reference(problem, ctrl, _ROLLOUT_BLOCK + 1, trials=8, seed=0)
+        assert ref.cost_mean == 0.0 and ref.cost_stderr == 0.0
+
+
+class TestRolloutOverflow:
+    """The first overflowing step, as the step-by-step reference reports it.
+
+    With seed 2 the reference overflows at step 125 under the moderate
+    gains, and at step 2 under the huge ones, whose states then reach inf
+    and nan before the block ends; neither may warn."""
+
+    GAINS = {"moderate": (3.0, 5.0, 4.0), "huge": (1e50, 1e50, 1e50)}
+
+    def overflow_step(self, fn, gains, horizon):
+        problem = make_scalar_problem(w_diag=(0.01, 0.01))
+        F, K, L = gains
+        ctrl = Controller(F=[[F]], K=[[K]], L=[[L]])
+        with pytest.raises(UnstableRollout) as info:
+            fn(problem, ctrl, horizon=horizon, trials=4, seed=2)
+        return info.value.step
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gains", sorted(GAINS))
+    def test_mid_block(self, gains):
+        gains = self.GAINS[gains]
+        step = self.overflow_step(monte_carlo_cost_reference, gains, 2_000)
+        assert step % _ROLLOUT_BLOCK < _ROLLOUT_BLOCK - 1  # steps follow in its block
+        assert self.overflow_step(monte_carlo_cost, gains, 2_000) == step
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gains", sorted(GAINS))
+    def test_last_partial_block(self, gains):
+        gains = self.GAINS[gains]
+        step = self.overflow_step(monte_carlo_cost_reference, gains, 2_000)
+        # end the horizon one step short of the end of the overflow's block
+        horizon = step - step % _ROLLOUT_BLOCK + _ROLLOUT_BLOCK - 1
+        assert step < horizon
+        assert self.overflow_step(monte_carlo_cost_reference, gains, horizon) == step
+        assert self.overflow_step(monte_carlo_cost, gains, horizon) == step
 
 
 class TestBenchConfig:

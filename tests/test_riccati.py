@@ -21,7 +21,6 @@ from mnlqg import (
     riccati_residual,
     stabilizing_initial_controller,
     value_iteration_solve,
-    value_iteration_step,
 )
 from mnlqg import moments, riccati
 from mnlqg.exceptions import (
@@ -40,6 +39,7 @@ from oracles import (
     q_matrices,
     riccati_residual_full,
     scalar_noise_free_fixed_point,
+    value_iteration_step,
 )
 
 P_STAR, S_STAR, K_STAR, L_STAR = scalar_noise_free_fixed_point()

@@ -8,9 +8,10 @@ solver/benchmark failure; no other nonzero codes are produced.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bench, riccati
 from .exceptions import MnlqgError, ProblemFormatError
@@ -175,6 +176,28 @@ def cmd_bench_pendulum(args) -> int:
     return EXIT_OK
 
 
+def _run_instance(instance_seed, config):
+    """One bench-random instance: (seed, eta, ComparisonResult), or
+    (seed, None, error text) when it raises an MnlqgError (such as
+    RetryExhausted from the generator).
+
+    Module-level and returning picklable data, so a worker process can run it."""
+    try:
+        problem, eta = bench.random_problem(instance_seed)
+        return instance_seed, eta, bench.run_comparison(problem, config)
+    except MnlqgError as exc:
+        return instance_seed, None, str(exc)
+
+
+def _worker_count(jobs, tasks):
+    """--jobs capped by the number of tasks and the CPUs this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(jobs, tasks, cpus)
+
+
 def cmd_bench_random(args) -> int:
     if args.count < 1:
         raise ValueError("--count must be >= 1")
@@ -183,18 +206,23 @@ def cmd_bench_random(args) -> int:
     methods = _parse_methods(args.methods)
     config = bench.BenchConfig(methods=methods)
     seeds = [args.seed + index for index in range(args.count)]
+    run_instance = functools.partial(_run_instance, config=config)
 
-    def run_instance(instance_seed):
-        try:
-            problem, eta = bench.random_problem(instance_seed)
-            return instance_seed, eta, bench.run_comparison(problem, config)
-        except MnlqgError as exc:
-            return instance_seed, None, exc
-
-    if args.jobs == 1:
+    workers = _worker_count(args.jobs, len(seeds))
+    if workers == 1 or not hasattr(os, "fork"):
         results = list(map(run_instance, seeds))
     else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        # The solves hold the interpreter lock, so only processes run them in
+        # parallel.  fork, not spawn: a forked worker starts with numpy and
+        # mnlqg imported, where a spawned one would import them again for
+        # every batch; the command starts no threads before it forks.  The
+        # pool modules are imported here to keep them out of every command's
+        # start-up.  map() returns the rows in seed order.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             results = list(pool.map(run_instance, seeds))
 
     failed = False

@@ -1,8 +1,17 @@
 """Exception types raised by the solvers, generators, and file readers."""
 
+import copyreg
+
 
 class MnlqgError(Exception):
     """Base class for all package-specific errors."""
+
+    def __reduce__(self):
+        # Pickle (e.g. from a bench-random worker process) by message and
+        # attributes: Exception's default calls cls(*args), which does not
+        # fit the subclasses whose __init__ takes the fields the message is
+        # built from.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ProblemFormatError(MnlqgError):

@@ -1,5 +1,7 @@
+import concurrent.futures
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,9 +10,10 @@ import numpy as np
 import pytest
 
 import mnlqg
-from mnlqg import pendulum_problem, save_controller, save_problem, value_iteration_solve
+from mnlqg import bench, pendulum_problem, save_controller, save_problem, value_iteration_solve
 from mnlqg.bench import SUMMARY_COLUMNS, TRACE_COLUMNS
 from mnlqg.cli import main
+from mnlqg.exceptions import RetryExhausted
 
 from conftest import make_scalar_problem, make_singular_filter_problem
 
@@ -286,6 +289,82 @@ class TestBenchRandomCommand:
             for column in SUMMARY_COLUMNS:
                 if column not in wall_columns:
                     assert row_a[column] == row_b[column]
+
+    @pytest.mark.parametrize(
+        "jobs, count, cpus, affinity, expected",
+        [
+            (64, 64, 4, True, 4),  # capped by the CPUs
+            (8, 8, 3, False, 3),  # CPUs from os.cpu_count without affinity
+            (64, 3, 8, True, 3),  # capped by the seeds
+            (2, 5, 8, True, 2),  # --jobs itself
+            (4, 5, 1, True, None),  # one CPU: serial
+            (1, 5, 8, True, None),
+            (8, 1, 8, True, None),  # one seed: serial
+        ],
+    )
+    def test_worker_count_is_capped(
+        self, tmp_path, monkeypatch, jobs, count, cpus, affinity, expected
+    ):
+        created = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers, mp_context):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        def no_instance(seed):
+            raise RetryExhausted(f"no instance for seed {seed}")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(bench, "random_problem", no_instance)
+        argv = ["bench-random", "--count", str(count), "--seed", "0", "--jobs", str(jobs)]
+        assert main(argv + ["--out", str(tmp_path / "cap")]) == 3
+        assert created == ([] if expected is None else [expected])
+        assert multiprocessing.active_children() == []
+
+    def test_worker_failure_matches_serial(self, tmp_path, monkeypatch, capsys):
+        """A seed whose generation fails in a worker process is reported as
+        in a serial run, the other rows keep their order, and no worker
+        outlives the command."""
+        real_random_problem = bench.random_problem
+
+        def fail_seed_43(seed, *args, **kwargs):
+            if seed == 43:
+                raise RetryExhausted("no instance for seed 43")
+            return real_random_problem(seed, *args, **kwargs)
+
+        # Forked workers inherit the patched module attribute.
+        monkeypatch.setattr(bench, "random_problem", fail_seed_43)
+        # Two usable CPUs, so --jobs 2 forks two workers on any machine.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        outputs = {}
+        for jobs in ("1", "2"):
+            prefix = str(tmp_path / f"jobs{jobs}")
+            argv = ["bench-random", "--count", "3", "--seed", "42", "--jobs", jobs]
+            assert main(argv + ["--out", prefix]) == 3
+            assert multiprocessing.active_children() == []
+            rows = read_rows(f"{prefix}_summary.csv")
+            for row in rows:
+                del row["wall_seconds"], row["ratio_time"]
+            outputs[jobs] = rows, capsys.readouterr().err
+        rows, err = outputs["2"]
+        assert "seed=43: no instance for seed 43\n" in err
+        assert [row["seed"] for row in rows] == ["42", "42", "44", "44"]
+        assert outputs["2"] == outputs["1"]
 
 
 class TestRolloutCommand:

@@ -25,11 +25,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.linalg as la
 
 from . import moments, riccati
 from .exceptions import RetryExhausted, SolverError, UnstableRollout
-from .matrixmath import psd_factor
+from .matrixmath import frobenius_norm, psd_factor
 from .model import Controller, CostModel, NoiseModel, NoiseTerm, ProblemInstance, SystemModel
 from .moments import ValueCovarianceTuple
 
@@ -144,11 +143,6 @@ def pendulum_problem(eta: float) -> ProblemInstance:
     )
 
 
-def _open_loop_radius(problem: ProblemInstance) -> float:
-    aug = moments.build_augmented(problem, riccati.open_loop_controller(problem))
-    return moments.spectral_radius(moments.build_second_moment_matrix(aug, "value"))
-
-
 def _critical_noise_scale(A, B, C, patterns, variances, Q, W):
     """Scale c on the variances putting the open loop exactly at radius 1.
 
@@ -156,12 +150,25 @@ def _critical_noise_scale(A, B, C, patterns, variances, Q, W):
     doubling and then bisected until |radius - 1| <= 1e-10.  Returns None
     when the target is unreachable (noise directions that cannot push the
     open loop to the boundary).
+
+    At the open loop Psi_s is linear in the variances: the lifts' directions
+    do not depend on sigma, so Psi_s(c) gathers T_Phi + sum_i c v_i T_i from
+    sigma-free term products (``moments.term_product``).  They are formed
+    once per draw; each radius evaluation only weights, sums and gathers
+    them.  Each weight is sigma_i^2 with sigma_i = sqrt(c v_i), rounded as
+    for a noise term of that sigma, so Psi_s is bitwise the one of the
+    assembled instance.
     """
+    problem = _assemble_random(A, B, C, patterns, np.sqrt(variances), Q, W)
+    aug = moments.build_augmented(problem, riccati.open_loop_controller(problem))
+    products = [moments.term_product(D) for D in (aug.Phi,) + tuple(D for _, D in aug.lifts())]
 
     def radius(c):
-        sigmas = np.sqrt(c * variances)
-        prob = _assemble_random(A, B, C, patterns, sigmas, Q, W)
-        return _open_loop_radius(prob)
+        weights = (1.0,) + tuple(float(s) ** 2 for s in np.sqrt(c * variances))
+        rows = 0.0
+        for s2, T in zip(weights, products):
+            rows = rows + s2 * T
+        return moments.spectral_radius(moments.gather_second_moment(rows))
 
     hi = 1.0
     for _ in range(80):
@@ -205,7 +212,7 @@ def random_problem(seed: int, max_redraws: int = 20):
     """Random two-state instance (n=2, m=1, p=1, one noise term per matrix).
 
     Entries of the mean matrices and noise patterns are standard normal; A
-    is rescaled to a uniform random spectral radius in (0, 1); the noise
+    is rescaled to a uniform random spectral radius in [0, 1); the noise
     variances are drawn uniform, rescaled so the open loop sits exactly at
     the mean-square stability boundary, and then multiplied by a uniform
     random level eta.  Returns (problem, eta); deterministic in ``seed``.
@@ -256,13 +263,13 @@ def convergence_metric(
     if not history:
         return []
     base = [
-        float(la.norm(b0 - br))
+        frobenius_norm(b0 - br)
         for b0, br in zip(history[0].blocks(), reference.blocks())
     ]
     out = []
     for X in history:
         deltas = [
-            0.0 if den <= ZERO_ERROR_GUARD else float(la.norm(bk - br)) / den
+            0.0 if den <= ZERO_ERROR_GUARD else frobenius_norm(bk - br) / den
             for bk, br, den in zip(X.blocks(), reference.blocks(), base)
         ]
         out.append(max(deltas))

@@ -1,5 +1,7 @@
 """Small dense linear-algebra helpers shared across the package."""
 
+import math
+
 import numpy as np
 import numpy.linalg as la
 
@@ -18,6 +20,33 @@ def symmetrize(M):
 def frobenius(A, B):
     """Frobenius inner product <A, B> = trace(A.T @ B)."""
     return float(np.tensordot(A, B, axes=2))
+
+
+def frobenius_norm(M):
+    """Frobenius norm of a float array as a Python float.
+
+    The same dot product of the memory-order ravel that ``la.norm`` takes
+    for a float array without ``ord`` or ``axis``, so the result is bitwise
+    equal to ``float(la.norm(M))``, without its dispatch.
+    """
+    x = M.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def condition_number(M):
+    """2-norm condition number of a 2-d M, bitwise equal to ``np.linalg.cond``.
+
+    One ``svd`` without vectors and numpy's own rule: s_max / s_min with
+    floating-point errors ignored, and NaN (a zero or infinite block) read
+    as inf unless M has NaN entries.  ``svd`` raises ``LinAlgError`` where
+    it does not converge, as on NaN entries.
+    """
+    s = la.svd(M, compute_uv=False)
+    with np.errstate(all="ignore"):
+        cond = float(s[0] / s[-1])
+    if math.isnan(cond) and not np.isnan(M).any():
+        return math.inf
+    return cond
 
 
 def min_eigval(M):

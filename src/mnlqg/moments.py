@@ -32,7 +32,9 @@ is represented by its d(d+1)/2 lower-triangle entries in column-major order
 (``_hvec``), in the basis E_ii, E_ij + E_ji.  The reduced operator Psi_s
 (``build_second_moment_matrix``) is the only operator matrix built; it is
 assembled from (1, Phi) and the lifts by index gathers, without the
-Kronecker product above.  Psi_s loses no part of the spectral radius:
+Kronecker product above: the sigma-free product of each term
+(``term_product``), weighted by 1 or its sigma^2, summed and gathered
+(``gather_second_moment``).  Psi_s loses no part of the spectral radius:
 rho(Psi) is attained at a positive semidefinite eigenvector (Krein-Rutman),
 which is symmetric.  Under the trace inner product <M, N> = hvec(M).T Omega
 hvec(N), with Omega = diag(1 on the diagonal, 2 off it), Gamma is the
@@ -65,7 +67,7 @@ import numpy as np
 import numpy.linalg as la
 
 from .exceptions import DualityViolation, EigenvalueFailure, NotMsStable
-from .matrixmath import frobenius, solve_linear_extended, symmetrize
+from .matrixmath import frobenius, frobenius_norm, solve_linear_extended, symmetrize
 from .model import Controller, ProblemInstance
 
 __all__ = [
@@ -76,6 +78,8 @@ __all__ = [
     "ValueCovarianceTuple",
     "build_augmented",
     "build_second_moment_matrix",
+    "term_product",
+    "gather_second_moment",
     "spectral_radius",
     "decide_stability",
     "solve_lyapunov",
@@ -145,14 +149,29 @@ class ValueCovarianceTuple:
     def blocks(self):
         return (self.P, self.Phat, self.S, self.Shat)
 
+    def plus(self, other) -> "ValueCovarianceTuple":
+        """The tuple (P + other.P, ..., Shat + other.Shat) for an ``other``
+        with exactly symmetric float64 blocks, such as a Riccati residual.
+
+        A sum of exactly symmetric matrices is exactly symmetric, so the
+        sums are frozen as they are: ``symmetrize`` would change no bit of
+        a block whose entries stay below half the float64 maximum.
+        """
+        out = object.__new__(type(self))
+        for name in ("P", "Phat", "S", "Shat"):
+            M = getattr(self, name) + getattr(other, name)
+            M.setflags(write=False)
+            object.__setattr__(out, name, M)
+        return out
+
     def distance(self, other: "ValueCovarianceTuple") -> float:
         """Max over blocks of the Frobenius norm of the difference."""
         return max(
-            float(la.norm(a - b)) for a, b in zip(self.blocks(), other.blocks())
+            frobenius_norm(a - b) for a, b in zip(self.blocks(), other.blocks())
         )
 
     def max_norm(self) -> float:
-        return max(float(la.norm(b)) for b in self.blocks())
+        return max(frobenius_norm(b) for b in self.blocks())
 
     def is_finite(self) -> bool:
         return all(np.all(np.isfinite(b)) for b in self.blocks())
@@ -250,16 +269,39 @@ def build_second_moment_matrix(aug: AugmentedClosedLoop, side: str) -> np.ndarra
     """
     if side not in ("value", "covariance"):
         raise ValueError(f"side must be 'value' or 'covariance', got {side!r}")
-    d = aug.dim
-    h = _half_indices(d)
     rows = 0.0
     for s2, D in ((1.0, aug.Phi),) + aug.lifts():
-        X = D.T
-        rows = rows + s2 * (X[h.i, None, :] * X[h.j, :, None])
-    rows = rows.reshape(len(h.i), d * d)
+        rows = rows + s2 * term_product(D)
+    psi = gather_second_moment(rows)
+    h = _half_indices(aug.dim)
+    return psi if side == "value" else psi.T * h.omega / h.omega[:, None]
+
+
+def term_product(D: np.ndarray) -> np.ndarray:
+    """The sigma-free product of one term D of Psi_s (Phi or a lift).
+
+    Entry [k, e, c] is D[c, a] D[e, b] for the lower-triangle row
+    k = (a, b) of ``_hvec``.  Psi_s gathers (``gather_second_moment``)
+    the sum of s2 times these products over the terms (s2, D), in the
+    order (1, Phi), then the lifts.
+    """
+    h = _half_indices(D.shape[0])
+    X = D.T
+    return X[h.i, None, :] * X[h.j, :, None]
+
+
+def gather_second_moment(rows: np.ndarray) -> np.ndarray:
+    """Psi_s from the weighted sum ``rows`` of the ``term_product``s.
+
+    Column (c, e) takes column (c, e) of the sum and, where c > e, adds the
+    mirrored column (e, c).
+    """
+    k, d, _ = rows.shape
+    h = _half_indices(d)
+    rows = rows.reshape(k, d * d)
     psi = rows[:, h.lo]
     np.add(psi, rows[:, h.up], out=psi, where=h.off)
-    return psi if side == "value" else psi.T * h.omega / h.omega[:, None]
+    return psi
 
 
 def spectral_radius(matrix: np.ndarray) -> float:

@@ -27,6 +27,7 @@ Two solvers are provided:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -43,7 +44,7 @@ from .exceptions import (
     SingularBlock,
     SolverError,
 )
-from .matrixmath import symmetrize
+from .matrixmath import condition_number, frobenius_norm, symmetrize
 from .model import Controller, ProblemInstance
 from .moments import ValueCovarianceTuple
 
@@ -101,7 +102,7 @@ class RiccatiResidual:
         return (self.P, self.Phat, self.S, self.Shat)
 
     def block_norms(self):
-        return tuple(float(la.norm(b)) for b in self.blocks())
+        return tuple(frobenius_norm(b) for b in self.blocks())
 
     def max_norm(self) -> float:
         return max(self.block_norms())
@@ -150,8 +151,13 @@ def _step_converged(delta: float, norm: float, tol: float) -> bool:
 
 
 def _check_condition(M, name):
-    cond = float(np.linalg.cond(M))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    """SingularBlock when M's condition number is not finite or exceeds
+    COND_LIMIT, or when its singular values do not converge (NaN entries)."""
+    try:
+        cond = condition_number(M)
+    except la.LinAlgError as exc:
+        raise SingularBlock(name, math.nan) from exc
+    if not math.isfinite(cond) or cond > COND_LIMIT:
         raise SingularBlock(name, cond)
 
 
@@ -277,16 +283,13 @@ def value_iteration_solve(
     history = [HistoryEntry(delta=None, seconds=0.0)]
     start = time.perf_counter()
     for k in range(1, max_iter + 1):
-        R = riccati_residual(X, problem)
-        X_next = ValueCovarianceTuple(
-            X.P + R.P, X.Phat + R.Phat, X.S + R.S, X.Shat + R.Shat
-        )
+        X_next = X.plus(riccati_residual(X, problem))
         delta = X_next.distance(X)
         history.append(HistoryEntry(delta, time.perf_counter() - start))
         tuples.append(X_next)
         X = X_next
         norm = X.max_norm()
-        if not np.isfinite(delta) or norm > OVERFLOW_GUARD:
+        if not math.isfinite(delta) or norm > OVERFLOW_GUARD:
             raise Diverged("value iteration", k)
         if _step_converged(delta, norm, tol):
             return _finalize_report(problem, X, history, tuples, "value_iteration")

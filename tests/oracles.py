@@ -17,7 +17,12 @@ lower-triangle entries only; ``is_ms_stable`` decides stability from the
 Kronecker matrix's spectral radius.  ``monte_carlo_cost_reference``
 simulates the raw system equations (x, y, u, xhat) one step at a time, the
 reference for the package's augmented-loop rollout; ``value_iteration_step``
-is the single update X <- X + R(X) that value iteration applies.
+is the single update X <- X + R(X) that value iteration applies, and
+``value_iteration_reference`` the plain loop of those updates, each through
+the symmetrizing constructor, with ``la.norm`` step sizes.
+``critical_noise_scale_reference`` is the instance generator's
+critical-noise bisection with a whole problem, its open loop and its Psi_s
+assembled at every midpoint.
 """
 
 import math
@@ -25,11 +30,19 @@ import math
 import numpy as np
 import numpy.linalg as la
 
+from mnlqg import moments
 from mnlqg.bench import RolloutEstimate
 from mnlqg.exceptions import DualityViolation, UnstableRollout
 from mnlqg.matrixmath import frobenius, psd_factor
+from mnlqg.model import CostModel, NoiseModel, NoiseTerm, ProblemInstance, SystemModel
 from mnlqg.moments import STABILITY_MARGIN, ValueCovarianceTuple
-from mnlqg.riccati import riccati_residual
+from mnlqg.riccati import (
+    DEFAULT_TOL,
+    STEP_FLOOR_ULPS,
+    VI_MAX_ITER,
+    open_loop_controller,
+    riccati_residual,
+)
 
 
 def vec(M):
@@ -391,3 +404,76 @@ def value_iteration_step(X, problem):
     return ValueCovarianceTuple(
         X.P + R.P, X.Phat + R.Phat, X.S + R.S, X.Shat + R.Shat
     )
+
+
+def value_iteration_reference(problem, tol=DEFAULT_TOL, max_iter=VI_MAX_ITER):
+    """Value iteration from X = 0 as a plain loop of ``value_iteration_step``.
+
+    Each step size is the max over blocks of ``la.norm`` of the difference,
+    and the loop stops by the solvers' rule, step <= max(tol,
+    STEP_FLOOR_ULPS eps ||X||).  Returns (iterates, step sizes); raises
+    AssertionError when the cap is hit first.
+    """
+    eps = np.finfo(np.float64).eps
+    X = ValueCovarianceTuple.zeros(problem.n)
+    iterates, steps = [X], []
+    for _ in range(max_iter):
+        X_next = value_iteration_step(X, problem)
+        delta = max(float(la.norm(a - b)) for a, b in zip(X_next.blocks(), X.blocks()))
+        iterates.append(X_next)
+        steps.append(delta)
+        X = X_next
+        norm = max(float(la.norm(b)) for b in X.blocks())
+        if delta <= max(tol, STEP_FLOOR_ULPS * eps * norm):
+            return iterates, steps
+    raise AssertionError(f"value iteration did not converge in {max_iter} steps")
+
+
+def _random_instance(A, B, C, patterns, sigmas, Q, W):
+    """The random family's instance: one noise term per matrix."""
+    Ad, Bd, Cd = patterns
+    system = SystemModel(
+        A,
+        B,
+        C,
+        noise_a=(NoiseTerm(sigmas[0], Ad),),
+        noise_b=(NoiseTerm(sigmas[1], Bd),),
+        noise_c=(NoiseTerm(sigmas[2], Cd),),
+    )
+    n = A.shape[0]
+    return ProblemInstance(system, CostModel(Q), NoiseModel(W=W, X0=np.zeros((n, n))))
+
+
+def critical_noise_scale_reference(A, B, C, patterns, variances, Q, W):
+    """The critical-noise bisection, assembling the instance at each midpoint.
+
+    Same bracket, bisection and stopping rules as the instance generator's
+    ``bench._critical_noise_scale``; every radius evaluation builds the
+    problem with sigmas sqrt(c * variances), its open loop and Psi_s.
+    """
+
+    def radius(c):
+        problem = _random_instance(A, B, C, patterns, np.sqrt(c * variances), Q, W)
+        aug = moments.build_augmented(problem, open_loop_controller(problem))
+        return moments.spectral_radius(moments.build_second_moment_matrix(aug, "value"))
+
+    hi = 1.0
+    for _ in range(80):
+        if radius(hi) >= 1.0:
+            break
+        hi *= 2.0
+    else:
+        return None
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        r = radius(mid)
+        if abs(r - 1.0) <= 1e-10:
+            return mid
+        if r < 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-16 * max(hi, 1.0):
+            break
+    return 0.5 * (lo + hi)

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from mnlqg import (
     pendulum_problem,
     random_problem,
     run_comparison,
+    save_problem,
     spectral_radius,
     value_iteration_solve,
 )
@@ -31,7 +33,9 @@ from mnlqg.bench import _ROLLOUT_BLOCK, _ROLLOUT_DRAWS
 from mnlqg.exceptions import UnstableRollout
 
 from conftest import make_scalar_problem
-from oracles import monte_carlo_cost_reference
+from oracles import critical_noise_scale_reference, monte_carlo_cost_reference
+
+POOL_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "ensemble_pool.json"
 
 
 def open_loop_radius(problem):
@@ -112,6 +116,34 @@ class TestRandomProblem:
 
         with pytest.raises(RetryExhausted):
             random_problem(0, max_redraws=0)
+
+    def test_bitwise_equal_to_per_midpoint_assembly(self, monkeypatch):
+        """The bisection on precomputed term products gives the same
+        instances, byte for byte, as assembling each midpoint's problem:
+        seeds 7000-7199 and the seeds the benchmark's pool excludes.  Every
+        matrix whose radius the bisection takes is bitwise the same too."""
+        excluded = json.loads(POOL_FILE.read_text())["excluded"]
+        seeds = list(range(7000, 7200)) + sorted(int(seed) for seed in excluded)
+        assert len(seeds) == 219
+
+        def generate():
+            seen = []
+
+            def recording_radius(matrix):
+                seen.append(matrix.tobytes())
+                return spectral_radius(matrix)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(mnlqg.moments, "spectral_radius", recording_radius)
+                return [random_problem(seed) for seed in seeds], seen
+
+        fast, fast_radii = generate()
+        monkeypatch.setattr(mnlqg.bench, "_critical_noise_scale", critical_noise_scale_reference)
+        reference, reference_radii = generate()
+        assert fast_radii == reference_radii
+        for seed, (problem, eta), (ref_problem, ref_eta) in zip(seeds, fast, reference):
+            assert save_problem(problem) == save_problem(ref_problem), seed
+            assert repr(eta) == repr(ref_eta), seed
 
     def test_generation_builds_no_kronecker_product(self, monkeypatch):
         """The critical-noise bisections, here and in the benchmark's

@@ -29,6 +29,7 @@ from mnlqg.exceptions import (
     InitialPolicyNotStabilizing,
     IterateNotStabilizing,
     SingularBlock,
+    SolverError,
 )
 
 from conftest import make_scalar_problem, make_singular_filter_problem
@@ -39,6 +40,7 @@ from oracles import (
     q_matrices,
     riccati_residual_full,
     scalar_noise_free_fixed_point,
+    value_iteration_reference,
     value_iteration_step,
 )
 
@@ -81,6 +83,20 @@ class TestGainOperators:
         )
         with pytest.raises(SingularBlock, match="G_uu"):
             gain_operators(zero_tuple(1), problem)
+
+    @pytest.mark.parametrize("block, unknown", [("G_uu", "P"), ("H_yy", "S")])
+    def test_nan_block_is_singular(self, block, unknown):
+        """NaN entries make the singular values fail to converge; that is a
+        SingularBlock (a SolverError), not numpy's LinAlgError."""
+        problem, _ = random_problem(7000)
+        blocks = dict.fromkeys(("P", "Phat", "S", "Shat"), np.zeros((2, 2)))
+        blocks[unknown] = np.full((2, 2), np.nan)
+        X = ValueCovarianceTuple(**blocks)
+        for fn in (gain_operators, riccati_residual):
+            with pytest.raises(SingularBlock, match=block) as info:
+                fn(X, problem)
+            assert isinstance(info.value, SolverError)
+            assert info.value.block == block and np.isnan(info.value.cond)
 
 
 def rel_err(actual, expected):
@@ -265,6 +281,39 @@ class TestValueIteration:
         assert report.history[-1].delta <= 1e-12
         seconds = [entry.seconds for entry in report.history]
         assert seconds == sorted(seconds)
+
+
+VI_REFERENCE_CASES = [("random", seed) for seed in range(7000, 7020)] + [
+    ("pendulum", 0.0),
+    ("pendulum", 0.05),
+    ("scalar", None),
+]
+
+
+def vi_reference_problem(kind, arg):
+    if kind == "random":
+        return random_problem(arg)[0]
+    return pendulum_problem(arg) if kind == "pendulum" else make_scalar_problem()
+
+
+class TestValueIterationMatchesReference:
+    """The solver's iterates and step sizes equal the plain loop's bitwise:
+    the unsymmetrized step X + R(X) and the norm helper change no bit."""
+
+    @pytest.mark.parametrize("kind, arg", VI_REFERENCE_CASES)
+    def test_bitwise_iterates_and_steps(self, kind, arg):
+        problem = vi_reference_problem(kind, arg)
+        report = value_iteration_solve(problem)
+        iterates, steps = value_iteration_reference(problem)
+        assert report.iterations == len(steps)
+        assert [entry.delta for entry in report.history[1:]] == steps
+        assert len(report.solution_history) == len(iterates)
+        for X, X_ref in zip(report.solution_history, iterates):
+            for block, ref in zip(X.blocks(), X_ref.blocks()):
+                assert block.tobytes() == ref.tobytes()
+                assert not block.flags.writeable
+        R = riccati_residual(report.solution, problem)
+        assert report.residual_norm == max(float(la.norm(b)) for b in R.blocks())
 
 
 class TestPolicyIteration:

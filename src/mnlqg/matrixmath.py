@@ -75,17 +75,22 @@ def psd_factor(M):
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def solve_linear_extended(A, b, residual):
-    """Solve A x = b with LAPACK in float64, then refine in extended precision.
+def solve_linear_extended(inv, b, residual):
+    """Solve A x = b given the float64 inverse ``inv`` of A, then refine in
+    extended precision.
 
     ``residual(x)`` returns b - A x in ``np.longdouble`` (80-bit on x86) for
-    the longdouble iterate ``x``.  Mixed-precision iterative refinement
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 12):
-    forward error below one float64 ulp while cond(A) * eps_longdouble stays
-    well below eps_float64, and about cond(A) * eps_longdouble relative to
-    ||x|| beyond that.  Returns the longdouble solution.
+    the longdouble iterate ``x``; each refinement step adds ``inv`` times
+    that residual.  Mixed-precision iterative refinement (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 12): an inverse is not
+    backward stable, but each step shrinks the error by about cond(A) * eps
+    while that is well below one, down to one float64 ulp while
+    cond(A) * eps_longdouble stays well below eps_float64, and to about
+    cond(A) * eps_longdouble relative to ||x|| beyond that.  One inverse
+    serves any number of right-hand sides and steps, where each LAPACK
+    solve would factor A again.  Returns the longdouble solution.
     """
-    x = la.solve(A, b).astype(np.longdouble)
+    x = (inv @ b).astype(np.longdouble)
     for _ in range(REFINE_STEPS):
-        x += la.solve(A, residual(x).astype(np.float64))
+        x += inv @ residual(x).astype(np.float64)
     return x

@@ -34,18 +34,22 @@ is represented by its d(d+1)/2 lower-triangle entries in column-major order
 assembled from (1, Phi) and the lifts by index gathers, without the
 Kronecker product above: the sigma-free product of each term
 (``term_product``), weighted by 1 or its sigma^2, summed and gathered
-(``gather_second_moment``).  Psi_s loses no part of the spectral radius:
-rho(Psi) is attained at a positive semidefinite eigenvector (Krein-Rutman),
-which is symmetric.  Under the trace inner product <M, N> = hvec(M).T Omega
-hvec(N), with Omega = diag(1 on the diagonal, 2 off it), Gamma is the
-adjoint of Psi, so
+(``gather_second_moment``).  Each lift is zero outside one n x n block of
+the augmented state (the A-lifts at (x, x), the B-lifts at (x, xhat), the
+C-lifts at (xhat, x)), so its product is formed, and added, only over the
+half-vectorized rows and columns that block touches; the extended-precision
+residuals likewise apply each lift on its block only.  Psi_s loses no part
+of the spectral radius: rho(Psi) is attained at a positive semidefinite
+eigenvector (Krein-Rutman), which is symmetric.  Under the trace inner
+product <M, N> = hvec(M).T Omega hvec(N), with Omega = diag(1 on the
+diagonal, 2 off it), Gamma is the adjoint of Psi, so
 
     Gamma_s = Omega^-1 Psi_s.T Omega,    I - Gamma_s = Omega^-1 (I - Psi_s).T Omega.
 
-A policy evaluation builds I - Psi_s once, decides stability once, and
-solves both equations with it (the covariance side with the transpose, for
-the unknown Omega hvec(S')): one float64 LAPACK solve per side, refined with
-extended-precision residuals.
+A policy evaluation builds I - Psi_s once and inverts it once; the
+inverse serves the stability test and both equations (the covariance side
+with its transpose, for the unknown Omega hvec(S')), each solution refined
+with extended-precision residuals.
 
 Stability is decided without eigenvalues where possible.  Psi maps positive
 semidefinite matrices to positive semidefinite ones, so the positive-operator
@@ -255,6 +259,36 @@ def _unhvec(x, d):
     return M
 
 
+def _lift_blocks(aug: AugmentedClosedLoop):
+    """(s2, r, c, D[r, c]) for each lift (s2, D), in the order of
+    ``aug.lifts()``, with r and c the slices of the n x n block outside
+    which D is zero: (x, x) for the A-lifts, (x, xhat) for the B-lifts and
+    (xhat, x) for the C-lifts."""
+    n = aug.dim // 2
+    x, xhat = slice(0, n), slice(n, 2 * n)
+    for family, r, c in ((aug.lifts_a, x, x), (aug.lifts_b, x, xhat), (aug.lifts_c, xhat, x)):
+        for s2, D in family:
+            yield s2, r, c, D[r, c]
+
+
+@functools.lru_cache(maxsize=None)
+def _block_positions(d: int, r: int, c: int) -> np.ndarray:
+    """Where the ``term_product`` of the n x n block D[r:r+n, c:c+n] of a
+    d x d term D (n = d/2) sits in the flattened ``term_product`` of D: at
+    the ``_hvec`` rows of the lower triangle of the diagonal block at c,
+    and at the entries [e, c'] with e and c' in r:r+n."""
+    n = d // 2
+    h, hb = _half_indices(d), _half_indices(n)
+    position = np.empty((d, d), dtype=np.intp)
+    position[h.i, h.j] = np.arange(len(h.i))
+    k = position[hb.i + c, hb.j + c]
+    e = np.arange(r, r + n)
+    flat = (k[:, None, None] * d + e[:, None]) * d + e
+    flat = flat.ravel()
+    flat.setflags(write=False)
+    return flat
+
+
 def build_second_moment_matrix(aug: AugmentedClosedLoop, side: str) -> np.ndarray:
     """Psi_s ("value") or Gamma_s ("covariance"), the second-moment operator
     on symmetric matrices: n(2n+1) square, acting on ``_hvec``.
@@ -263,17 +297,25 @@ def build_second_moment_matrix(aug: AugmentedClosedLoop, side: str) -> np.ndarra
     Of the matrix of Psi on column-major vec only the lower-triangle rows
     are formed: row (a, b) at column (c, e) is the sum over the terms
     (s2, D) of s2 D[c, a] D[e, b], in the order (1, Phi), then the lifts,
-    and the mirrored column (e, c) is added where c > e.  Gamma_s is
-    Omega^-1 Psi_s.T Omega; the factors of Omega are 1 and 2, so the
-    scaling is exact.
+    and the mirrored column (e, c) is added where c > e.  A lift that is
+    zero outside the rows R and columns C of its block (``_lift_blocks``)
+    adds non-zeros only at rows (a, b) in C x C and columns (c, e) in
+    R x R, so its product is formed from the block alone and added there in
+    place.  Everywhere else it would add a signed zero, which changes no
+    bit of a sum that starts from 0.0 + Phi's product: no entry of that is
+    -0.0.  Gamma_s is Omega^-1 Psi_s.T Omega; the factors of Omega are 1
+    and 2, so the scaling is exact.
     """
     if side not in ("value", "covariance"):
         raise ValueError(f"side must be 'value' or 'covariance', got {side!r}")
-    rows = 0.0
-    for s2, D in ((1.0, aug.Phi),) + aug.lifts():
-        rows = rows + s2 * term_product(D)
+    d = aug.dim
+    rows = term_product(aug.Phi)
+    rows += 0.0  # as 0.0 + rows: -0.0 becomes +0.0
+    flat = rows.reshape(-1)  # a view: term_product returns a C-contiguous array
+    for s2, r, c, D in _lift_blocks(aug):
+        flat[_block_positions(d, r.start, c.start)] += (s2 * term_product(D)).reshape(-1)
     psi = gather_second_moment(rows)
-    h = _half_indices(aug.dim)
+    h = _half_indices(d)
     return psi if side == "value" else psi.T * h.omega / h.omega[:, None]
 
 
@@ -321,25 +363,41 @@ def spectral_radius(matrix: np.ndarray) -> float:
     return radius
 
 
-def _operator_terms(aug: AugmentedClosedLoop, value: bool):
-    """Longdouble pairs (s2_i, D_i) with op(M) = sum_i s2_i D_i.T M D_i.
+def _operator_blocks(aug: AugmentedClosedLoop, value: bool):
+    """Longdouble terms (s2, r, c, D) with op(M) = sum s2 D.T M[r, r] D,
+    each added into the block (c, c) only.
 
-    The pairs run over (1, Phi) and the lifts, transposed on the covariance
-    side, so an operator is applied in matrix form, without a Kronecker
-    product.
+    Phi acts on the whole augmented state; each lift acts on its block
+    (``_lift_blocks``).  On the covariance side the pairs are transposed
+    and r and c swap, so an operator is applied in matrix form, without a
+    Kronecker product.
     """
+    full = slice(0, aug.dim)
+    ld = np.longdouble
     return [
-        (np.longdouble(s2), (D if value else D.T).astype(np.longdouble))
-        for s2, D in ((1.0, aug.Phi),) + aug.lifts()
+        (ld(s2), r, c, D.astype(ld)) if value else (ld(s2), c, r, D.T.astype(ld))
+        for s2, r, c, D in [(1.0, full, full, aug.Phi), *_lift_blocks(aug)]
     ]
 
 
-def _positive_operator_test(aug: AugmentedClosedLoop, lyap: np.ndarray) -> bool | None:
-    """Stability certificate from one solve with ``lyap`` = I - Psi_s.
+def _add_operator(R, M, terms, sign=1.0):
+    """R += sign op(M) in place, each term on its block (``_operator_blocks``).
 
-    Solves X - Psi(X) = I on the symmetric subspace and recomputes
-    R = X - Psi(X) in longdouble.  Psi is a positive operator, so
-    (Damm 2004):
+    Outside its block a lift's full-size product is +0.0, which changes no
+    entry once Phi's term, over the whole state, has been added; so the
+    sums are bitwise those of full-size terms.  Subtracting is adding the
+    negation, so ``sign`` -1 is bitwise ``R -= op(M)``.
+    """
+    for s2, r, c, D in terms:
+        R[c, c] += (sign * s2) * (D.T @ M[r, r] @ D)
+    return R
+
+
+def _positive_operator_test(aug: AugmentedClosedLoop, X: np.ndarray) -> bool | None:
+    """Stability certificate from a candidate X for X - Psi(X) = I.
+
+    Recomputes R = X - Psi(X) in longdouble.  Psi is a positive operator,
+    so (Damm 2004):
 
     * X > 0 and R >= r I, r > 0: Psi(X) <= X - r I <= (1 - r / lmax(X)) X,
       hence rho(Psi) <= 1 - r / lmax(X).  True when that bound is below
@@ -347,21 +405,15 @@ def _positive_operator_test(aug: AugmentedClosedLoop, lyap: np.ndarray) -> bool 
     * R > 0 and X not positive semidefinite: a stable loop would have
       X = sum_k Psi^k(R) >= R > 0, hence rho(Psi) > 1.  False.
 
-    None otherwise (singular or non-finite solve, R not positive definite,
-    X nearly singular, or a bound too close to 1).  Eigenvalues count only
-    beyond an allowance for the rounding of R and of ``eigvalsh``.
+    None otherwise (non-finite X, R not positive definite, X nearly
+    singular, or a bound too close to 1).  Eigenvalues count only beyond an
+    allowance for the rounding of R and of ``eigvalsh``.
     """
     d = aug.dim
-    try:
-        X = _unhvec(la.solve(lyap, _hvec(np.eye(d))), d)
-    except la.LinAlgError:
-        return None
     if not np.all(np.isfinite(X)):
         return None
     X_ld = X.astype(np.longdouble)
-    R = X_ld.copy()
-    for s2, D in _operator_terms(aug, value=True):
-        R -= s2 * (D.T @ X_ld @ D)
+    R = _add_operator(X_ld.copy(), X_ld, _operator_blocks(aug, value=True), -1.0)
     wX = la.eigvalsh(X)
     wR = la.eigvalsh(symmetrize(R).astype(np.float64))
     # ||X||_F + ||Psi(X)||_F <= gain * ||X||_F: the scale of the longdouble sum
@@ -382,14 +434,16 @@ class StabilityDecision:
     """One mean-square stability decision of a closed loop.
 
     ``psi`` is the reduced operator Psi_s on the symmetric subspace and
-    ``lyap`` is I - Psi_s.  ``exact_radius`` holds the spectral radius once
-    it has been computed (``eigvals`` of Psi_s): by the fallback when the
-    positive-operator test cannot decide, or on request by ``radius()``.
+    ``inv`` is (I - Psi_s)^-1, or None when LAPACK finds I - Psi_s singular
+    or the inverse is not finite.  ``exact_radius`` holds the spectral
+    radius once it has been computed (``eigvals`` of Psi_s): by the
+    fallback when the positive-operator test cannot decide, or on request
+    by ``radius()``.
     """
 
     stable: bool
     psi: np.ndarray
-    lyap: np.ndarray
+    inv: np.ndarray | None
     exact_radius: float | None = None
 
     def radius(self) -> float:
@@ -399,54 +453,71 @@ class StabilityDecision:
         return self.exact_radius
 
 
+def _inverse(M: np.ndarray) -> np.ndarray | None:
+    """M^-1, or None when ``la.inv`` fails or returns non-finite entries."""
+    try:
+        inv = la.inv(M)
+    except la.LinAlgError:
+        return None
+    return inv if np.isfinite(inv).all() else None
+
+
 def decide_stability(aug: AugmentedClosedLoop) -> StabilityDecision:
     """Decide mean-square stability by the positive-operator test first.
 
-    Builds Psi_s and I - Psi_s once; the test costs one extra solve with
-    I - Psi_s.  When it cannot decide, the decision is the exact one: spectral
-    radius below 1 - STABILITY_MARGIN.
+    Builds Psi_s and inverts I - Psi_s once; the test's candidate is
+    X = (I - Psi_s)^-1 hvec(I).  When the inverse fails or the test cannot
+    decide, the decision is the exact one: spectral radius below
+    1 - STABILITY_MARGIN.
     """
     psi = build_second_moment_matrix(aug, "value")
-    lyap = np.eye(psi.shape[0]) - psi
-    verdict = _positive_operator_test(aug, lyap)
-    decision = StabilityDecision(bool(verdict), psi, lyap)
+    inv = _inverse(np.eye(psi.shape[0]) - psi)
+    verdict = None
+    if inv is not None:
+        d = aug.dim
+        verdict = _positive_operator_test(aug, _unhvec(inv @ _hvec(np.eye(d)), d))
+    decision = StabilityDecision(bool(verdict), psi, inv)
     if verdict is None:
         decision.stable = decision.radius() < 1.0 - STABILITY_MARGIN
     return decision
 
 
-def _lyapunov_matrix(aug: AugmentedClosedLoop) -> np.ndarray:
-    """I - Psi_s of a mean-square stable loop (``decide_stability``); raises
-    NotMsStable with the exact spectral radius otherwise."""
+def _stable_inverse(aug: AugmentedClosedLoop) -> np.ndarray:
+    """(I - Psi_s)^-1 of a mean-square stable loop (``decide_stability``);
+    raises NotMsStable with the exact spectral radius otherwise.
+
+    A loop decided stable by its radius whose I - Psi_s LAPACK cannot
+    invert raises ``LinAlgError``.
+    """
     decision = decide_stability(aug)
     if not decision.stable:
         raise NotMsStable(decision.radius())
-    return decision.lyap
+    if decision.inv is None:
+        raise la.LinAlgError("I - Psi_s of a loop inside the stability margin is singular")
+    return decision.inv
 
 
-def _solve_side(aug: AugmentedClosedLoop, lyap: np.ndarray, side: str) -> np.ndarray:
-    """Solve one side given I - Psi_s, refining with longdouble residuals.
+def _solve_side(aug: AugmentedClosedLoop, inv: np.ndarray, side: str) -> np.ndarray:
+    """Solve one side given (I - Psi_s)^-1, refining with longdouble residuals.
 
     The value side solves (I - Psi_s) hvec(P') = hvec(Q').  The covariance
     side solves (I - Psi_s).T y = Omega hvec(W') for y = Omega hvec(S'),
     since I - Gamma_s = Omega^-1 (I - Psi_s).T Omega; the factors of Omega
-    are 1 and 2, so the scaling is exact.  The residual rhs - (M - op(M))
-    is applied in matrix form (``_operator_terms``).
+    are 1 and 2, so the scaling is exact, and the inverse of the
+    transpose is ``inv.T``.  The residual rhs - (M - op(M)) is applied in
+    matrix form (``_add_operator``).
     """
     value = side == "value"
-    A_lin, rhs = (lyap, aug.Qprime) if value else (lyap.T, aug.Wprime)
-    terms = _operator_terms(aug, value)
+    A_inv, rhs = (inv, aug.Qprime) if value else (inv.T, aug.Wprime)
+    terms = _operator_blocks(aug, value)
     rhs_ld, d = rhs.astype(np.longdouble), rhs.shape[0]
     omega = 1.0 if value else _half_indices(d).omega
 
     def residual(y):
         M = _unhvec(y / omega, d)
-        R = rhs_ld - M
-        for s2, D in terms:
-            R += s2 * (D.T @ M @ D)
-        return omega * _hvec(R)
+        return omega * _hvec(_add_operator(rhs_ld - M, M, terms))
 
-    y = solve_linear_extended(A_lin, omega * _hvec(rhs), residual)
+    y = solve_linear_extended(A_inv, omega * _hvec(rhs), residual)
     return _unhvec(y / omega, d).astype(np.float64)
 
 
@@ -456,16 +527,19 @@ def solve_lyapunov(aug: AugmentedClosedLoop, side: str) -> np.ndarray:
     side="value" returns P' solving P' = Psi(P') + Q'; side="covariance"
     returns S' solving S' = Gamma(S') + W'.  The dense system on the
     symmetric subspace (n(2n+1) unknowns, the lower triangle of P' or S')
-    is solved in float64 with I - Psi_s, or on the covariance side with its
-    transpose and the diagonal scaling Omega (see the module docstring),
-    and refined with residuals in extended precision
-    (``matrixmath.solve_linear_extended``); the exactly symmetric result is
-    rounded to float64.  It is within one ulp per entry of the
+    is solved with the float64 inverse of I - Psi_s that the stability
+    decision formed, or on the covariance side with its transpose and the
+    diagonal scaling Omega (see the module docstring), and refined with
+    residuals in extended precision (``matrixmath.solve_linear_extended``);
+    the exactly symmetric result is rounded to float64.  An inverse is not
+    backward stable, but refinement with accurate residuals restores the
+    accuracy of a backward-stable solve while cond(I - Psi_s) * eps_float64
+    is well below one.  The result is within one ulp per entry of the
     extended-precision solution while cond(I - Psi_s) stays well below
     eps_float64 / eps_longdouble (about 2000 with 80-bit longdouble), as at
     radius 0.984, where the condition number is 300.  Closer to the
     boundary the error grows with cond(I - Psi_s) * eps_longdouble relative
-    to the norm of the solution: 10.2 ulps (value side) and 3.1 ulps
+    to the norm of the solution: 5.6 ulps (value side) and 5.5 ulps
     (covariance side) at radius 0.99987, where it is 3.7e4.
 
     Raises NotMsStable when the loop is not mean-square stable, as decided
@@ -473,18 +547,19 @@ def solve_lyapunov(aug: AugmentedClosedLoop, side: str) -> np.ndarray:
     """
     if side not in ("value", "covariance"):
         raise ValueError(f"side must be 'value' or 'covariance', got {side!r}")
-    return _solve_side(aug, _lyapunov_matrix(aug), side)
+    return _solve_side(aug, _stable_inverse(aug), side)
 
 
 def solve_both(aug: AugmentedClosedLoop) -> AugmentedSolution:
-    """Solve both sides as ``solve_lyapunov`` does, sharing one I - Psi_s
-    and one stability decision (``decide_stability``: the positive-operator
-    test, and the spectral radius only when it cannot decide; NotMsStable
-    with the exact radius when the loop is not stable)."""
-    lyap = _lyapunov_matrix(aug)
+    """Solve both sides as ``solve_lyapunov`` does, sharing one inverse of
+    I - Psi_s and one stability decision (``decide_stability``: the
+    positive-operator test, and the spectral radius only when it cannot
+    decide; NotMsStable with the exact radius when the loop is not
+    stable)."""
+    inv = _stable_inverse(aug)
     return AugmentedSolution(
-        Pprime=_solve_side(aug, lyap, "value"),
-        Sprime=_solve_side(aug, lyap, "covariance"),
+        Pprime=_solve_side(aug, inv, "value"),
+        Sprime=_solve_side(aug, inv, "covariance"),
     )
 
 

@@ -81,12 +81,17 @@ STEP_FLOOR_ULPS = 32
 
 @dataclass(frozen=True, eq=False)
 class QFunctionPair:
-    """Gain-relevant blocks of the control-side G(X) and estimation-side H(X)."""
+    """Gain-relevant blocks of the control-side G(X) and estimation-side H(X),
+    with the parts of them that the residual's corners G_xx and H_xx reuse."""
 
     Gux: np.ndarray  # m x n
     Guu: np.ndarray  # m x m
     Hxy: np.ndarray  # n x p
     Hyy: np.ndarray  # p x p
+    Qxx: np.ndarray  # n x n
+    Wxx: np.ndarray  # n x n
+    P_sum: np.ndarray  # P + Phat
+    S_sum: np.ndarray  # S + Shat
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,11 +170,13 @@ def q_operators(X: ValueCovarianceTuple, problem: ProblemInstance) -> QFunctionP
     """The gain blocks G_ux, G_uu, H_xy, H_yy of G(X) and H(X), formed only here.
 
     None of them depends on the gains; G_xu = G_ux^T and H_yx = H_xy^T.
+    The pair also keeps Q_xx, W_xx and the sums P + Phat and S + Shat for
+    ``riccati_residual``.
     """
     sys = problem.system
     A, B, C = sys.A, sys.B, sys.C
-    _, _, Qux, Quu = problem.q_blocks()
-    _, Wxy, _, Wyy = problem.w_blocks()
+    Qxx, _, Qux, Quu = problem.q_blocks()
+    Wxx, Wxy, _, Wyy = problem.w_blocks()
 
     P_sum = X.P + X.Phat
     Guu = Quu + B.T @ X.P @ B
@@ -182,7 +189,7 @@ def q_operators(X: ValueCovarianceTuple, problem: ProblemInstance) -> QFunctionP
     for t in sys.noise_c:
         Hyy = Hyy + t.sigma**2 * (t.pattern @ S_sum @ t.pattern.T)
     Hxy = Wxy + A @ X.S @ C.T
-    return QFunctionPair(Gux, Guu, Hxy, Hyy)
+    return QFunctionPair(Gux, Guu, Hxy, Hyy, Qxx, Wxx, P_sum, S_sum)
 
 
 def _gains(q: QFunctionPair):
@@ -202,7 +209,8 @@ def gain_operators(X: ValueCovarianceTuple, problem: ProblemInstance):
 def riccati_residual(X: ValueCovarianceTuple, problem: ProblemInstance) -> RiccatiResidual:
     """R(X): one symmetric n x n residual block per unknown.
 
-    Besides the gain blocks, forms only the corners G_xx and H_xx; the Schur
+    Besides the gain blocks, forms only the corners G_xx and H_xx, from the
+    weights and block sums that ``q_operators`` keeps; the Schur
     complements G_xu G_uu^{-1} G_ux = -G_ux^T K and H_xy H_yy^{-1} H_yx =
     L H_xy^T reuse the gains."""
     sys = problem.system
@@ -210,18 +218,16 @@ def riccati_residual(X: ValueCovarianceTuple, problem: ProblemInstance) -> Ricca
     q = q_operators(X, problem)
     K, L = _gains(q)
 
-    P_sum = X.P + X.Phat
-    Gxx = problem.q_blocks()[0] + A.T @ X.P @ A
+    Gxx = q.Qxx + A.T @ X.P @ A
     for t in sys.noise_a:
-        Gxx = Gxx + t.sigma**2 * (t.pattern.T @ P_sum @ t.pattern)
+        Gxx = Gxx + t.sigma**2 * (t.pattern.T @ q.P_sum @ t.pattern)
     for t in sys.noise_c:
         LC = L @ t.pattern
         Gxx = Gxx + t.sigma**2 * (LC.T @ X.Phat @ LC)
 
-    S_sum = X.S + X.Shat
-    Hxx = problem.w_blocks()[0] + A @ X.S @ A.T
+    Hxx = q.Wxx + A @ X.S @ A.T
     for t in sys.noise_a:
-        Hxx = Hxx + t.sigma**2 * (t.pattern @ S_sum @ t.pattern.T)
+        Hxx = Hxx + t.sigma**2 * (t.pattern @ q.S_sum @ t.pattern.T)
     for t in sys.noise_b:
         BK = t.pattern @ K
         Hxx = Hxx + t.sigma**2 * (BK @ X.Shat @ BK.T)

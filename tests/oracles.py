@@ -14,7 +14,10 @@ entries (the Kronecker matrix, with ``vec``/``unvec``), its restriction to
 symmetric matrices column by column and the half-vectorization ``hvec``
 serve as references for the package's operator Psi_s, which acts on the
 lower-triangle entries only; ``is_ms_stable`` decides stability from the
-Kronecker matrix's spectral radius.  ``monte_carlo_cost_reference``
+Kronecker matrix's spectral radius.  The ``*_full_terms`` functions form
+Psi_s and the extended-precision residuals with every noise lift over the
+whole augmented state, the references for the package's sums, which touch
+each lift's block only.  ``monte_carlo_cost_reference``
 simulates the raw system equations (x, y, u, xhat) one step at a time, the
 reference for the package's augmented-loop rollout; ``value_iteration_step``
 is the single update X <- X + R(X) that value iteration applies, and
@@ -170,6 +173,51 @@ def restrict_to_symmetric(T):
             column = column + T[rows, e + d * c]
         out[:, k] = column
     return out
+
+
+def _terms(aug):
+    """(s2, D) over (1, Phi) and the lifts, every D over the full augmented
+    state."""
+    return ((1.0, aug.Phi),) + aug.lifts()
+
+
+def second_moment_matrix_full_terms(aug, side):
+    """Psi_s ("value") or Gamma_s ("covariance") summed from every term's
+    product over all rows and columns: 0.0 + T_Phi + s2 T_lift for each
+    lift, gathered, with the Omega scaling on the covariance side.  The
+    reference for the package's sum, which adds each lift's product on its
+    block only."""
+    rows = 0.0
+    for s2, D in _terms(aug):
+        rows = rows + s2 * moments.term_product(D)
+    psi = moments.gather_second_moment(rows)
+    if side == "value":
+        return psi
+    omega = np.array([1.0 if c == e else 2.0 for c, e in _lower_pairs(aug.dim)])
+    return psi.T * omega / omega[:, None]
+
+
+def lyapunov_residual_full_terms(aug, side, M):
+    """rhs - M + op(M) in longdouble for a longdouble M, with rhs = Q'
+    (value side) or W' (covariance side) and each term s2 D.T M D (D
+    transposed on the covariance side) formed over the full augmented
+    state, in the order Phi, then the lifts."""
+    value = side == "value"
+    R = (aug.Qprime if value else aug.Wprime).astype(np.longdouble) - M
+    for s2, D in _terms(aug):
+        D = (D if value else D.T).astype(np.longdouble)
+        R += np.longdouble(s2) * (D.T @ M @ D)
+    return R
+
+
+def certificate_residual_full_terms(aug, X):
+    """X - Psi(X) in longdouble for a longdouble X, each term subtracted over
+    the full augmented state, in the order Phi, then the lifts."""
+    R = X.copy()
+    for s2, D in _terms(aug):
+        D = D.astype(np.longdouble)
+        R -= np.longdouble(s2) * (D.T @ X @ D)
+    return R
 
 
 def lyapunov_by_recursion(aug, side, iterations=20_000):

@@ -27,13 +27,16 @@ from conftest import make_random_controller, make_scalar_problem
 from oracles import (
     apply_covariance_operator,
     apply_value_operator,
+    certificate_residual_full_terms,
     full_spectral_radius,
     full_value_operator,
     hvec,
     is_ms_stable,
     lyapunov_by_recursion,
     lyapunov_extended,
+    lyapunov_residual_full_terms,
     restrict_to_symmetric,
+    second_moment_matrix_full_terms,
     specrad,
     unhvec,
 )
@@ -297,6 +300,185 @@ class TestReducedOperator:
             assert la.norm(M - op(aug, M) - rhs) <= 1e-10 * (1.0 + la.norm(M))
 
 
+def two_term_loop(with_b=True):
+    """A 3-state compensator loop with two noise terms on A and on C, and
+    two on B or none (``with_b``)."""
+    from mnlqg import CostModel, NoiseModel, NoiseTerm, ProblemInstance, SystemModel
+
+    rng = np.random.default_rng(11)
+    n, m, p = 3, 2, 2
+
+    def terms(shape):
+        return tuple(NoiseTerm(0.2 * rng.random(), rng.standard_normal(shape)) for _ in range(2))
+
+    system = SystemModel(
+        A=0.5 * rng.standard_normal((n, n)),
+        B=rng.standard_normal((n, m)),
+        C=rng.standard_normal((p, n)),
+        noise_a=terms((n, n)),
+        noise_b=terms((n, m)) if with_b else (),
+        noise_c=terms((p, n)),
+    )
+    problem = ProblemInstance(
+        system, CostModel(np.eye(n + m)), NoiseModel(W=np.eye(n + p), X0=np.zeros((n, n)))
+    )
+    return build_augmented(problem, make_random_controller(problem, rng, scale=0.2))
+
+
+def block_lift_loops():
+    """Loops whose lifts cover every family layout: one term per family with
+    non-zero gains, two terms in a family, no B-noise, and open loops, whose
+    B- and C-lifts are zero."""
+    rng = np.random.default_rng(23)
+    loops = {}
+    for n in (1, 2, 3):
+        problem = random_problem_any(rng, n=n, m=2, p=2)
+        loops[f"one-term-n{n}"] = build_augmented(problem, make_random_controller(problem, rng))
+    loops["two-terms"] = two_term_loop(with_b=True)
+    loops["no-b-noise"] = two_term_loop(with_b=False)
+    problem, _ = random_problem(7003)
+    loops["random-7003-open-loop"] = build_augmented(problem, open_loop_controller(problem))
+    problem = pendulum_problem(0.05)
+    loops["pendulum-noise-free"] = build_augmented(problem, noise_free_controller(problem))
+    return loops
+
+
+BLOCK_LIFT_LOOPS = block_lift_loops()
+
+
+def value_bytes(a):
+    """The bytes that hold the values of a longdouble array: ``tobytes``
+    also copies the undefined padding of the 80-bit x87 format (10 of 16
+    bytes used, little-endian)."""
+    a = np.ascontiguousarray(a)
+    used = 10 if np.finfo(a.dtype).nmant == 63 else a.itemsize
+    return a.view(np.uint8).reshape(a.size, a.itemsize)[:, :used].tobytes()
+
+
+class TestBlockLifts:
+    """Each lift is applied on its n x n block only, bitwise as the sums with
+    every lift over the whole augmented state (the ``*_full_terms``
+    oracles)."""
+
+    def test_layouts(self):
+        two, no_b = BLOCK_LIFT_LOOPS["two-terms"], BLOCK_LIFT_LOOPS["no-b-noise"]
+        assert (len(two.lifts_a), len(two.lifts_b), len(two.lifts_c)) == (2, 2, 2)
+        assert (len(no_b.lifts_a), len(no_b.lifts_b), len(no_b.lifts_c)) == (2, 0, 2)
+
+    @pytest.mark.parametrize("side", ["value", "covariance"])
+    @pytest.mark.parametrize("name", sorted(BLOCK_LIFT_LOOPS))
+    def test_second_moment_matrix(self, name, side):
+        aug = BLOCK_LIFT_LOOPS[name]
+        psi = build_second_moment_matrix(aug, side)
+        assert psi.tobytes() == second_moment_matrix_full_terms(aug, side).tobytes()
+
+    @staticmethod
+    def symmetric_ld(aug, seed):
+        """A symmetric longdouble matrix with +0.0 and -0.0 entries."""
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((aug.dim, aug.dim))
+        M = (M + M.T).astype(np.longdouble)
+        M[0, :] = M[:, 0] = 0.0
+        M[-1, :] = M[:, -1] = -0.0
+        return M
+
+    @pytest.mark.parametrize("side", ["value", "covariance"])
+    @pytest.mark.parametrize("name", sorted(BLOCK_LIFT_LOOPS))
+    def test_lyapunov_residual(self, name, side):
+        from mnlqg.moments import _add_operator, _operator_blocks
+
+        aug = BLOCK_LIFT_LOOPS[name]
+        value = side == "value"
+        rhs = (aug.Qprime if value else aug.Wprime).astype(np.longdouble)
+        for seed in range(3):
+            M = self.symmetric_ld(aug, seed)
+            R = _add_operator(rhs - M, M, _operator_blocks(aug, value))
+            assert value_bytes(R) == value_bytes(lyapunov_residual_full_terms(aug, side, M))
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_LIFT_LOOPS))
+    def test_certificate_residual(self, name):
+        from mnlqg.moments import _add_operator, _operator_blocks
+
+        aug = BLOCK_LIFT_LOOPS[name]
+        for seed in range(3):
+            X = self.symmetric_ld(aug, seed)
+            R = _add_operator(X.copy(), X, _operator_blocks(aug, True), -1.0)
+            assert value_bytes(R) == value_bytes(certificate_residual_full_terms(aug, X))
+
+
+class TestOneInversePerEvaluation:
+    """A policy evaluation inverts I - Psi_s once and solves no d x d system."""
+
+    @staticmethod
+    def count_linalg(monkeypatch, d):
+        calls = {"inv": 0, "solve_dxd": 0}
+        inv, solve = la.inv, la.solve
+
+        def counted_inv(a):
+            calls["inv"] += 1
+            return inv(a)
+
+        def counted_solve(a, b):
+            calls["solve_dxd"] += np.shape(a) == (d, d)
+            return solve(a, b)
+
+        monkeypatch.setattr(la, "inv", counted_inv)
+        monkeypatch.setattr(la, "solve", counted_solve)
+        return calls
+
+    @pytest.mark.parametrize("make_aug", [lambda: six_state_loop(0.25), lambda: two_term_loop()])
+    def test_solve_both(self, make_aug, monkeypatch):
+        aug = make_aug()
+        d = aug.dim * (aug.dim + 1) // 2
+        calls = self.count_linalg(monkeypatch, d)
+        solve_both(aug)
+        assert calls == {"inv": 1, "solve_dxd": 0}
+
+    def test_policy_iteration(self, monkeypatch):
+        problem = pendulum_problem(0.05)
+        initial = stabilizing_initial_controller(problem)
+        calls = self.count_linalg(monkeypatch, 10)
+        report = policy_iteration_solve(problem, initial)
+        # iterations + 1 evaluations in the loop, one more for the report's cost
+        assert calls == {"inv": report.iterations + 2, "solve_dxd": 0}
+
+    def test_singular_operator_leaves_the_radius_to_decide(self, monkeypatch):
+        """The marginal scalar loop has I - Psi_s = 0: the inverse fails, the
+        certificate gives no verdict and the exact radius 1 decides."""
+        from mnlqg import moments
+
+        verdicts = []
+        certificate = moments._positive_operator_test
+
+        def recorded(aug, X):
+            verdicts.append(certificate(aug, X))
+            return verdicts[-1]
+
+        monkeypatch.setattr(moments, "_positive_operator_test", recorded)
+        decision = decide_stability(scalar_loop(1.0))
+        assert decision.inv is None and verdicts == []
+        assert not decision.stable and decision.exact_radius == 1.0
+
+    def test_non_finite_inverse_leaves_the_radius_to_decide(self, monkeypatch):
+        """An unstable loop that the certificate rejects without eigenvalues
+        (``test_certified_verdicts_skip_the_radius``) goes to the radius
+        when the inverse is not finite."""
+        monkeypatch.setattr(la, "inv", lambda a: np.full(np.shape(a), np.inf))
+        decision = decide_stability(scalar_loop(1.2))
+        assert decision.inv is None
+        assert not decision.stable
+        assert decision.exact_radius == pytest.approx(1.44, rel=1e-12)
+        with pytest.raises(NotMsStable):
+            solve_both(scalar_loop(1.2))
+
+    def test_stable_loop_without_inverse_raises(self, monkeypatch):
+        monkeypatch.setattr(la, "inv", lambda a: np.full(np.shape(a), np.nan))
+        decision = decide_stability(scalar_open_loop_aug(sigma_a=0.3))
+        assert decision.stable and decision.inv is None
+        with pytest.raises(la.LinAlgError):
+            solve_both(scalar_open_loop_aug(sigma_a=0.3))
+
+
 class TestMsStable:
     """``decide_stability`` and its exact radius on closed-form loops."""
 
@@ -420,8 +602,10 @@ class TestPositiveOperatorTest:
         for aug in loops:
             psi_s = build_second_moment_matrix(aug, "value")
             radius = spectral_radius(psi_s)
+            identity = hvec(np.eye(aug.dim))
             for c in (0.5, 0.9, 1.0, 1.1, 2.0):
-                verdict = _positive_operator_test(aug, np.eye(len(psi_s)) - c * psi_s)
+                X = unhvec(la.inv(np.eye(len(psi_s)) - c * psi_s) @ identity)
+                verdict = _positive_operator_test(aug, X)
                 seen.add(verdict)
                 if verdict is True:
                     assert radius < 1.0 - STABILITY_MARGIN

@@ -376,6 +376,37 @@ class TestPolicyIteration:
         assert report.residual_norm <= 10 * 1e-12
 
 
+# Policy-iteration iteration counts and costs from the stabilizing initial
+# policy, recorded with the LU-solve policy evaluation that the single
+# inverse of I - Psi_s replaced.
+PINNED_PI_RESULTS = [
+    ("random-7000", 6, 0.028647522949597944),
+    ("random-7001", 4, 0.07650347655275255),
+    ("random-7002", 5, 0.7351117562875352),
+    ("random-7003", 13, 0.06075760438574922),
+    ("random-7004", 7, 0.02741191340273505),
+    ("random-7005", 18, 0.2299109333358928),
+    ("random-7006", 4, 0.022935207217584526),
+    ("random-7007", 10, 0.1949517027219169),
+    ("random-7008", 14, 0.15999128741536822),
+    ("random-7009", 5, 0.03360931545644876),
+    ("pendulum-0.05", 30, 12.909822794445718),
+]
+
+
+class TestPinnedPolicyIteration:
+    """The refined policy evaluation keeps every iteration count and each
+    cost within 4 ulps."""
+
+    @pytest.mark.parametrize("name, iterations, cost", PINNED_PI_RESULTS)
+    def test_iterations_and_cost(self, name, iterations, cost):
+        kind, arg = name.rsplit("-", 1)
+        problem = random_problem(int(arg))[0] if kind == "random" else pendulum_problem(float(arg))
+        report = policy_iteration_solve(problem, stabilizing_initial_controller(problem))
+        assert report.iterations == iterations
+        assert abs(report.cost - cost) <= 4 * np.spacing(cost)
+
+
 class TestStabilityDecision:
     """Each policy evaluation builds the operator and decides stability once."""
 

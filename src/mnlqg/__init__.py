@@ -9,7 +9,6 @@ benchmark CLI with Monte-Carlo cross-validation.
 
 from . import exceptions
 from .bench import (
-    BenchConfig,
     ComparisonResult,
     ConvergenceRecord,
     RolloutEstimate,
@@ -109,7 +108,6 @@ __all__ = [
     "stabilizing_initial_controller",
     "value_iteration_solve",
     # bench
-    "BenchConfig",
     "ComparisonResult",
     "ConvergenceRecord",
     "RolloutEstimate",

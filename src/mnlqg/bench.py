@@ -7,13 +7,15 @@ so the open loop sits exactly at the mean-square stability boundary before a
 random fraction eta of that critical level is applied (the generated
 instances are therefore open-loop mean-square stable by construction).
 
-``run_comparison`` runs the configured solvers on one instance, computes the
-relative-error trace
+``run_comparison`` runs the chosen methods on one instance, each solver
+with its own tolerance and iteration cap (``riccati``'s defaults), computes
+the relative-error trace
 
     e_k = max over blocks of ||M_k - M*||_F / ||M_0 - M*||_F
 
-against a high-accuracy reference fixed point, and reports per-method
-iteration counts, timings, and the value-iteration/policy-iteration ratios.
+against the fixed point of the first converged method, policy iteration
+before value iteration, and reports per-method iteration counts, timings,
+and the value-iteration/policy-iteration ratios.
 
 CSV outputs (written by the CLI): a summary with one row per
 (instance, method) and a long-format trace of e_k per iteration.
@@ -33,7 +35,6 @@ from .model import Controller, CostModel, NoiseModel, NoiseTerm, ProblemInstance
 from .moments import ValueCovarianceTuple
 
 __all__ = [
-    "BenchConfig",
     "ConvergenceRecord",
     "ComparisonResult",
     "RolloutEstimate",
@@ -54,7 +55,8 @@ METHODS = ("policy_iteration", "value_iteration")
 # block's relative error is pinned to 0 so it cannot poison the max.
 ZERO_ERROR_GUARD = 1e-300
 
-REFERENCE_TOL = 1e-12
+# Draws ``random_problem`` makes before it gives up on a seed.
+MAX_REDRAWS = 20
 
 # Steps whose noise one generator call draws in ``monte_carlo_cost``: enough
 # to amortize the per-call overhead, few enough that the block buffers stay
@@ -64,27 +66,6 @@ _ROLLOUT_BLOCK = 8
 _ROLLOUT_DRAWS = 2**14
 # A rollout state above this magnitude counts as overflowed.
 _ROLLOUT_OVERFLOW = 1e100
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    """Benchmark configuration shared by the pendulum and random suites."""
-
-    tol: float = riccati.DEFAULT_TOL
-    max_iter: int | None = None  # None: per-method defaults
-    methods: tuple[str, ...] = METHODS
-
-    def __post_init__(self):
-        if not self.methods:
-            raise ValueError("methods must be nonempty")
-        for method in self.methods:
-            if method not in METHODS:
-                raise ValueError(f"unknown method {method!r}")
-
-    def max_iter_for(self, method: str) -> int:
-        if self.max_iter is not None:
-            return self.max_iter
-        return riccati.PI_MAX_ITER if method == "policy_iteration" else riccati.VI_MAX_ITER
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +189,7 @@ def _assemble_random(A, B, C, patterns, sigmas, Q, W):
     )
 
 
-def random_problem(seed: int, max_redraws: int = 20):
+def random_problem(seed: int):
     """Random two-state instance (n=2, m=1, p=1, one noise term per matrix).
 
     Entries of the mean matrices and noise patterns are standard normal; A
@@ -218,13 +199,13 @@ def random_problem(seed: int, max_redraws: int = 20):
     random level eta.  Returns (problem, eta); deterministic in ``seed``.
 
     Raises RetryExhausted when no draw reaches the boundary target within
-    ``max_redraws`` attempts.
+    MAX_REDRAWS attempts.
     """
     rng = np.random.default_rng(seed)
     n, m, p = 2, 1, 1
     Q = np.eye(n + m)
     W = 0.01 * np.eye(n + p)
-    for _ in range(max_redraws):
+    for _ in range(MAX_REDRAWS):
         A = rng.standard_normal((n, n))
         rho_target = rng.uniform(0.0, 1.0)
         B = rng.standard_normal((n, m))
@@ -246,7 +227,7 @@ def random_problem(seed: int, max_redraws: int = 20):
         sigmas = np.sqrt(scale * variances * eta)
         return _assemble_random(A, B, C, patterns, sigmas, Q, W), eta
     raise RetryExhausted(
-        f"could not reach the open-loop stability boundary in {max_redraws} draws"
+        f"could not reach the open-loop stability boundary in {MAX_REDRAWS} draws"
     )
 
 
@@ -276,54 +257,41 @@ def convergence_metric(
     return out
 
 
-def _run_method(problem, method, config):
+def _run_method(problem, method):
     if method == "value_iteration":
-        return riccati.value_iteration_solve(
-            problem, tol=config.tol, max_iter=config.max_iter_for(method)
-        )
+        return riccati.value_iteration_solve(problem)
     initial = riccati.stabilizing_initial_controller(problem)
-    return riccati.policy_iteration_solve(
-        problem, initial, tol=config.tol, max_iter=config.max_iter_for(method)
-    )
+    return riccati.policy_iteration_solve(problem, initial)
 
 
-def _reference_solution(problem, config, reports):
-    """High-accuracy anchor for e_k: the policy-iteration fixed point at
-    tol 1e-12, falling back to value iteration when policy iteration is
-    unavailable."""
-    if config.tol <= REFERENCE_TOL:
-        for method in ("policy_iteration", "value_iteration"):
-            if method in reports:
-                return reports[method].solution
-        return None
-    for method in ("policy_iteration", "value_iteration"):
-        try:
-            cfg = BenchConfig(tol=REFERENCE_TOL, methods=(method,))
-            return _run_method(problem, method, cfg).solution
-        except SolverError:
-            continue
-    return None
+def run_comparison(
+    problem: ProblemInstance, methods: tuple[str, ...] = METHODS
+) -> ComparisonResult:
+    """Run each of ``methods`` on one instance and collect records.
 
-
-def run_comparison(problem: ProblemInstance, config: BenchConfig) -> ComparisonResult:
-    """Run each configured method on one instance and collect records.
-
+    ``methods`` is a nonempty selection from METHODS (ValueError otherwise).
     Solver failures are captured per method (they do not raise), so a batch
     caller can keep going; the VI/PI ratios are filled only when both
     methods produced converged runs.
     """
+    if not methods:
+        raise ValueError("methods must be nonempty")
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
     reports = {}
     failures = {}
-    for method in config.methods:
+    for method in methods:
         try:
-            reports[method] = _run_method(problem, method, config)
+            reports[method] = _run_method(problem, method)
         except SolverError as exc:
             failures[method] = exc
 
-    reference = _reference_solution(problem, config, reports)
+    # e_k's anchor: the fixed point of the first converged method in METHODS
+    reference = next((reports[m].solution for m in METHODS if m in reports), None)
 
     records = []
-    for method in config.methods:
+    for method in methods:
         if method in reports:
             rep = reports[method]
             e_k = (

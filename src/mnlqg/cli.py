@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import bench, riccati
-from .exceptions import MnlqgError, ProblemFormatError
+from .exceptions import MnlqgError, ProblemFormatError, SchemaError
 from .model import load_controller, load_problem, validate
 
 EXIT_OK = 0
@@ -63,9 +63,18 @@ def _parse_methods(value: str):
         full = METHOD_NAMES[name]
         if full not in methods:
             methods.append(full)
-    if not methods:
-        raise ValueError("at least one method is required")
     return tuple(methods)
+
+
+def _load_controller_for(problem, path):
+    """A controller document whose gains have ``problem``'s dimensions."""
+    ctrl = load_controller(_read(path))
+    n, m, p = problem.n, problem.m, problem.p
+    for name, shape in (("F", (n, n)), ("K", (m, n)), ("L", (n, p))):
+        got = getattr(ctrl, name).shape
+        if got != shape:
+            raise SchemaError(f"{name} must have shape {shape[0]}x{shape[1]}, got {got}")
+    return ctrl
 
 
 def _resolve_initial(problem, init):
@@ -75,7 +84,7 @@ def _resolve_initial(problem, init):
         return riccati.open_loop_controller(problem)
     if init == "lqg":
         return riccati.noise_free_controller(problem)
-    return load_controller(_read(init))
+    return _load_controller_for(problem, init)
 
 
 def _history_documents(report, e_k):
@@ -111,24 +120,21 @@ def _report_document(report, e_k=None):
 
 
 def cmd_solve(args) -> int:
+    if args.max_iter is not None and args.max_iter < 0:
+        raise ValueError("--max-iter must be >= 0")
+    if args.tol is not None and not args.tol >= 0.0:  # also rejects nan
+        raise ValueError("--tol must be a nonnegative number")
     problem, code = _load_problem_checked(args.problem)
     if code is not None:
         return code
-    method = METHOD_NAMES[args.method]
-    if args.max_iter is not None:
-        max_iter = args.max_iter
-    elif method == "policy_iteration":
-        max_iter = riccati.PI_MAX_ITER
-    else:
-        max_iter = riccati.VI_MAX_ITER
-
-    if method == "value_iteration":
-        report = riccati.value_iteration_solve(problem, tol=args.tol, max_iter=max_iter)
+    # the solvers own the defaults: pass only the limits given on the command line
+    limits = {"tol": args.tol, "max_iter": args.max_iter}
+    limits = {key: value for key, value in limits.items() if value is not None}
+    if args.method == "vi":
+        report = riccati.value_iteration_solve(problem, **limits)
     else:
         initial = _resolve_initial(problem, args.init)
-        report = riccati.policy_iteration_solve(
-            problem, initial, tol=args.tol, max_iter=max_iter
-        )
+        report = riccati.policy_iteration_solve(problem, initial, **limits)
 
     e_k = None
     if args.trace:
@@ -162,12 +168,11 @@ def cmd_bench_pendulum(args) -> int:
     if not etas:
         raise ValueError("--etas must list at least one value")
     methods = _parse_methods(args.methods)
-    config = bench.BenchConfig(methods=methods)
     # every eta is range-checked here, before the first solve
     problems = [bench.pendulum_problem(eta) for eta in etas]
     entries = []
     for eta, problem in zip(etas, problems):
-        result = bench.run_comparison(problem, config)
+        result = bench.run_comparison(problem, methods)
         entries.append((0, eta, result))
         for rec in result.records:
             if rec.error:
@@ -176,7 +181,7 @@ def cmd_bench_pendulum(args) -> int:
     return EXIT_OK
 
 
-def _run_instance(instance_seed, config):
+def _run_instance(instance_seed, methods):
     """One bench-random instance: (seed, eta, ComparisonResult), or
     (seed, None, error text) when it raises an MnlqgError (such as
     RetryExhausted from the generator).
@@ -184,7 +189,7 @@ def _run_instance(instance_seed, config):
     Module-level and returning picklable data, so a worker process can run it."""
     try:
         problem, eta = bench.random_problem(instance_seed)
-        return instance_seed, eta, bench.run_comparison(problem, config)
+        return instance_seed, eta, bench.run_comparison(problem, methods)
     except MnlqgError as exc:
         return instance_seed, None, str(exc)
 
@@ -204,9 +209,8 @@ def cmd_bench_random(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
     methods = _parse_methods(args.methods)
-    config = bench.BenchConfig(methods=methods)
     seeds = [args.seed + index for index in range(args.count)]
-    run_instance = functools.partial(_run_instance, config=config)
+    run_instance = functools.partial(_run_instance, methods=methods)
 
     workers = _worker_count(args.jobs, len(seeds))
     if workers == 1 or not hasattr(os, "fork"):
@@ -244,7 +248,7 @@ def cmd_rollout(args) -> int:
     problem, code = _load_problem_checked(args.problem)
     if code is not None:
         return code
-    ctrl = load_controller(_read(args.controller))
+    ctrl = _load_controller_for(problem, args.controller)
     estimate = bench.monte_carlo_cost(
         problem, ctrl, horizon=args.horizon, trials=args.trials, seed=args.seed
     )
@@ -272,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one problem instance")
     p.add_argument("problem", help="path to a problem JSON document")
     p.add_argument("--method", choices=("pi", "vi"), default="pi")
-    p.add_argument("--tol", type=float, default=riccati.DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument(
         "--init",

@@ -9,6 +9,9 @@ import numpy.linalg as la
 # shrinks the error by about cond(A) * eps, so the second one matters for
 # loops near the stability boundary, where cond(I - Psi) grows.
 REFINE_STEPS = 2
+# Eigenvalue floors of ``is_positive_definite`` and ``is_positive_semidefinite``.
+PD_TOL = 1e-12
+PSD_TOL = 1e-10
 
 
 def symmetrize(M):
@@ -54,15 +57,15 @@ def min_eigval(M):
     return float(la.eigvalsh(symmetrize(M))[0])
 
 
-def is_positive_definite(M, tol=1e-12):
-    """Smallest eigenvalue strictly above an absolute floor."""
-    return min_eigval(M) > tol
+def is_positive_definite(M):
+    """Smallest eigenvalue strictly above the absolute floor PD_TOL."""
+    return min_eigval(M) > PD_TOL
 
 
-def is_positive_semidefinite(M, tol=1e-10):
-    """Smallest eigenvalue above a floor scaled to the matrix size."""
+def is_positive_semidefinite(M):
+    """Smallest eigenvalue at least -PSD_TOL (1 + ||M||_F)."""
     M = np.asarray(M)
-    return min_eigval(M) >= -tol * (1.0 + la.norm(M))
+    return min_eigval(M) >= -PSD_TOL * (1.0 + la.norm(M))
 
 
 def psd_factor(M):

@@ -56,8 +56,6 @@ __all__ = [
     "save_controller",
 ]
 
-PD_TOL = 1e-12
-PSD_TOL = 1e-10
 SYM_TOL = 1e-10
 
 
@@ -283,18 +281,18 @@ def validate(problem: ProblemInstance) -> ValidationReport:
                 )
 
     Q = problem.cost.Q
-    if _check_symmetric(violations, "Q", Q) and not is_positive_definite(Q, PD_TOL):
+    if _check_symmetric(violations, "Q", Q) and not is_positive_definite(Q):
         violations.append(Violation("Q", "not positive definite", "error"))
 
     W = problem.noise.W
-    if _check_symmetric(violations, "W", W) and not is_positive_definite(W, PD_TOL):
-        if is_positive_semidefinite(W, PSD_TOL):
+    if _check_symmetric(violations, "W", W) and not is_positive_definite(W):
+        if is_positive_semidefinite(W):
             violations.append(Violation("W", "not positive definite", "warning"))
         else:
             violations.append(Violation("W", "not positive semidefinite", "error"))
 
     X0 = problem.noise.X0
-    if _check_symmetric(violations, "X0", X0) and not is_positive_semidefinite(X0, PSD_TOL):
+    if _check_symmetric(violations, "X0", X0) and not is_positive_semidefinite(X0):
         violations.append(Violation("X0", "not positive semidefinite", "error"))
 
     return ValidationReport(tuple(violations))
@@ -329,11 +327,23 @@ def _matrix_field(doc, key, shape):
     return _matrix_value(doc[key], key, shape)
 
 
+def _is_number(value):
+    """A JSON number: int or float, not bool (``True`` is an int in Python)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _matrix_value(value, name, shape):
-    """Finite float array from a JSON value; shape None skips the shape check."""
+    """Finite float array from a JSON value; shape None skips the shape check.
+
+    Every entry must be a JSON number: numpy would read strings such as
+    "1.0" and booleans as numbers."""
+    for row in value if isinstance(value, list) else [value]:
+        for entry in row if isinstance(row, list) else [row]:
+            if not _is_number(entry):
+                raise SchemaError(f"{name} has a non-numeric entry {entry!r}")
     try:
         arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{name} is not a numeric matrix: {exc}") from exc
     if not np.all(np.isfinite(arr)):
         raise SchemaError(f"{name} has a non-finite entry")
@@ -351,7 +361,9 @@ def _noise_terms(noise_doc, key, shape):
         if not isinstance(entry, dict) or "sigma" not in entry or "pattern" not in entry:
             raise SchemaError(f"noise.{key}[{i}] must be an object with sigma and pattern")
         sigma = entry["sigma"]
-        if not isinstance(sigma, (int, float)) or isinstance(sigma, bool) or not np.isfinite(sigma):
+        # a Python int compares exactly with a Python float, so an int beyond
+        # float64 fails here as NaN and inf do
+        if not _is_number(sigma) or not abs(sigma) <= float(np.finfo(float).max):
             raise SchemaError(f"noise.{key}[{i}].sigma must be a finite number")
         pattern = _matrix_value(entry["pattern"], f"noise.{key}[{i}].pattern", shape)
         terms.append(NoiseTerm(float(sigma), pattern))

@@ -77,6 +77,9 @@ OVERFLOW_GUARD = 1e100
 # is this close to rounding noise the iterates have stopped moving.  Measured
 # steps of converged policy iteration level off at 8-23 eps * ||X||.
 STEP_FLOOR_ULPS = 32
+# Relative step tolerance and cap of ``noise_free_gains``' recursions.
+NOISE_FREE_TOL = 1e-13
+NOISE_FREE_MAX_ITER = 500_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,7 +364,7 @@ def open_loop_controller(problem: ProblemInstance) -> Controller:
     )
 
 
-def noise_free_gains(problem: ProblemInstance, tol: float = 1e-13, max_iter: int = 500_000):
+def noise_free_gains(problem: ProblemInstance):
     """Classical gains (K, L) ignoring the multiplicative noise terms.
 
     Fixed-point iteration of the two decoupled discrete Riccati recursions
@@ -376,14 +379,14 @@ def noise_free_gains(problem: ProblemInstance, tol: float = 1e-13, max_iter: int
 
     def iterate(update, start, label):
         M = start.copy()
-        for _ in range(max_iter):
+        for _ in range(NOISE_FREE_MAX_ITER):
             M_next = update(M)
             if not np.all(np.isfinite(M_next)) or la.norm(M_next) > OVERFLOW_GUARD:
-                raise Diverged(label, max_iter)
-            if la.norm(M_next - M) <= tol * (1.0 + la.norm(M_next)):
+                raise Diverged(label, NOISE_FREE_MAX_ITER)
+            if la.norm(M_next - M) <= NOISE_FREE_TOL * (1.0 + la.norm(M_next)):
                 return M_next
             M = M_next
-        raise MaxIterationsExceeded(label, max_iter, float(la.norm(M_next - M)))
+        raise MaxIterationsExceeded(label, NOISE_FREE_MAX_ITER, float(la.norm(M_next - M)))
 
     def control_block(P):
         Guu = Quu + B.T @ P @ B

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -9,7 +10,6 @@ import pytest
 
 import mnlqg
 from mnlqg import (
-    BenchConfig,
     Controller,
     NoiseModel,
     NoiseTerm,
@@ -29,8 +29,10 @@ from mnlqg import (
     spectral_radius,
     value_iteration_solve,
 )
-from mnlqg.bench import _ROLLOUT_BLOCK, _ROLLOUT_DRAWS
-from mnlqg.exceptions import UnstableRollout
+from mnlqg import bench, riccati
+from mnlqg.bench import _ROLLOUT_BLOCK, _ROLLOUT_DRAWS, MAX_REDRAWS
+from mnlqg.cli import main
+from mnlqg.exceptions import RetryExhausted, UnstableRollout
 
 from conftest import make_scalar_problem
 from oracles import critical_noise_scale_reference, monte_carlo_cost_reference
@@ -111,11 +113,17 @@ class TestRandomProblem:
         assert np.array_equal(problem.cost.Q, np.eye(3))
         assert np.array_equal(problem.noise.W, 0.01 * np.eye(3))
 
-    def test_retry_budget_exhaustion_raises(self):
-        from mnlqg.exceptions import RetryExhausted
+    def test_retry_budget_exhaustion_raises(self, monkeypatch):
+        draws = []
 
-        with pytest.raises(RetryExhausted):
-            random_problem(0, max_redraws=0)
+        def unreachable(*args):
+            draws.append(args)
+            return None
+
+        monkeypatch.setattr(bench, "_critical_noise_scale", unreachable)
+        with pytest.raises(RetryExhausted, match=f"in {MAX_REDRAWS} draws"):
+            random_problem(0)
+        assert len(draws) == MAX_REDRAWS
 
     def test_bitwise_equal_to_per_midpoint_assembly(self, monkeypatch):
         """The bisection on precomputed term products gives the same
@@ -196,8 +204,7 @@ class TestConvergenceMetric:
 
 class TestRunComparison:
     def test_scalar_both_methods(self, scalar_problem):
-        config = BenchConfig()
-        result = run_comparison(scalar_problem, config)
+        result = run_comparison(scalar_problem)
         by_method = {rec.method: rec for rec in result.records}
         assert set(by_method) == {"policy_iteration", "value_iteration"}
         pi, vi = by_method["policy_iteration"], by_method["value_iteration"]
@@ -213,30 +220,27 @@ class TestRunComparison:
             assert len(rec.cum_seconds) == len(rec.e_k)
 
     def test_single_method_no_ratios(self, scalar_problem):
-        config = BenchConfig(methods=("policy_iteration",))
-        result = run_comparison(scalar_problem, config)
+        result = run_comparison(scalar_problem, ("policy_iteration",))
         assert len(result.records) == 1
         assert result.ratio_iterations is None
         assert result.ratio_time is None
 
     def test_failure_is_recorded_not_raised(self):
         problem = pendulum_problem(1.0)  # no stabilizing compensator exists
-        config = BenchConfig()
-        result = run_comparison(problem, config)
+        result = run_comparison(problem)
         assert all(not rec.converged for rec in result.records)
         assert all(rec.error for rec in result.records)
         assert result.ratio_iterations is None
 
     def test_quiet_pendulum_ordering(self):
-        config = BenchConfig()
-        result = run_comparison(pendulum_problem(0.0), config)
+        result = run_comparison(pendulum_problem(0.0))
         by_method = {rec.method: rec for rec in result.records}
         assert by_method["policy_iteration"].iterations < by_method["value_iteration"].iterations
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_instances_converge_and_agree(self, seed):
         problem, _ = random_problem(seed)
-        result = run_comparison(problem, BenchConfig())
+        result = run_comparison(problem)
         by_method = {rec.method: rec for rec in result.records}
         pi, vi = by_method["policy_iteration"], by_method["value_iteration"]
         assert pi.converged and vi.converged
@@ -433,19 +437,48 @@ class TestRolloutOverflow:
         assert self.overflow_step(monte_carlo_cost, gains, horizon) == step
 
 
-class TestBenchConfig:
-    def test_methods_validated(self):
-        with pytest.raises(ValueError):
-            BenchConfig(methods=("newton",))
-        with pytest.raises(ValueError):
-            BenchConfig(methods=())
+class TestComparisonMethods:
+    def test_methods_validated(self, scalar_problem):
+        with pytest.raises(ValueError, match="unknown method 'newton'"):
+            run_comparison(scalar_problem, ("newton",))
+        with pytest.raises(ValueError, match="nonempty"):
+            run_comparison(scalar_problem, ())
 
-    def test_per_method_iteration_defaults(self):
-        config = BenchConfig()
-        assert config.max_iter_for("policy_iteration") == 1_000
-        assert config.max_iter_for("value_iteration") == 100_000
-        override = BenchConfig(max_iter=77)
-        assert override.max_iter_for("policy_iteration") == 77
+    def test_per_method_iteration_defaults(self, scalar_problem, tmp_path, monkeypatch):
+        """run_comparison, and solve without --tol or --max-iter, leave the
+        tolerance and the cap to each solver's own defaults: 1e-12, and
+        1000 PI or 100000 VI iterations."""
+        for solver, cap in (
+            (riccati.policy_iteration_solve, 1_000),
+            (riccati.value_iteration_solve, 100_000),
+        ):
+            defaults = inspect.signature(solver).parameters
+            assert (defaults["tol"].default, defaults["max_iter"].default) == (1e-12, cap)
+        received = []
+
+        def recording(solver):
+            def wrapped(*args, **kwargs):
+                received.append((solver.__name__, kwargs))
+                return solver(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("policy_iteration_solve", "value_iteration_solve"):
+            monkeypatch.setattr(riccati, name, recording(getattr(riccati, name)))
+        run_comparison(scalar_problem)
+        path = tmp_path / "scalar.json"
+        path.write_text(save_problem(scalar_problem))
+        for method in ("pi", "vi"):
+            argv = ["solve", str(path), "--method", method, "--out", str(tmp_path / "r.json")]
+            assert main(argv) == 0
+        assert received == [
+            ("policy_iteration_solve", {}),
+            ("value_iteration_solve", {}),
+        ] * 2
+        received.clear()
+        argv = ["solve", str(path), "--max-iter", "77", "--tol", "1e-9"]
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+        assert received == [("policy_iteration_solve", {"tol": 1e-9, "max_iter": 77})]
 
 
 class TestBenchmarkContract:

@@ -3,6 +3,7 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -90,6 +91,34 @@ class TestValidateCommand:
         assert captured.err.startswith(f"error: {field} ") and "finite" in captured.err
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("A", "1.0"), ("A", True), ("A", 10**400), ("noise.A[0].sigma", 10**400)],
+        ids=["string-in-A", "bool-in-A", "oversized-int-in-A", "oversized-int-sigma"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "solve", "rollout"])
+    def test_non_number_is_input_error(self, tmp_path, capsys, command, field, value):
+        doc = json.loads(save_problem(make_scalar_problem(sigma_a=0.3)))
+        if field == "A":
+            doc["A"][0][0] = value
+        else:
+            doc["noise"]["A"][0]["sigma"] = value
+        path = tmp_path / "non_number.json"
+        path.write_text(json.dumps(doc))
+        ctrl_path = tmp_path / "ctrl.json"
+        ctrl_path.write_text('{"F": [[0.5]], "K": [[0.0]], "L": [[0.0]]}')
+        argv = {
+            "validate": [command, str(path)],
+            "solve": [command, str(path), "--out", str(tmp_path / "report.json")],
+            "rollout": [command, str(path), str(ctrl_path)]
+            + ["--horizon", "5", "--trials", "2", "--seed", "0"],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} ")
+
+
 class TestModuleEntryPoint:
     @pytest.mark.parametrize("module", ["mnlqg", "mnlqg.cli"])
     def test_exit_codes(self, module, scalar_file):
@@ -169,6 +198,14 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads(out.read_text())["iterations"] <= 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--max-iter", "-1"], ["--tol", "nan"], ["--tol", "-0.5"]],
+        ids=["negative-max-iter", "nan-tol", "negative-tol"],
+    )
+    def test_bad_limit_is_input_error(self, scalar_file, tmp_path, capsys, flags):
+        assert main(["solve", scalar_file, *flags, "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flags[0]} must be")
+
     def test_invalid_problem_is_input_error(self, tmp_path):
         doc = json.loads(save_problem(make_scalar_problem()))
         doc["Q"] = [[1.0, 0.0], [0.0, -1.0]]
@@ -238,7 +275,7 @@ class TestBenchPendulumCommand:
     def test_out_of_range_eta_stops_before_any_solve(self, tmp_path, monkeypatch):
         from mnlqg import bench
 
-        def no_solve(problem, config):
+        def no_solve(problem, methods):
             raise AssertionError("a level was solved before every eta was checked")
 
         monkeypatch.setattr(bench, "run_comparison", no_solve)
@@ -393,6 +430,157 @@ class TestRolloutCommand:
         )
         assert code == 3
         assert "overflow" in capsys.readouterr().err
+
+
+# Problem and controller documents with every field present: noise on A, B
+# and C, a nonzero X0.  Both are valid, and the open-loop controller's
+# rollout is finite.
+SWEEP_PROBLEM = {
+    "n": 2, "m": 1, "p": 1,
+    "A": [[0.5, 0.1], [0.0, 0.4]],
+    "B": [[0.0], [1.0]],
+    "C": [[1.0, 0.0]],
+    "noise": {
+        "A": [{"sigma": 0.1, "pattern": [[1.0, 0.0], [0.0, 1.0]]}],
+        "B": [{"sigma": 0.2, "pattern": [[0.0], [1.0]]}],
+        "C": [{"sigma": 0.1, "pattern": [[1.0, 0.5]]}],
+    },
+    "Q": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "W": [[0.01, 0.0, 0.0], [0.0, 0.01, 0.0], [0.0, 0.0, 0.01]],
+    "X0": [[0.1, 0.0], [0.0, 0.1]],
+}
+SWEEP_CONTROLLER = {"F": [[0.5, 0.1], [0.0, 0.4]], "K": [[0.0, 0.0]], "L": [[0.0], [0.0]]}
+SWEEP_MATRICES = ("A", "B", "C", "Q", "W", "X0") + tuple(
+    f"noise.{key}[0].pattern" for key in "ABC"
+)
+SWEEP_SIGMAS = tuple(f"noise.{key}[0].sigma" for key in "ABC")
+ENTRY_MUTATIONS = ("drop", "shape", "string", "bool", "nonfinite", "oversized")
+SWEEP_CASES = (
+    [("problem", field, kind) for field in "nmp" for kind in ENTRY_MUTATIONS[:-1]]
+    + [
+        ("problem", field, kind)
+        for field in SWEEP_MATRICES
+        for kind in ENTRY_MUTATIONS
+        if (field, kind) != ("X0", "drop")  # optional, defaults to zero
+    ]
+    + [("problem", field, kind) for field in SWEEP_SIGMAS for kind in ENTRY_MUTATIONS]
+    + [("problem", field, "negative") for field in SWEEP_SIGMAS]
+    + [("problem", field, "asymmetric") for field in ("Q", "W", "X0")]
+    + [("problem", field, "not-psd") for field in ("W", "X0")]
+    + [("controller", field, kind) for field in "FKL" for kind in ENTRY_MUTATIONS]
+)
+
+
+def _locate(doc, field):
+    """(container, key) of a field path such as "noise.B[0].sigma"."""
+    if not field.startswith("noise."):
+        return doc, field
+    key, rest = field[len("noise."):].split("[0].")
+    return doc["noise"][key][0], rest
+
+
+def _mutate(doc, field, kind, rng):
+    """Apply one seeded mutation to ``doc[field]`` in place.
+
+    Returns the name the error must carry: the field itself, or for a key
+    dropped from a noise term, the term ("noise.B[0]")."""
+    parent, key = _locate(doc, field)
+    value = parent[key]
+    if kind == "drop":
+        del parent[key]
+        return field.rsplit(".", 1)[0] if field.startswith("noise.") else field
+    if kind in ("asymmetric", "not-psd"):
+        M = np.array(value)
+        if kind == "asymmetric":
+            i, j = rng.choice(len(M), size=2, replace=False)
+            M[i, j] += rng.uniform(0.5, 1.0)
+        else:
+            v = rng.standard_normal(len(M))
+            M -= (1.0 + np.abs(M).sum()) * np.outer(v, v) / (v @ v)
+        parent[key] = M.tolist()
+        return field
+    if kind == "negative":
+        parent[key] = -rng.uniform(0.1, 1.0)
+        return field
+    if kind == "shape":
+        if not isinstance(value, list):
+            parent[key] = [value]
+        else:
+            rows = [list(row) for row in value]
+            choice = rng.integers(3)
+            if choice == 0:  # drop a row
+                del rows[rng.integers(len(rows))]
+            elif choice == 1:  # append a row
+                rows.append(list(rows[0]))
+            else:  # ragged: one entry more in one row
+                rows[rng.integers(len(rows))].append(1.0)
+            parent[key] = rows
+        return field
+    bad = {
+        "string": str,
+        "bool": lambda x: bool(rng.integers(2)),
+        "nonfinite": lambda x: float(rng.choice([np.nan, np.inf, -np.inf])),
+        "oversized": lambda x: int(rng.choice([-1, 1])) * 10 ** int(rng.integers(309, 500)),
+    }[kind]
+    if isinstance(value, list):
+        row = value[rng.integers(len(value))]
+        j = rng.integers(len(row))
+        row[j] = bad(row[j])
+    else:
+        parent[key] = bad(value)
+    return field
+
+
+class TestInputContractSweep:
+    """Seeded mutations of every field of valid problem and controller
+    documents.  Each command that reads the document exits 2 and names the
+    field; none reaches "unexpected error".  Integer dimensions get no
+    oversized value: a huge n is a valid integer, and the mismatch is
+    reported at the first matrix it sizes."""
+
+    @pytest.mark.parametrize("document, field, kind", SWEEP_CASES)
+    def test_mutation_exits_two_naming_the_field(self, tmp_path, capsys, document, field, kind):
+        problem_path = tmp_path / "problem.json"
+        controller_path = tmp_path / "controller.json"
+        report = str(tmp_path / "report.json")
+        commands = {
+            "problem": [
+                ["validate", str(problem_path)],
+                ["solve", str(problem_path), "--out", report],
+                ["rollout", str(problem_path), str(controller_path),
+                 "--horizon", "5", "--trials", "2", "--seed", "0"],
+            ],
+            "controller": [
+                ["solve", str(problem_path), "--init", str(controller_path), "--out", report],
+                ["rollout", str(problem_path), str(controller_path),
+                 "--horizon", "5", "--trials", "2", "--seed", "0"],
+            ],
+        }[document]
+        for seed in range(3):
+            docs = json.loads(json.dumps({"problem": SWEEP_PROBLEM, "controller": SWEEP_CONTROLLER}))
+            rng = np.random.default_rng([seed, SWEEP_CASES.index((document, field, kind))])
+            name = _mutate(docs[document], field, kind, rng)
+            problem_path.write_text(json.dumps(docs["problem"]))
+            controller_path.write_text(json.dumps(docs["controller"]))
+            named = re.compile(rf"^error: (missing field '{re.escape(name)}'|{re.escape(name)} )", re.M)
+            for argv in commands:
+                code = main(argv)
+                out, err = capsys.readouterr()
+                where = f"{argv[0]} seed {seed}: {out}{err}"
+                assert code == 2, where
+                assert "unexpected error" not in err, where
+                assert named.search(out + err), where
+
+    def test_unmutated_documents_pass(self, tmp_path, capsys):
+        problem_path = tmp_path / "problem.json"
+        controller_path = tmp_path / "controller.json"
+        problem_path.write_text(json.dumps(SWEEP_PROBLEM))
+        controller_path.write_text(json.dumps(SWEEP_CONTROLLER))
+        assert main(["validate", str(problem_path)]) == 0
+        argv = ["rollout", str(problem_path), str(controller_path)]
+        assert main(argv + ["--horizon", "5", "--trials", "2", "--seed", "0"]) == 0
+        argv = ["solve", str(problem_path), "--init", str(controller_path)]
+        assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
 
 
 class TestArgumentErrors:

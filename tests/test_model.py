@@ -164,6 +164,48 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="^L has a non-finite entry"):
             load_controller('{"F": [[1.0]], "K": [[1.0]], "L": [[NaN]]}')
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"A": [[1.0, 0.1]', '"A": [["1.0", 0.1]', r"^A has a non-numeric entry '1\.0'"),
+            ('"A": [[1.0, 0.1]', '"A": [[true, 0.1]', r"^A has a non-numeric entry True"),
+            ('"A": [[1.0, 0.1]', '"A": [[null, 0.1]', r"^A has a non-numeric entry None"),
+            ('"A": [[1.0, 0.1]', '"A": [[1' + "0" * 400 + ', 0.1]', r"^A is not a numeric matrix"),
+            ('[[0.0], [1.0]]', '[[false], [1.0]]', r"^noise\.B\[0\]\.pattern has a non-numeric"),
+            ('[[0.0], [1.0]]', '[["0"], [1.0]]', r"^noise\.B\[0\]\.pattern has a non-numeric"),
+            ('"sigma": 1.0', '"sigma": "1.0"', r"^noise\.B\[0\]\.sigma must be a finite"),
+            ('"sigma": 1.0', '"sigma": true', r"^noise\.B\[0\]\.sigma must be a finite"),
+            ('"sigma": 1.0', '"sigma": 1' + "0" * 400, r"^noise\.B\[0\]\.sigma must be a finite"),
+        ],
+        ids=[
+            "string-in-A", "bool-in-A", "null-in-A", "oversized-int-in-A",
+            "bool-in-pattern", "string-in-pattern",
+            "string-sigma", "bool-sigma", "oversized-int-sigma",
+        ],
+    )
+    def test_non_number_entry_is_schema_error(self, old, new, message):
+        assert old in PENDULUM_DOC
+        with pytest.raises(SchemaError, match=message):
+            load_problem(PENDULUM_DOC.replace(old, new, 1))
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('"1.0"', r"^K has a non-numeric entry '1\.0'"),
+            ("true", r"^K has a non-numeric entry True"),
+            ("1" + "0" * 400, r"^K is not a numeric matrix"),
+        ],
+        ids=["string", "bool", "oversized-int"],
+    )
+    def test_non_number_controller_entry_is_schema_error(self, entry, message):
+        with pytest.raises(SchemaError, match=message):
+            load_controller(f'{{"F": [[1.0]], "K": [[{entry}]], "L": [[0.5]]}}')
+
+    def test_integer_entries_are_numbers(self):
+        problem = load_problem(PENDULUM_DOC.replace('"sigma": 1.0', '"sigma": 1', 1))
+        assert problem.system.noise_b[0].sigma == 1.0
+        assert np.array_equal(problem.cost.Q, np.eye(3))
+
     def test_malformed_document_is_parse_error(self):
         with pytest.raises(ParseError):
             load_problem("{not json")

@@ -53,7 +53,6 @@ from .riccati import (
     SolveReport,
     gain_operators,
     noise_free_controller,
-    noise_free_gains,
     open_loop_controller,
     policy_iteration_solve,
     q_operators,
@@ -100,7 +99,6 @@ __all__ = [
     "SolveReport",
     "gain_operators",
     "noise_free_controller",
-    "noise_free_gains",
     "open_loop_controller",
     "policy_iteration_solve",
     "q_operators",

@@ -177,9 +177,6 @@ class ValueCovarianceTuple:
     def max_norm(self) -> float:
         return max(frobenius_norm(b) for b in self.blocks())
 
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(b)) for b in self.blocks())
-
 
 def build_augmented(problem: ProblemInstance, ctrl: Controller) -> AugmentedClosedLoop:
     """Assemble the augmented closed loop for a problem/controller pair."""

@@ -23,6 +23,10 @@ Two solvers are provided:
 * ``policy_iteration_solve``: alternates exact policy evaluation (via the
   generalized Lyapunov equations) with the gain update; needs a mean-square
   stabilizing initial policy and converges in few iterations.
+
+PI's fallback initial policy, the classical noise-free design, is value
+iteration on the instance without multiplicative noise: with every sigma = 0
+the coupled equations split into the control and filter Riccati equations.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .exceptions import (
     SolverError,
 )
 from .matrixmath import condition_number, frobenius_norm, symmetrize
-from .model import Controller, ProblemInstance
+from .model import Controller, ProblemInstance, SystemModel
 from .moments import ValueCovarianceTuple
 
 __all__ = [
@@ -61,7 +65,6 @@ __all__ = [
     "riccati_residual",
     "value_iteration_solve",
     "policy_iteration_solve",
-    "noise_free_gains",
     "open_loop_controller",
     "noise_free_controller",
     "stabilizing_initial_controller",
@@ -77,9 +80,6 @@ OVERFLOW_GUARD = 1e100
 # is this close to rounding noise the iterates have stopped moving.  Measured
 # steps of converged policy iteration level off at 8-23 eps * ||X||.
 STEP_FLOOR_ULPS = 32
-# Relative step tolerance and cap of ``noise_free_gains``' recursions.
-NOISE_FREE_TOL = 1e-13
-NOISE_FREE_MAX_ITER = 500_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,60 +364,14 @@ def open_loop_controller(problem: ProblemInstance) -> Controller:
     )
 
 
-def noise_free_gains(problem: ProblemInstance):
-    """Classical gains (K, L) ignoring the multiplicative noise terms.
-
-    Fixed-point iteration of the two decoupled discrete Riccati recursions
-    on the mean system; used to build fallback initial policies for policy
-    iteration when the open loop is not mean-square stable.  Every solve
-    with G_uu or H_yy follows its condition check (SingularBlock).
-    """
-    sys = problem.system
-    A, B, C = sys.A, sys.B, sys.C
-    Qxx, Qxu, Qux, Quu = problem.q_blocks()
-    Wxx, Wxy, Wyx, Wyy = problem.w_blocks()
-
-    def iterate(update, start, label):
-        M = start.copy()
-        for _ in range(NOISE_FREE_MAX_ITER):
-            M_next = update(M)
-            if not np.all(np.isfinite(M_next)) or la.norm(M_next) > OVERFLOW_GUARD:
-                raise Diverged(label, NOISE_FREE_MAX_ITER)
-            if la.norm(M_next - M) <= NOISE_FREE_TOL * (1.0 + la.norm(M_next)):
-                return M_next
-            M = M_next
-        raise MaxIterationsExceeded(label, NOISE_FREE_MAX_ITER, float(la.norm(M_next - M)))
-
-    def control_block(P):
-        Guu = Quu + B.T @ P @ B
-        _check_condition(Guu, "G_uu")
-        return Guu
-
-    def filter_block(S):
-        Hyy = Wyy + C @ S @ C.T
-        _check_condition(Hyy, "H_yy")
-        return Hyy
-
-    def control_update(P):
-        Gux = Qux + B.T @ P @ A
-        return symmetrize(Qxx + A.T @ P @ A - (Qxu + A.T @ P @ B) @ la.solve(control_block(P), Gux))
-
-    def filter_update(S):
-        Hyx = Wyx + C @ S @ A.T
-        return symmetrize(Wxx + A @ S @ A.T - (Wxy + A @ S @ C.T) @ la.solve(filter_block(S), Hyx))
-
-    P = iterate(control_update, Qxx, "noise-free control Riccati recursion")
-    S = iterate(filter_update, Wxx, "noise-free filter Riccati recursion")
-    K = -la.solve(control_block(P), Qux + B.T @ P @ A)
-    L = la.solve(filter_block(S).T, (Wxy + A @ S @ C.T).T).T
-    return K, L
-
-
 def noise_free_controller(problem: ProblemInstance) -> Controller:
-    """Compensator built from the classical noise-free gains."""
+    """The classical noise-free compensator: value iteration on the instance
+    with every multiplicative noise term removed."""
     sys = problem.system
-    K, L = noise_free_gains(problem)
-    return Controller(sys.A + sys.B @ K - L @ sys.C, K, L)
+    noise_free = ProblemInstance(
+        SystemModel(sys.A, sys.B, sys.C), problem.cost, problem.noise
+    )
+    return value_iteration_solve(noise_free).controller
 
 
 def stabilizing_initial_controller(problem: ProblemInstance) -> Controller:

@@ -40,13 +40,27 @@ def make_singular_filter_problem():
     """Scalar a=1.2, c=0 with no output noise: the filter's H_yy block is 0.
 
     The open loop is not mean-square stable (radius 1.44), so an ``auto``
-    initial policy needs the noise-free design, whose filter recursion hits
-    the singular block at once.
+    initial policy needs the noise-free design, whose first value-iteration
+    step hits the singular block.
     """
     return ProblemInstance(
         SystemModel(A=[[1.2]], B=[[1.0]], C=[[0.0]]),
         CostModel(np.eye(2)),
         NoiseModel(W=np.diag([1.0, 0.0]), X0=np.zeros((1, 1))),
+    )
+
+
+def make_unstabilizable_problem():
+    """Scalar a=1.2 with no input (b=0): no policy stabilizes the loop.
+
+    The open loop is not mean-square stable (radius 1.44), and the
+    noise-free design's control Riccati equation has no solution, so value
+    iteration on it diverges.
+    """
+    return ProblemInstance(
+        SystemModel(A=[[1.2]], B=[[0.0]], C=[[1.0]]),
+        CostModel(np.eye(2)),
+        NoiseModel(W=np.eye(2), X0=np.zeros((1, 1))),
     )
 
 

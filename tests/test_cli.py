@@ -16,7 +16,11 @@ from mnlqg.bench import SUMMARY_COLUMNS, TRACE_COLUMNS
 from mnlqg.cli import main
 from mnlqg.exceptions import RetryExhausted
 
-from conftest import make_scalar_problem, make_singular_filter_problem
+from conftest import (
+    make_scalar_problem,
+    make_singular_filter_problem,
+    make_unstabilizable_problem,
+)
 
 
 @pytest.fixture
@@ -224,6 +228,15 @@ class TestSolveCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "noise-free fallback failed: H_yy block is numerically singular" in err
+
+    def test_diverged_noise_free_design_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "unstabilizable.json"
+        path.write_text(save_problem(make_unstabilizable_problem()))
+        out = tmp_path / "report.json"
+        code = main(["solve", str(path), "--method", "pi", "--init", "lqg", "--out", str(out)])
+        assert code == 3
+        assert "value iteration diverged after 630 iterations" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_diverging_vi_exits_three(self, tmp_path, capsys):
         doc = json.loads(save_problem(pendulum_problem(1.0)))

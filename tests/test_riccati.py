@@ -12,7 +12,6 @@ from mnlqg import (
     ValueCovarianceTuple,
     gain_operators,
     noise_free_controller,
-    noise_free_gains,
     open_loop_controller,
     pendulum_problem,
     policy_iteration_solve,
@@ -32,7 +31,11 @@ from mnlqg.exceptions import (
     SolverError,
 )
 
-from conftest import make_scalar_problem, make_singular_filter_problem
+from conftest import (
+    make_scalar_problem,
+    make_singular_filter_problem,
+    make_unstabilizable_problem,
+)
 from oracles import (
     dare_control_fixed_point,
     dare_filter_fixed_point,
@@ -378,7 +381,8 @@ class TestPolicyIteration:
 
 # Policy-iteration iteration counts and costs from the stabilizing initial
 # policy, recorded with the LU-solve policy evaluation that the single
-# inverse of I - Psi_s replaced.
+# inverse of I - Psi_s replaced.  At eta = 0 the noise-free initial policy
+# is already optimal, and one improvement confirms it.
 PINNED_PI_RESULTS = [
     ("random-7000", 6, 0.028647522949597944),
     ("random-7001", 4, 0.07650347655275255),
@@ -390,6 +394,7 @@ PINNED_PI_RESULTS = [
     ("random-7007", 10, 0.1949517027219169),
     ("random-7008", 14, 0.15999128741536822),
     ("random-7009", 5, 0.03360931545644876),
+    ("pendulum-0.0", 1, 4.754353247465056),
     ("pendulum-0.05", 30, 12.909822794445718),
 ]
 
@@ -565,7 +570,8 @@ class TestOptimalCost:
 class TestInitialPolicies:
     def test_noise_free_gains_match_oracle(self, pendulum_quiet):
         problem = pendulum_quiet
-        K, L = noise_free_gains(problem)
+        ctrl = noise_free_controller(problem)
+        K, L = ctrl.K, ctrl.L
         Qxx, Qxu, _, Quu = problem.q_blocks()
         Wxx, Wxy, _, Wyy = problem.w_blocks()
         _, K_ref = dare_control_fixed_point(problem.system.A, problem.system.B, Qxx, Qxu, Quu)
@@ -591,7 +597,7 @@ class TestInitialPolicies:
 
     def test_noise_free_gains_singular_block(self):
         with pytest.raises(SingularBlock, match="H_yy"):
-            noise_free_gains(make_singular_filter_problem())
+            noise_free_controller(make_singular_filter_problem())
 
     def test_auto_reports_failed_noise_free_fallback(self):
         with pytest.raises(InitialPolicyNotStabilizing) as excinfo:
@@ -601,6 +607,15 @@ class TestInitialPolicies:
         )
         assert excinfo.value.radius == pytest.approx(1.44, rel=1e-12)
         assert isinstance(excinfo.value.__cause__, SingularBlock)
+
+    def test_auto_reports_diverged_noise_free_fallback(self):
+        with pytest.raises(InitialPolicyNotStabilizing) as excinfo:
+            stabilizing_initial_controller(make_unstabilizable_problem())
+        assert str(excinfo.value).endswith(
+            "noise-free fallback failed: value iteration diverged after 630 iterations"
+        )
+        assert excinfo.value.radius == pytest.approx(1.44, rel=1e-12)
+        assert isinstance(excinfo.value.__cause__, Diverged)
 
 
 class TestSymmetryInvariant:

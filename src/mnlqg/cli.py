@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import signal
 import sys
 
 from . import bench, riccati
@@ -186,7 +187,7 @@ def _run_instance(instance_seed, methods):
     (seed, None, error text) when it raises an MnlqgError (such as
     RetryExhausted from the generator).
 
-    Module-level and returning picklable data, so a worker process can run it."""
+    Returns picklable data, so a forked child can send it back."""
     try:
         problem, eta = bench.random_problem(instance_seed)
         return instance_seed, eta, bench.run_comparison(problem, methods)
@@ -203,6 +204,108 @@ def _worker_count(jobs, tasks):
     return min(jobs, tasks, cpus)
 
 
+def _claim_and_run(run_instance, seeds, counter):
+    """Run the next unclaimed seed until none is left; returns (index, row)
+    pairs, the last of them with the exception in place of the row when an
+    instance raised one.  A raise also ends every process's claims, so, as
+    in a serial run, no seed after the failing one is started; the seeds
+    before it were all claimed already and run to their end."""
+    done = []
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= len(seeds):
+            return done
+        try:
+            done.append((index, run_instance(seeds[index])))
+        except Exception as exc:
+            with counter.get_lock():
+                counter.value = len(seeds)
+            done.append((index, exc))
+            return done
+
+
+def _ended_without_report(pid, status):
+    code = os.waitstatus_to_exitcode(status)
+    if code >= 0:
+        how = f"exited with status {code}"
+    else:
+        try:
+            how = f"was killed by {signal.Signals(-code).name}"
+        except ValueError:  # a signal without a name, such as SIGRTMIN + 1
+            how = f"was killed by signal {-code}"
+    return RuntimeError(f"bench-random worker process {pid} {how} before it reported its rows")
+
+
+def _fan_out(run_instance, seeds, workers):
+    """Rows of ``run_instance`` over ``seeds`` in seed order, from this
+    process and ``workers - 1`` forked children.
+
+    Each process claims one seed at a time from a counter shared across the
+    fork, so a slow instance holds up no other.  A child sends its (index,
+    row) pairs back as one pickle on its own pipe and leaves by
+    ``os._exit``, which flushes no stdio buffer it inherited.  The exception
+    of the lowest failing seed is raised here, as a serial run would raise
+    it; a child that ends without reporting raises RuntimeError.  Every
+    child is reaped before this returns or raises; when it raises before
+    they have all reported (a dead child, an interrupt), the ones still
+    running are killed first.
+    """
+    # Imported here to keep them out of every command's start-up.
+    import multiprocessing
+    import pickle
+
+    counter = multiprocessing.get_context("fork").Value("i", 0)
+    children = []  # (pid, read end of its pipe)
+    reaped = set()
+    try:
+        for _ in range(workers - 1):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    done = _claim_and_run(run_instance, seeds, counter)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(done, pipe, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+
+        done = _claim_and_run(run_instance, seeds, counter)
+        for pid, read_fd in children:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped.add(pid)
+            if os.waitstatus_to_exitcode(status) != 0:
+                raise _ended_without_report(pid, status)
+            done += pickle.loads(payload)
+    finally:
+        for pid, read_fd in children:
+            os.close(read_fd)
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+    rows = [None] * len(seeds)
+    for index, row in done:
+        rows[index] = row
+    failures = [row for row in rows if isinstance(row, Exception)]
+    if failures:
+        raise failures[0]
+    return rows
+
+
 def cmd_bench_random(args) -> int:
     if args.count < 1:
         raise ValueError("--count must be >= 1")
@@ -217,17 +320,12 @@ def cmd_bench_random(args) -> int:
         results = list(map(run_instance, seeds))
     else:
         # The solves hold the interpreter lock, so only processes run them in
-        # parallel.  fork, not spawn: a forked worker starts with numpy and
+        # parallel.  fork, not spawn: a forked child starts with numpy and
         # mnlqg imported, where a spawned one would import them again for
-        # every batch; the command starts no threads before it forks.  The
-        # pool modules are imported here to keep them out of every command's
-        # start-up.  map() returns the rows in seed order.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            results = list(pool.map(run_instance, seeds))
+        # every batch, and the calling process solves instances too instead
+        # of waiting on an executor; the command starts no threads before it
+        # forks.
+        results = _fan_out(run_instance, seeds, workers)
 
     failed = False
     entries = []

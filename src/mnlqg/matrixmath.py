@@ -43,7 +43,16 @@ def condition_number(M):
     floating-point errors ignored, and NaN (a zero or infinite block) read
     as inf unless M has NaN entries.  ``svd`` raises ``LinAlgError`` where
     it does not converge, as on NaN entries.
+
+    A 1x1 M takes no ``svd``: its one singular value is |M|, so the ratio is
+    1.0 when the entry is finite and non-zero, and inf (NaN read as inf)
+    when it is 0 or infinite.
     """
+    if M.shape == (1, 1):
+        x = abs(float(M[0, 0]))
+        if math.isnan(x):
+            raise la.LinAlgError("SVD did not converge")
+        return 1.0 if 0.0 < x < math.inf else math.inf
     s = la.svd(M, compute_uv=False)
     with np.errstate(all="ignore"):
         cond = float(s[0] / s[-1])

@@ -317,7 +317,10 @@ def _int_field(doc, key):
         raise SchemaError(f"missing field {key!r}")
     value = doc[key]
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise SchemaError(f"{key} must be a positive integer, got {value!r}")
+        shown = repr(value)
+        if len(shown) > 40:
+            shown = f"{shown[:30]}... ({len(shown)} characters)"
+        raise SchemaError(f"{key} must be a positive integer, got {shown}")
     return value
 
 
@@ -347,9 +350,35 @@ def _matrix_value(value, name, shape):
         raise SchemaError(f"{name} is not a numeric matrix: {exc}") from exc
     if not np.all(np.isfinite(arr)):
         raise SchemaError(f"{name} has a non-finite entry")
-    if shape is not None and arr.shape != shape:
-        raise SchemaError(f"{name} must have shape {shape[0]}x{shape[1]}, got {arr.shape}")
+    if shape is not None:
+        _check_shape(arr, name, shape)
     return arr
+
+
+def _check_shape(arr, name, shape):
+    if arr.shape != shape:
+        raise SchemaError(f"{name} must have shape {shape[0]}x{shape[1]}, got {arr.shape}")
+
+
+def _check_dimensions(n, m, p, A, B, C, Q, W):
+    """SchemaError naming n, m or p when it fits none of the row and column
+    counts it sets in those of A, B, C, Q and W that are 2-d.
+
+    Where one of them agrees with the field, the others are at fault, and
+    their own shape checks name them.  Runs before any shape message, which
+    would write a huge dimension out in full."""
+
+    def sizes(*axes):
+        return [(name, M, M.shape[axis] - offset) for name, M, axis, offset in axes if M.ndim == 2]
+
+    for key, value, fits in (
+        ("n", n, sizes(("A", A, 0, 0), ("A", A, 1, 0), ("B", B, 0, 0), ("C", C, 1, 0))),
+        ("m", m, sizes(("B", B, 1, 0), ("Q", Q, 0, n))),
+        ("p", p, sizes(("C", C, 0, 0), ("W", W, 0, n))),
+    ):
+        if fits and all(value != size for _, _, size in fits):
+            name, M, _ = fits[0]
+            raise SchemaError(f"{key} does not fit {name}, whose shape is {M.shape[0]}x{M.shape[1]}")
 
 
 def _noise_terms(noise_doc, key, shape):
@@ -377,20 +406,20 @@ def load_problem(text: str) -> ProblemInstance:
     problems (missing fields, wrong types, dimension mismatches).
     """
     doc = _parse_document(text)
-    n = _int_field(doc, "n")
-    m = _int_field(doc, "m")
-    p = _int_field(doc, "p")
-    A = _matrix_field(doc, "A", (n, n))
-    B = _matrix_field(doc, "B", (n, m))
-    C = _matrix_field(doc, "C", (p, n))
+    n, m, p = (_int_field(doc, key) for key in "nmp")
+    A, B, C, Q, W = (_matrix_field(doc, key, None) for key in ("A", "B", "C", "Q", "W"))
+    _check_dimensions(n, m, p, A, B, C, Q, W)
+    for M, key, shape in (
+        (A, "A", (n, n)), (B, "B", (n, m)), (C, "C", (p, n)),
+        (Q, "Q", (n + m, n + m)), (W, "W", (n + p, n + p)),
+    ):
+        _check_shape(M, key, shape)
     noise_doc = doc.get("noise", {})
     if not isinstance(noise_doc, dict):
         raise SchemaError("noise must be an object")
     noise_a = _noise_terms(noise_doc, "A", (n, n))
     noise_b = _noise_terms(noise_doc, "B", (n, m))
     noise_c = _noise_terms(noise_doc, "C", (p, n))
-    Q = _matrix_field(doc, "Q", (n + m, n + m))
-    W = _matrix_field(doc, "W", (n + p, n + p))
     if "X0" in doc:
         X0 = _matrix_field(doc, "X0", (n, n))
     else:

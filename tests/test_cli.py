@@ -1,17 +1,18 @@
-import concurrent.futures
 import csv
 import json
-import multiprocessing
 import os
 import re
+import select
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import mnlqg
-from mnlqg import bench, pendulum_problem, save_controller, save_problem, value_iteration_solve
+from mnlqg import bench, cli, pendulum_problem, save_controller, save_problem, value_iteration_solve
 from mnlqg.bench import SUMMARY_COLUMNS, TRACE_COLUMNS
 from mnlqg.cli import main
 from mnlqg.exceptions import RetryExhausted
@@ -40,6 +41,65 @@ def scalar_file(tmp_path):
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Pids of the children os.fork makes during the test, recorded by a
+    wrapper around the real os.fork."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+@pytest.fixture
+def child_begins_first(monkeypatch, forked):
+    """Returns a function that installs a stand-in for bench.random_problem
+    and makes usable CPUs ``cpus``; each fork then returns in the parent
+    only once the child has begun its first instance, so the first child
+    holds the first seed and every child holds one."""
+    read_fd, write_fd = os.pipe()
+    parent = os.getpid()
+    fork = os.fork
+
+    def fork_after_child_begins():
+        pid = fork()
+        if pid:
+            assert select.select([read_fd], [], [], 60)[0], "the child began no instance"
+            os.read(read_fd, 1)
+        return pid
+
+    def install(random_problem, cpus):
+        begun = []
+
+        def announced(seed):
+            if os.getpid() != parent and not begun:
+                begun.append(seed)
+                os.write(write_fd, b"x")
+            return random_problem(seed)
+
+        monkeypatch.setattr(bench, "random_problem", announced)
+        monkeypatch.setattr(os, "fork", fork_after_child_begins)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+    yield install
+    os.close(read_fd)
+    os.close(write_fd)
+
+
+def assert_reaped(pids):
+    """Each pid is a child that has ended and been waited for."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 class TestValidateCommand:
@@ -353,27 +413,14 @@ class TestBenchRandomCommand:
         ],
     )
     def test_worker_count_is_capped(
-        self, tmp_path, monkeypatch, jobs, count, cpus, affinity, expected
+        self, tmp_path, monkeypatch, forked, jobs, count, cpus, affinity, expected
     ):
-        created = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers, mp_context):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+        """The calling process is one of the workers: it forks one child
+        fewer than there are workers."""
 
         def no_instance(seed):
             raise RetryExhausted(f"no instance for seed {seed}")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         if affinity:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         else:
@@ -382,12 +429,12 @@ class TestBenchRandomCommand:
         monkeypatch.setattr(bench, "random_problem", no_instance)
         argv = ["bench-random", "--count", str(count), "--seed", "0", "--jobs", str(jobs)]
         assert main(argv + ["--out", str(tmp_path / "cap")]) == 3
-        assert created == ([] if expected is None else [expected])
-        assert multiprocessing.active_children() == []
+        assert len(forked) == (0 if expected is None else expected - 1)
+        assert_reaped(forked)
 
-    def test_worker_failure_matches_serial(self, tmp_path, monkeypatch, capsys):
-        """A seed whose generation fails in a worker process is reported as
-        in a serial run, the other rows keep their order, and no worker
+    def test_worker_failure_matches_serial(self, tmp_path, monkeypatch, capsys, forked):
+        """A seed whose generation fails in a forked process is reported as
+        in a serial run, the other rows keep their order, and no child
         outlives the command."""
         real_random_problem = bench.random_problem
 
@@ -396,9 +443,9 @@ class TestBenchRandomCommand:
                 raise RetryExhausted("no instance for seed 43")
             return real_random_problem(seed, *args, **kwargs)
 
-        # Forked workers inherit the patched module attribute.
+        # Forked children inherit the patched module attribute.
         monkeypatch.setattr(bench, "random_problem", fail_seed_43)
-        # Two usable CPUs, so --jobs 2 forks two workers on any machine.
+        # Two usable CPUs, so --jobs 2 forks one child on any machine.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         outputs = {}
@@ -406,15 +453,164 @@ class TestBenchRandomCommand:
             prefix = str(tmp_path / f"jobs{jobs}")
             argv = ["bench-random", "--count", "3", "--seed", "42", "--jobs", jobs]
             assert main(argv + ["--out", prefix]) == 3
-            assert multiprocessing.active_children() == []
             rows = read_rows(f"{prefix}_summary.csv")
             for row in rows:
                 del row["wall_seconds"], row["ratio_time"]
             outputs[jobs] = rows, capsys.readouterr().err
+        assert len(forked) == 1
+        assert_reaped(forked)
         rows, err = outputs["2"]
         assert "seed=43: no instance for seed 43\n" in err
         assert [row["seed"] for row in rows] == ["42", "42", "44", "44"]
         assert outputs["2"] == outputs["1"]
+
+    def test_uneven_shares_match_serial(self, tmp_path, monkeypatch, forked):
+        """Five seeds over three processes: the rows and traces are those
+        of --jobs 1 outside the wall-clock columns."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        outputs = {}
+        for jobs in ("1", "3"):
+            prefix = str(tmp_path / f"jobs{jobs}")
+            argv = ["bench-random", "--count", "5", "--seed", "7000", "--jobs", jobs]
+            assert main(argv + ["--out", prefix]) == 0
+            summary = read_rows(f"{prefix}_summary.csv")
+            for row in summary:
+                del row["wall_seconds"], row["ratio_time"]
+            trace = read_rows(f"{prefix}_trace.csv")
+            for row in trace:
+                del row["cum_seconds"]
+            outputs[jobs] = summary, trace
+        assert len(forked) == 2
+        assert_reaped(forked)
+        assert len(outputs["3"][0]) == 10
+        assert outputs["3"] == outputs["1"]
+
+    def test_killed_child_exits_three(self, tmp_path, capsys, forked, child_begins_first):
+        """A child that dies without reporting fails the command with its
+        signal named, writes no CSV, and leaves no process behind."""
+        parent = os.getpid()
+        real_random_problem = bench.random_problem
+
+        def killed_in_child(seed):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_random_problem(seed)
+
+        child_begins_first(killed_in_child, cpus=2)
+        prefix = str(tmp_path / "killed")
+        argv = ["bench-random", "--count", "3", "--seed", "42", "--jobs", "2", "--out", prefix]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"unexpected error: bench-random worker process \d+ was killed by SIGKILL "
+            r"before it reported its rows\n",
+            err,
+        ), err
+        assert not os.path.exists(f"{prefix}_summary.csv")
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_every_seed_claimed_once_under_contention(self, tmp_path, monkeypatch, capsys, forked):
+        """Four processes on a fake four CPUs race for 2000 instant seeds:
+        each seed is run by exactly one process (a lost update of the
+        shared counter would run one twice or skip one), and the error
+        lines come out in seed order."""
+        log = os.open(tmp_path / "claims", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def logged(seed):
+            os.write(log, f"{seed}\n".encode())
+            raise RetryExhausted(f"no instance for seed {seed}")
+
+        monkeypatch.setattr(bench, "random_problem", logged)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        argv = ["bench-random", "--count", "2000", "--seed", "0", "--jobs", "4"]
+        try:
+            assert main(argv + ["--out", str(tmp_path / "race")]) == 3
+        finally:
+            os.close(log)
+        claims = (tmp_path / "claims").read_text().split()
+        assert sorted(map(int, claims)) == list(range(2000))
+        err = capsys.readouterr().err
+        assert err == "".join(f"seed={seed}: no instance for seed {seed}\n" for seed in range(2000))
+        assert len(forked) == 3
+        assert_reaped(forked)
+
+    @pytest.mark.parametrize(
+        "status, how",
+        [
+            (signal.SIGKILL, "was killed by SIGKILL"),
+            (signal.SIGRTMIN + 1, f"was killed by signal {signal.SIGRTMIN + 1}"),
+            (1 << 8, "exited with status 1"),
+        ],
+    )
+    def test_ended_child_names_its_status(self, status, how):
+        exc = cli._ended_without_report(1234, status)
+        assert str(exc) == f"bench-random worker process 1234 {how} before it reported its rows"
+
+    def test_exception_in_child_matches_serial(
+        self, tmp_path, capsys, forked, child_begins_first
+    ):
+        """An exception other than MnlqgError, raised in a child (which
+        holds the first seed), exits as it does in a serial run."""
+        real_random_problem = bench.random_problem
+
+        def divide_at_seed_42(seed):
+            if seed == 42:
+                raise ZeroDivisionError("no instance at seed 42")
+            return real_random_problem(seed)
+
+        child_begins_first(divide_at_seed_42, cpus=2)
+        outputs = {}
+        for jobs in ("1", "2"):
+            prefix = str(tmp_path / f"jobs{jobs}")
+            argv = ["bench-random", "--count", "3", "--seed", "42", "--jobs", jobs]
+            outputs[jobs] = main(argv + ["--out", prefix]), capsys.readouterr()
+            assert not os.path.exists(f"{prefix}_summary.csv")
+        assert outputs["1"] == (3, ("", "unexpected error: no instance at seed 42\n"))
+        assert outputs["2"] == outputs["1"]
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_failure_in_own_share_reaps_children(
+        self, tmp_path, capsys, forked, child_begins_first
+    ):
+        """The calling process's own instance raises: the child finishes the
+        seed it holds, is reaped, and the exception is the command's."""
+        parent = os.getpid()
+        real_random_problem = bench.random_problem
+
+        def divide_in_parent(seed):
+            if os.getpid() == parent:
+                raise ZeroDivisionError(f"no instance at seed {seed}")
+            return real_random_problem(seed)
+
+        child_begins_first(divide_in_parent, cpus=2)
+        prefix = str(tmp_path / "own")
+        argv = ["bench-random", "--count", "3", "--seed", "42", "--jobs", "2", "--out", prefix]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "unexpected error: no instance at seed 43\n"
+        assert not os.path.exists(f"{prefix}_summary.csv")
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_interrupt_kills_children(self, tmp_path, forked, child_begins_first):
+        """An interrupt in the calling process kills the children it forked
+        and reaps them before it propagates."""
+        parent = os.getpid()
+
+        def interrupted(seed):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(120)
+
+        child_begins_first(interrupted, cpus=3)
+        argv = ["bench-random", "--count", "4", "--seed", "42", "--jobs", "3"]
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(argv + ["--out", str(tmp_path / "interrupted")])
+        assert time.monotonic() - start < 60
+        assert len(forked) == 2
+        assert_reaped(forked)
 
 
 class TestRolloutCommand:
@@ -469,7 +665,7 @@ SWEEP_MATRICES = ("A", "B", "C", "Q", "W", "X0") + tuple(
 SWEEP_SIGMAS = tuple(f"noise.{key}[0].sigma" for key in "ABC")
 ENTRY_MUTATIONS = ("drop", "shape", "string", "bool", "nonfinite", "oversized")
 SWEEP_CASES = (
-    [("problem", field, kind) for field in "nmp" for kind in ENTRY_MUTATIONS[:-1]]
+    [("problem", field, kind) for field in "nmp" for kind in ENTRY_MUTATIONS + ("mismatch",)]
     + [
         ("problem", field, kind)
         for field in SWEEP_MATRICES
@@ -515,6 +711,9 @@ def _mutate(doc, field, kind, rng):
     if kind == "negative":
         parent[key] = -rng.uniform(0.1, 1.0)
         return field
+    if kind == "mismatch":  # another positive dimension
+        parent[key] = int(rng.choice([k for k in range(1, value + 4) if k != value]))
+        return field
     if kind == "shape":
         if not isinstance(value, list):
             parent[key] = [value]
@@ -547,9 +746,9 @@ def _mutate(doc, field, kind, rng):
 class TestInputContractSweep:
     """Seeded mutations of every field of valid problem and controller
     documents.  Each command that reads the document exits 2 and names the
-    field; none reaches "unexpected error".  Integer dimensions get no
-    oversized value: a huge n is a valid integer, and the mismatch is
-    reported at the first matrix it sizes."""
+    field; none reaches "unexpected error".  A dimension that fits no
+    matrix it sizes, huge or merely mismatched, is named itself in a line
+    of under 200 characters."""
 
     @pytest.mark.parametrize("document, field, kind", SWEEP_CASES)
     def test_mutation_exits_two_naming_the_field(self, tmp_path, capsys, document, field, kind):
@@ -583,6 +782,8 @@ class TestInputContractSweep:
                 assert code == 2, where
                 assert "unexpected error" not in err, where
                 assert named.search(out + err), where
+                if field in ("n", "m", "p"):
+                    assert max(map(len, (out + err).splitlines())) < 200, where
 
     def test_unmutated_documents_pass(self, tmp_path, capsys):
         problem_path = tmp_path / "problem.json"

@@ -46,12 +46,24 @@ class TestConditionNumber:
         assert condition_number(SPECIAL_BLOCKS["zero"]) == np.inf
         assert condition_number(SPECIAL_BLOCKS["inf"]) == np.inf
 
+    @pytest.mark.parametrize(
+        "x",
+        [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308]
+        + list(np.random.default_rng(5).standard_normal(8) * 10.0 ** np.arange(-150, 150, 40)),
+    )
+    def test_1x1_equals_numpy_cond(self, x):
+        M = np.array([[x]])
+        with np.errstate(all="ignore"):
+            expected = float(np.linalg.cond(M))
+        assert condition_number(M) == expected
+        assert type(condition_number(M)) is float
+
     def test_nan_entries_raise_like_numpy(self):
-        M = np.array([[np.nan, 1.0], [1.0, 1.0]])
-        with pytest.raises(la.LinAlgError):
-            np.linalg.cond(M)
-        with pytest.raises(la.LinAlgError):
-            condition_number(M)
+        for M in (np.array([[np.nan, 1.0], [1.0, 1.0]]), np.array([[np.nan]])):
+            with pytest.raises(la.LinAlgError):
+                np.linalg.cond(M)
+            with pytest.raises(la.LinAlgError):
+                condition_number(M)
 
 
 class TestFrobeniusNorm:

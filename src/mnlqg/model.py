@@ -339,11 +339,17 @@ def _matrix_value(value, name, shape):
     """Finite float array from a JSON value; shape None skips the shape check.
 
     Every entry must be a JSON number: numpy would read strings such as
-    "1.0" and booleans as numbers."""
-    for row in value if isinstance(value, list) else [value]:
+    "1.0" and booleans as numbers.  Every row must have as many entries as
+    the first: numpy's message for a ragged matrix is mostly its internals."""
+    rows = value if isinstance(value, list) else [value]
+    for i, row in enumerate(rows):
         for entry in row if isinstance(row, list) else [row]:
             if not _is_number(entry):
                 raise SchemaError(f"{name} has a non-numeric entry {entry!r}")
+        if isinstance(row, list) != isinstance(rows[0], list):
+            raise SchemaError(f"{name} mixes rows and bare numbers")
+        if isinstance(row, list) and len(row) != len(rows[0]):
+            raise SchemaError(f"{name} row {i} has {len(row)} entries, expected {len(rows[0])}")
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:

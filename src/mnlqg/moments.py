@@ -46,10 +46,20 @@ diagonal, 2 off it), Gamma is the adjoint of Psi, so
 
     Gamma_s = Omega^-1 Psi_s.T Omega,    I - Gamma_s = Omega^-1 (I - Psi_s).T Omega.
 
-A policy evaluation builds I - Psi_s once and inverts it once; the
+A fresh policy evaluation builds I - Psi_s once and inverts it once; the
 inverse serves the stability test and both equations (the covariance side
 with its transpose, for the unknown Omega hvec(S')), each solution refined
-with extended-precision residuals.
+with extended-precision residuals.  Policy iteration holds that inverse
+across the loops of one solve (``solve_both_held``).  Refinement against
+the inverse of another loop converges at the rate
+rho(I - inv_held (I - Psi_s)), which late in a solve, where the policy
+hardly moves, is far below one: the certificate's candidate is refined
+with float64 residuals, and each side with float64 and then longdouble
+residuals, all in matrix form, so neither Psi_s nor a new inverse is
+formed.  Where the held inverse stops contracting, or the certificate does
+not certify the loop stable, the evaluation falls back to the fresh path,
+which also reports the exact radius of a loop that is not stable.  Below
+HELD_INVERSE_MIN_UNKNOWNS unknowns every evaluation is fresh.
 
 Stability is decided without eigenvalues where possible.  Psi maps positive
 semidefinite matrices to positive semidefinite ones, so the positive-operator
@@ -71,7 +81,13 @@ import numpy as np
 import numpy.linalg as la
 
 from .exceptions import DualityViolation, EigenvalueFailure, NotMsStable
-from .matrixmath import frobenius, frobenius_norm, solve_linear_extended, symmetrize
+from .matrixmath import (
+    frobenius,
+    frobenius_norm,
+    refine_until,
+    solve_linear_extended,
+    symmetrize,
+)
 from .model import Controller, ProblemInstance
 
 __all__ = [
@@ -88,6 +104,7 @@ __all__ = [
     "decide_stability",
     "solve_lyapunov",
     "solve_both",
+    "solve_both_held",
     "evaluate_cost",
     "extract_tuple",
     "evaluate_policy",
@@ -98,6 +115,20 @@ __all__ = [
 STABILITY_MARGIN = 1e-9
 
 COST_DUALITY_TOL = 1e-9
+
+# Loops with at least this many symmetric unknowns, n(2n+1) for the 2n x 2n
+# augmented state, hold their inverse of I - Psi_s for the next loop of the
+# same solve (``solve_both_held``).  Below it an inverse is cheaper than
+# refinement steps in Python.  Measured crossover, PI solves of the
+# benchmark's synthetic instances on one BLAS thread: fresh inverses win at
+# n = 7 (105 unknowns, 21-30 ms against 31-38 ms), the held one from n = 8
+# (136 unknowns, 32-44 ms against 48-53 ms).
+HELD_INVERSE_MIN_UNKNOWNS = 136
+# Refinement against a held inverse, relative to the largest entry: the
+# certificate's candidate need not be accurate; the float64 residual steps
+# of each side stop above their rounding floor, about cond(I - Psi_s) eps.
+HELD_CANDIDATE_TOL = 1e-6
+HELD_FLOAT64_TOL = 1e-11
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,19 +391,20 @@ def spectral_radius(matrix: np.ndarray) -> float:
     return radius
 
 
-def _operator_blocks(aug: AugmentedClosedLoop, value: bool):
-    """Longdouble terms (s2, r, c, D) with op(M) = sum s2 D.T M[r, r] D,
+def _operator_blocks(aug: AugmentedClosedLoop, value: bool, dtype=np.longdouble):
+    """Terms (s2, r, c, D) in ``dtype`` with op(M) = sum s2 D.T M[r, r] D,
     each added into the block (c, c) only.
 
     Phi acts on the whole augmented state; each lift acts on its block
     (``_lift_blocks``).  On the covariance side the pairs are transposed
     and r and c swap, so an operator is applied in matrix form, without a
-    Kronecker product.
+    Kronecker product.  Extended-precision residuals take the default
+    longdouble terms; the float64 ones serve the cheap first steps of a
+    refinement against a held inverse (``solve_both_held``).
     """
     full = slice(0, aug.dim)
-    ld = np.longdouble
     return [
-        (ld(s2), r, c, D.astype(ld)) if value else (ld(s2), c, r, D.T.astype(ld))
+        (dtype(s2), r, c, D.astype(dtype)) if value else (dtype(s2), c, r, D.T.astype(dtype))
         for s2, r, c, D in [(1.0, full, full, aug.Phi), *_lift_blocks(aug)]
     ]
 
@@ -494,28 +526,40 @@ def _stable_inverse(aug: AugmentedClosedLoop) -> np.ndarray:
     return decision.inv
 
 
-def _solve_side(aug: AugmentedClosedLoop, inv: np.ndarray, side: str) -> np.ndarray:
-    """Solve one side given (I - Psi_s)^-1, refining with longdouble residuals.
+def _side_system(aug: AugmentedClosedLoop, side: str, rhs=None):
+    """(b, omega, residual) of one side on the symmetric subspace.
 
     The value side solves (I - Psi_s) hvec(P') = hvec(Q').  The covariance
     side solves (I - Psi_s).T y = Omega hvec(W') for y = Omega hvec(S'),
     since I - Gamma_s = Omega^-1 (I - Psi_s).T Omega; the factors of Omega
     are 1 and 2, so the scaling is exact, and the inverse of the
-    transpose is ``inv.T``.  The residual rhs - (M - op(M)) is applied in
-    matrix form (``_add_operator``).
+    transpose is the transpose of the inverse.  ``rhs`` replaces Q' or W'.
+    ``residual(y)`` returns b - A y in the dtype of ``y``, float64 or
+    longdouble, applying the operator in matrix form (``_add_operator``).
     """
     value = side == "value"
-    A_inv, rhs = (inv, aug.Qprime) if value else (inv.T, aug.Wprime)
-    terms = _operator_blocks(aug, value)
-    rhs_ld, d = rhs.astype(np.longdouble), rhs.shape[0]
+    if rhs is None:
+        rhs = aug.Qprime if value else aug.Wprime
+    d = rhs.shape[0]
     omega = 1.0 if value else _half_indices(d).omega
+    by_dtype = {}  # (rhs, terms) per dtype, built on first use
 
     def residual(y):
+        if y.dtype not in by_dtype:
+            by_dtype[y.dtype] = rhs.astype(y.dtype), _operator_blocks(aug, value, y.dtype.type)
+        rhs_t, terms = by_dtype[y.dtype]
         M = _unhvec(y / omega, d)
-        return omega * _hvec(_add_operator(rhs_ld - M, M, terms))
+        return omega * _hvec(_add_operator(rhs_t - M, M, terms))
 
-    y = solve_linear_extended(A_inv, omega * _hvec(rhs), residual)
-    return _unhvec(y / omega, d).astype(np.float64)
+    return omega * _hvec(rhs), omega, residual
+
+
+def _solve_side(aug: AugmentedClosedLoop, inv: np.ndarray, side: str) -> np.ndarray:
+    """Solve one side (``_side_system``) given (I - Psi_s)^-1, with
+    REFINE_STEPS longdouble residual steps (``solve_linear_extended``)."""
+    b, omega, residual = _side_system(aug, side)
+    y = solve_linear_extended(inv if side == "value" else inv.T, b, residual)
+    return _unhvec(y / omega, aug.dim).astype(np.float64)
 
 
 def solve_lyapunov(aug: AugmentedClosedLoop, side: str) -> np.ndarray:
@@ -547,17 +591,77 @@ def solve_lyapunov(aug: AugmentedClosedLoop, side: str) -> np.ndarray:
     return _solve_side(aug, _stable_inverse(aug), side)
 
 
+def _solve_fresh(aug: AugmentedClosedLoop):
+    """Both sides from a fresh inverse of I - Psi_s (``_stable_inverse``):
+    (solution, inverse)."""
+    inv = _stable_inverse(aug)
+    sol = AugmentedSolution(
+        Pprime=_solve_side(aug, inv, "value"),
+        Sprime=_solve_side(aug, inv, "covariance"),
+    )
+    return sol, inv
+
+
 def solve_both(aug: AugmentedClosedLoop) -> AugmentedSolution:
     """Solve both sides as ``solve_lyapunov`` does, sharing one inverse of
     I - Psi_s and one stability decision (``decide_stability``: the
     positive-operator test, and the spectral radius only when it cannot
     decide; NotMsStable with the exact radius when the loop is not
     stable)."""
-    inv = _stable_inverse(aug)
-    return AugmentedSolution(
-        Pprime=_solve_side(aug, inv, "value"),
-        Sprime=_solve_side(aug, inv, "covariance"),
-    )
+    return _solve_fresh(aug)[0]
+
+
+def _solve_against(aug: AugmentedClosedLoop, held: np.ndarray) -> AugmentedSolution | None:
+    """Both sides of a loop refined against ``held``, the inverse of
+    I - Psi_s of another loop, or None when it does not serve.
+
+    The certificate's candidate X, solving X - Psi(X) = I, is refined with
+    float64 residuals to HELD_CANDIDATE_TOL; ``_positive_operator_test`` is
+    sound for any candidate, so the loop counts as stable only where it
+    returns True.  Each side is then refined with float64 residuals to
+    HELD_FLOAT64_TOL and with longdouble residuals until a correction is
+    within a float64 ulp of the largest entry.  None when the test does not
+    return True, or when a refinement stops contracting
+    (``refine_until``).
+    """
+    d = aug.dim
+    b, _, residual = _side_system(aug, "value", np.eye(d))
+    x = refine_until(held, held @ b, residual, HELD_CANDIDATE_TOL)
+    if x is None or _positive_operator_test(aug, _unhvec(x, d)) is not True:
+        return None
+    sides = []
+    for side, inv in (("value", held), ("covariance", held.T)):
+        b, omega, residual = _side_system(aug, side)
+        y = refine_until(inv, inv @ b, residual, HELD_FLOAT64_TOL)
+        if y is not None:
+            y = refine_until(inv, y.astype(np.longdouble), residual, np.finfo(np.float64).eps)
+        if y is None:
+            return None
+        sides.append(_unhvec(y / omega, d).astype(np.float64))
+    return AugmentedSolution(*sides)
+
+
+def solve_both_held(aug: AugmentedClosedLoop, held: np.ndarray | None):
+    """Solve both sides as ``solve_both`` does, against ``held`` where it
+    serves: the inverse of I - Psi_s that an earlier loop of the same solve
+    returned, or None.  Returns (solution, inverse to hold for the next
+    loop).
+
+    Below HELD_INVERSE_MIN_UNKNOWNS this is ``solve_both``, and no inverse
+    is held.  Otherwise a held inverse is tried first (``_solve_against``);
+    where it does not serve, or none is held, I - Psi_s is built and
+    inverted afresh and stability decided as in ``solve_both``, so a loop
+    that is not mean-square stable raises NotMsStable with its exact
+    radius, and the new inverse is the one to hold.
+    """
+    d = aug.dim
+    if d * (d + 1) // 2 < HELD_INVERSE_MIN_UNKNOWNS:
+        return solve_both(aug), None
+    if held is not None:
+        sol = _solve_against(aug, held)
+        if sol is not None:
+            return sol, held
+    return _solve_fresh(aug)
 
 
 def evaluate_cost(sol: AugmentedSolution, aug: AugmentedClosedLoop) -> float:

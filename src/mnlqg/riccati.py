@@ -247,18 +247,21 @@ def riccati_residual(X: ValueCovarianceTuple, problem: ProblemInstance) -> Ricca
     )
 
 
-def _finalize_report(problem, X_star, history, tuples, method):
+def _finalize_report(problem, X_star, history, tuples, method, held=None):
     """Build the report fields shared by both solvers.
 
     The reported controller is recomputed from the converged X via
     gain_operators, so the report's gains and the gain operators agree
     exactly; its cost is evaluated through the Lyapunov equations with the
-    duality cross-check.
+    duality cross-check, against PI's ``held`` inverse where it serves
+    (``moments.solve_both_held``).
     """
     A, B, C = problem.system.A, problem.system.B, problem.system.C
     K, L = gain_operators(X_star, problem)
     ctrl = Controller(A + B @ K - L @ C, K, L)
-    _, _, cost = moments.evaluate_policy(problem, ctrl)
+    aug = moments.build_augmented(problem, ctrl)
+    sol, _ = moments.solve_both_held(aug, held)
+    cost = moments.evaluate_cost(sol, aug)
     residual_norm = riccati_residual(X_star, problem).max_norm()
     return SolveReport(
         controller=ctrl,
@@ -320,6 +323,10 @@ def policy_iteration_solve(
     by at most STEP_FLOOR_ULPS float64 ulps of the iterate's norm when that
     is larger (see ``_step_converged``).
 
+    Each evaluation after the first refines against the inverse of
+    I - Psi_s that an earlier one formed, and inverts afresh only where
+    that inverse stops contracting (``moments.solve_both_held``).
+
     The initial policy must be mean-square stabilizing
     (InitialPolicyNotStabilizing otherwise), and so must every improved
     policy (IterateNotStabilizing), as decided once by its evaluation; the
@@ -331,10 +338,11 @@ def policy_iteration_solve(
     tuples: list[ValueCovarianceTuple] = []
     history: list[HistoryEntry] = []
     previous: ValueCovarianceTuple | None = None
+    held = None  # the inverse of I - Psi_s that the next evaluation refines against
     start = time.perf_counter()
     for k in range(max_iter + 1):
         try:
-            sol = moments.solve_both(aug)
+            sol, held = moments.solve_both_held(aug, held)
         except NotMsStable as exc:
             if k == 0:
                 raise InitialPolicyNotStabilizing(exc.radius) from exc
@@ -344,7 +352,7 @@ def policy_iteration_solve(
         delta = None if previous is None else X.distance(previous)
         history.append(HistoryEntry(delta, time.perf_counter() - start))
         if delta is not None and _step_converged(delta, X.max_norm(), tol):
-            return _finalize_report(problem, X, history, tuples, "policy_iteration")
+            return _finalize_report(problem, X, history, tuples, "policy_iteration", held)
         K, L = gain_operators(X, problem)
         improved = Controller(A + B @ K - L @ C, K, L)
         aug = moments.build_augmented(problem, improved)

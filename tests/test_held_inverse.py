@@ -1,0 +1,207 @@
+"""Policy evaluation against a held inverse of I - Psi_s
+(``moments.solve_both_held``), on the benchmark's n=10 synthetic instance.
+
+Above the cut-over, PI refines each evaluation against the inverse of an
+earlier loop and inverts afresh only where that inverse stops contracting;
+the tests compare it with the fresh path, forced by raising the cut-over.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import numpy.linalg as la
+import pytest
+
+import mnlqg
+from mnlqg import (
+    NoiseTerm,
+    ProblemInstance,
+    SystemModel,
+    build_augmented,
+    moments,
+    open_loop_controller,
+    pendulum_problem,
+    policy_iteration_solve,
+    solve_both,
+    stabilizing_initial_controller,
+)
+from mnlqg.cli import main
+from mnlqg.exceptions import NotMsStable
+from mnlqg.moments import solve_both_held
+
+# cost of the benchmark's pi-large solve on the fresh path
+PI_LARGE_COST = 0.3215663851692543
+PI_LARGE_ITERATIONS = 10
+
+
+def _synthetic_problem(n):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instances", path)
+    instances = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instances)
+    return instances.synthetic_problem(mnlqg, 11, n, 2, 2, 0.5)
+
+
+@pytest.fixture(scope="module")
+def problem():
+    problem = _synthetic_problem(10)
+    assert 10 * 21 >= moments.HELD_INVERSE_MIN_UNKNOWNS
+    return problem
+
+
+@pytest.fixture(scope="module")
+def initial(problem):
+    return stabilizing_initial_controller(problem)
+
+
+@pytest.fixture(scope="module")
+def fresh_report(problem, initial):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "HELD_INVERSE_MIN_UNKNOWNS", np.inf)
+        return policy_iteration_solve(problem, initial)
+
+
+@pytest.fixture(scope="module")
+def held_report(problem, initial):
+    return policy_iteration_solve(problem, initial)
+
+
+def count_inversions(monkeypatch):
+    calls = {"inv": 0, "build": 0}
+    inv, build = la.inv, moments.build_second_moment_matrix
+
+    def counted_inv(a):
+        calls["inv"] += 1
+        return inv(a)
+
+    def counted_build(aug, side):
+        calls["build"] += 1
+        return build(aug, side)
+
+    monkeypatch.setattr(la, "inv", counted_inv)
+    monkeypatch.setattr(moments, "build_second_moment_matrix", counted_build)
+    return calls
+
+
+def converged_loop(problem, report):
+    return build_augmented(problem, report.controller)
+
+
+class TestSamePathAsFreshInverses:
+    def test_iterations_cost_and_solution(self, fresh_report, held_report):
+        assert held_report.iterations == fresh_report.iterations == PI_LARGE_ITERATIONS
+        assert abs(held_report.cost - fresh_report.cost) <= 4 * np.spacing(fresh_report.cost)
+        assert abs(fresh_report.cost - PI_LARGE_COST) <= 4 * np.spacing(PI_LARGE_COST)
+        for held, fresh in zip(held_report.solution.blocks(), fresh_report.solution.blocks()):
+            assert la.norm(held - fresh) <= 1e-14 * la.norm(fresh)
+        assert held_report.residual_norm <= 1e-9
+
+    def test_every_iterate_within_rounding_of_the_fresh_one(self, fresh_report, held_report):
+        pairs = zip(held_report.solution_history, fresh_report.solution_history)
+        for held, fresh in pairs:
+            assert held.distance(fresh) <= 1e-14 * fresh.max_norm()
+
+
+class TestInversionsPerSolve:
+    def test_init_auto_solve_inverts_at_most_three_times(self, problem, tmp_path, monkeypatch):
+        path = tmp_path / "problem.json"
+        path.write_text(mnlqg.save_problem(problem))
+        out = tmp_path / "report.json"
+        calls = count_inversions(monkeypatch)
+        argv = ["solve", str(path), "--method", "pi", "--init", "auto", "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        assert report["iterations"] == PI_LARGE_ITERATIONS
+        assert abs(report["cost"] - PI_LARGE_COST) <= 4 * np.spacing(PI_LARGE_COST)
+        # Psi_s is built only for the fresh inversions
+        assert calls["inv"] <= 3 and calls["build"] == calls["inv"]
+
+    def test_fresh_path_inverts_every_evaluation(self, problem, initial, monkeypatch):
+        monkeypatch.setattr(moments, "HELD_INVERSE_MIN_UNKNOWNS", np.inf)
+        calls = count_inversions(monkeypatch)
+        report = policy_iteration_solve(problem, initial)
+        assert calls["inv"] == report.iterations + 2
+
+
+class TestFallback:
+    def test_inverse_of_a_distant_loop_inverts_once(self, problem, held_report, monkeypatch):
+        """The open loop's inverse does not contract on the converged
+        policy's loop: one fresh inversion, and the fresh path's solution."""
+        _, held = solve_both_held(build_augmented(problem, open_loop_controller(problem)), None)
+        aug = converged_loop(problem, held_report)
+        expected = solve_both(aug)
+        calls = count_inversions(monkeypatch)
+        sol, inv = solve_both_held(aug, held)
+        assert calls["inv"] == 1
+        assert inv is not held
+        assert np.array_equal(sol.Pprime, expected.Pprime)
+        assert np.array_equal(sol.Sprime, expected.Sprime)
+
+    def test_inverse_of_a_near_loop_serves_without_inverting(self, problem, held_report, monkeypatch):
+        aug = converged_loop(problem, held_report)
+        expected, held = solve_both_held(aug, None)
+        calls = count_inversions(monkeypatch)
+        sol, inv = solve_both_held(aug, held)
+        assert calls == {"inv": 0, "build": 0}
+        assert inv is held
+        for got, want in ((sol.Pprime, expected.Pprime), (sol.Sprime, expected.Sprime)):
+            assert la.norm(got - want) <= 1e-14 * la.norm(want)
+
+    def test_undecided_certificate_takes_the_fresh_path(self, problem, held_report, monkeypatch):
+        """The held path counts a loop as stable only where the certificate
+        returns True; otherwise the loop is inverted and decided afresh."""
+        aug = converged_loop(problem, held_report)
+        expected, held = solve_both_held(aug, None)
+        certificate = moments._positive_operator_test
+        verdicts = []
+
+        def undecided_first(aug, X):
+            verdicts.append(certificate(aug, X))
+            return None if len(verdicts) == 1 else verdicts[-1]
+
+        monkeypatch.setattr(moments, "_positive_operator_test", undecided_first)
+        calls = count_inversions(monkeypatch)
+        sol, inv = solve_both_held(aug, held)
+        assert verdicts == [True, True] and calls["inv"] == 1 and inv is not held
+        assert np.array_equal(sol.Pprime, expected.Pprime)
+        assert np.array_equal(sol.Sprime, expected.Sprime)
+
+    def test_unstable_loop_keeps_the_exact_radius(self, problem, held_report):
+        """Tripled noise variances put the open loop past the boundary (the
+        instance sits at half the critical noise); with a held inverse it
+        still raises NotMsStable with the fresh path's radius, bit for bit."""
+        sys_ = problem.system
+
+        def tripled(terms):
+            return tuple(NoiseTerm(t.sigma * np.sqrt(3.0), t.pattern) for t in terms)
+
+        noisy = ProblemInstance(
+            SystemModel(sys_.A, sys_.B, sys_.C, *map(tripled, (sys_.noise_a, sys_.noise_b, sys_.noise_c))),
+            problem.cost,
+            problem.noise,
+        )
+        aug = build_augmented(noisy, open_loop_controller(noisy))
+        _, held = solve_both_held(converged_loop(problem, held_report), None)
+        with pytest.raises(NotMsStable) as fresh:
+            solve_both(aug)
+        with pytest.raises(NotMsStable) as refined:
+            solve_both_held(aug, held)
+        assert fresh.value.radius > 1.0
+        assert refined.value.radius == fresh.value.radius
+        assert str(refined.value) == str(fresh.value)
+
+
+class TestBelowTheCutOver:
+    def test_small_loop_holds_no_inverse(self, monkeypatch):
+        """At n=2 (10 unknowns) a held inverse is ignored: the evaluation is
+        ``solve_both``'s, bit for bit, with one inversion."""
+        problem = pendulum_problem(0.05)
+        aug = build_augmented(problem, stabilizing_initial_controller(problem))
+        expected = solve_both(aug)
+        calls = count_inversions(monkeypatch)
+        sol, inv = solve_both_held(aug, np.eye(10))
+        assert inv is None and calls["inv"] == 1
+        assert np.array_equal(sol.Pprime, expected.Pprime)
+        assert np.array_equal(sol.Sprime, expected.Sprime)

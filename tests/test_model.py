@@ -201,6 +201,21 @@ class TestSerialization:
         with pytest.raises(SchemaError, match=message):
             load_controller(f'{{"F": [[1.0]], "K": [[{entry}]], "L": [[0.5]]}}')
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('[[0.0], [1.0]]', '[[0.0], [1.0, 2.0]]',
+             r"^noise\.B\[0\]\.pattern row 1 has 2 entries, expected 1$"),
+            ('"A": [[1.0, 0.1]', '"A": [[1.0]', r"^A row 1 has 2 entries, expected 1$"),
+            ('[[0.0], [1.0]]', '[[0.0], 1.0]', r"^noise\.B\[0\]\.pattern mixes rows and bare numbers$"),
+        ],
+        ids=["long-pattern-row", "short-first-row", "bare-number-row"],
+    )
+    def test_ragged_matrix_names_the_row(self, old, new, message):
+        assert old in PENDULUM_DOC
+        with pytest.raises(SchemaError, match=message):
+            load_problem(PENDULUM_DOC.replace(old, new, 1))
+
     def test_integer_entries_are_numbers(self):
         problem = load_problem(PENDULUM_DOC.replace('"sigma": 1.0', '"sigma": 1', 1))
         assert problem.system.noise_b[0].sigma == 1.0

@@ -35,15 +35,9 @@ from .model import (
 )
 from .moments import (
     AugmentedClosedLoop,
-    AugmentedSolution,
     ValueCovarianceTuple,
     build_augmented,
     build_second_moment_matrix,
-    evaluate_cost,
-    evaluate_policy,
-    extract_tuple,
-    solve_both,
-    solve_lyapunov,
     spectral_radius,
 )
 from .riccati import (
@@ -82,15 +76,9 @@ __all__ = [
     "validate",
     # moments
     "AugmentedClosedLoop",
-    "AugmentedSolution",
     "ValueCovarianceTuple",
     "build_augmented",
     "build_second_moment_matrix",
-    "evaluate_cost",
-    "evaluate_policy",
-    "extract_tuple",
-    "solve_both",
-    "solve_lyapunov",
     "spectral_radius",
     # riccati
     "HistoryEntry",

@@ -260,8 +260,7 @@ def convergence_metric(
 def _run_method(problem, method):
     if method == "value_iteration":
         return riccati.value_iteration_solve(problem)
-    initial = riccati.stabilizing_initial_controller(problem)
-    return riccati.policy_iteration_solve(problem, initial)
+    return riccati.policy_iteration_solve(problem)
 
 
 def run_comparison(

@@ -80,7 +80,7 @@ def _load_controller_for(problem, path):
 
 def _resolve_initial(problem, init):
     if init == "auto":
-        return riccati.stabilizing_initial_controller(problem)
+        return None  # policy_iteration_solve's own default
     if init == "open-loop":
         return riccati.open_loop_controller(problem)
     if init == "lqg":

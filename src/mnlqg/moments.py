@@ -46,11 +46,15 @@ diagonal, 2 off it), Gamma is the adjoint of Psi, so
 
     Gamma_s = Omega^-1 Psi_s.T Omega,    I - Gamma_s = Omega^-1 (I - Psi_s).T Omega.
 
-A fresh policy evaluation builds I - Psi_s once and inverts it once; the
-inverse serves the stability test and both equations (the covariance side
-with its transpose, for the unknown Omega hvec(S')), each solution refined
-with extended-precision residuals.  Policy iteration holds that inverse
-across the loops of one solve (``solve_both_held``).  Refinement against
+Every policy evaluation goes through one seam, ``evaluate``, which returns
+an ``Evaluation``: the stability verdict, (P', S') of a stable loop, the
+inverse to hold, the exact radius on demand and the cost.  A fresh
+evaluation builds I - Psi_s once and inverts it once; the inverse serves
+the stability test and both equations (the covariance side with its
+transpose, for the unknown Omega hvec(S')), each solution refined with
+extended-precision residuals.  Policy iteration holds that inverse across
+the loops of one solve, passing each evaluation's ``inv`` to the next.
+Refinement against
 the inverse of another loop converges at the rate
 rho(I - inv_held (I - Psi_s)), which late in a solve, where the policy
 hardly moves, is far below one: the certificate's candidate is refined
@@ -94,18 +98,15 @@ __all__ = [
     "STABILITY_MARGIN",
     "AugmentedClosedLoop",
     "AugmentedSolution",
-    "StabilityDecision",
+    "Evaluation",
     "ValueCovarianceTuple",
     "build_augmented",
     "build_second_moment_matrix",
     "term_product",
     "gather_second_moment",
     "spectral_radius",
-    "decide_stability",
+    "evaluate",
     "solve_lyapunov",
-    "solve_both",
-    "solve_both_held",
-    "evaluate_cost",
     "extract_tuple",
     "evaluate_policy",
 ]
@@ -118,7 +119,7 @@ COST_DUALITY_TOL = 1e-9
 
 # Loops with at least this many symmetric unknowns, n(2n+1) for the 2n x 2n
 # augmented state, hold their inverse of I - Psi_s for the next loop of the
-# same solve (``solve_both_held``).  Below it an inverse is cheaper than
+# same solve (``evaluate``).  Below it an inverse is cheaper than
 # refinement steps in Python.  Measured crossover, PI solves of the
 # benchmark's synthetic instances on one BLAS thread: fresh inverses win at
 # n = 7 (105 unknowns, 21-30 ms against 31-38 ms), the held one from n = 8
@@ -400,7 +401,7 @@ def _operator_blocks(aug: AugmentedClosedLoop, value: bool, dtype=np.longdouble)
     and r and c swap, so an operator is applied in matrix form, without a
     Kronecker product.  Extended-precision residuals take the default
     longdouble terms; the float64 ones serve the cheap first steps of a
-    refinement against a held inverse (``solve_both_held``).
+    refinement against a held inverse (``_solve_against``).
     """
     full = slice(0, aug.dim)
     return [
@@ -458,30 +459,6 @@ def _positive_operator_test(aug: AugmentedClosedLoop, X: np.ndarray) -> bool | N
     return False if wX[0] < -slack_X else None
 
 
-@dataclass(eq=False)
-class StabilityDecision:
-    """One mean-square stability decision of a closed loop.
-
-    ``psi`` is the reduced operator Psi_s on the symmetric subspace and
-    ``inv`` is (I - Psi_s)^-1, or None when LAPACK finds I - Psi_s singular
-    or the inverse is not finite.  ``exact_radius`` holds the spectral
-    radius once it has been computed (``eigvals`` of Psi_s): by the
-    fallback when the positive-operator test cannot decide, or on request
-    by ``radius()``.
-    """
-
-    stable: bool
-    psi: np.ndarray
-    inv: np.ndarray | None
-    exact_radius: float | None = None
-
-    def radius(self) -> float:
-        """The exact spectral radius, computed on first request."""
-        if self.exact_radius is None:
-            self.exact_radius = spectral_radius(self.psi)
-        return self.exact_radius
-
-
 def _inverse(M: np.ndarray) -> np.ndarray | None:
     """M^-1, or None when ``la.inv`` fails or returns non-finite entries."""
     try:
@@ -489,41 +466,6 @@ def _inverse(M: np.ndarray) -> np.ndarray | None:
     except la.LinAlgError:
         return None
     return inv if np.isfinite(inv).all() else None
-
-
-def decide_stability(aug: AugmentedClosedLoop) -> StabilityDecision:
-    """Decide mean-square stability by the positive-operator test first.
-
-    Builds Psi_s and inverts I - Psi_s once; the test's candidate is
-    X = (I - Psi_s)^-1 hvec(I).  When the inverse fails or the test cannot
-    decide, the decision is the exact one: spectral radius below
-    1 - STABILITY_MARGIN.
-    """
-    psi = build_second_moment_matrix(aug, "value")
-    inv = _inverse(np.eye(psi.shape[0]) - psi)
-    verdict = None
-    if inv is not None:
-        d = aug.dim
-        verdict = _positive_operator_test(aug, _unhvec(inv @ _hvec(np.eye(d)), d))
-    decision = StabilityDecision(bool(verdict), psi, inv)
-    if verdict is None:
-        decision.stable = decision.radius() < 1.0 - STABILITY_MARGIN
-    return decision
-
-
-def _stable_inverse(aug: AugmentedClosedLoop) -> np.ndarray:
-    """(I - Psi_s)^-1 of a mean-square stable loop (``decide_stability``);
-    raises NotMsStable with the exact spectral radius otherwise.
-
-    A loop decided stable by its radius whose I - Psi_s LAPACK cannot
-    invert raises ``LinAlgError``.
-    """
-    decision = decide_stability(aug)
-    if not decision.stable:
-        raise NotMsStable(decision.radius())
-    if decision.inv is None:
-        raise la.LinAlgError("I - Psi_s of a loop inside the stability margin is singular")
-    return decision.inv
 
 
 def _side_system(aug: AugmentedClosedLoop, side: str, rhs=None):
@@ -556,59 +498,27 @@ def _side_system(aug: AugmentedClosedLoop, side: str, rhs=None):
 
 def _solve_side(aug: AugmentedClosedLoop, inv: np.ndarray, side: str) -> np.ndarray:
     """Solve one side (``_side_system``) given (I - Psi_s)^-1, with
-    REFINE_STEPS longdouble residual steps (``solve_linear_extended``)."""
-    b, omega, residual = _side_system(aug, side)
-    y = solve_linear_extended(inv if side == "value" else inv.T, b, residual)
-    return _unhvec(y / omega, aug.dim).astype(np.float64)
+    REFINE_STEPS longdouble residual steps (``solve_linear_extended``).
 
-
-def solve_lyapunov(aug: AugmentedClosedLoop, side: str) -> np.ndarray:
-    """Steady-state solution of the generalized Lyapunov equation.
-
-    side="value" returns P' solving P' = Psi(P') + Q'; side="covariance"
-    returns S' solving S' = Gamma(S') + W'.  The dense system on the
-    symmetric subspace (n(2n+1) unknowns, the lower triangle of P' or S')
-    is solved with the float64 inverse of I - Psi_s that the stability
-    decision formed, or on the covariance side with its transpose and the
-    diagonal scaling Omega (see the module docstring), and refined with
-    residuals in extended precision (``matrixmath.solve_linear_extended``);
-    the exactly symmetric result is rounded to float64.  An inverse is not
-    backward stable, but refinement with accurate residuals restores the
-    accuracy of a backward-stable solve while cond(I - Psi_s) * eps_float64
-    is well below one.  The result is within one ulp per entry of the
-    extended-precision solution while cond(I - Psi_s) stays well below
+    The dense system on the symmetric subspace (n(2n+1) unknowns, the lower
+    triangle of P' or S') is solved with the float64 inverse of I - Psi_s
+    that ``evaluate`` formed for its stability test, or on the covariance side with its
+    transpose and the diagonal scaling Omega (see the module docstring), and
+    refined with residuals in extended precision; the exactly symmetric
+    result is rounded to float64.  An inverse is not backward stable, but
+    refinement with accurate residuals restores the accuracy of a
+    backward-stable solve while cond(I - Psi_s) * eps_float64 is well below
+    one.  The result is within one ulp per entry of the extended-precision
+    solution while cond(I - Psi_s) stays well below
     eps_float64 / eps_longdouble (about 2000 with 80-bit longdouble), as at
     radius 0.984, where the condition number is 300.  Closer to the
     boundary the error grows with cond(I - Psi_s) * eps_longdouble relative
     to the norm of the solution: 5.6 ulps (value side) and 5.5 ulps
     (covariance side) at radius 0.99987, where it is 3.7e4.
-
-    Raises NotMsStable when the loop is not mean-square stable, as decided
-    by ``decide_stability``.
     """
-    if side not in ("value", "covariance"):
-        raise ValueError(f"side must be 'value' or 'covariance', got {side!r}")
-    return _solve_side(aug, _stable_inverse(aug), side)
-
-
-def _solve_fresh(aug: AugmentedClosedLoop):
-    """Both sides from a fresh inverse of I - Psi_s (``_stable_inverse``):
-    (solution, inverse)."""
-    inv = _stable_inverse(aug)
-    sol = AugmentedSolution(
-        Pprime=_solve_side(aug, inv, "value"),
-        Sprime=_solve_side(aug, inv, "covariance"),
-    )
-    return sol, inv
-
-
-def solve_both(aug: AugmentedClosedLoop) -> AugmentedSolution:
-    """Solve both sides as ``solve_lyapunov`` does, sharing one inverse of
-    I - Psi_s and one stability decision (``decide_stability``: the
-    positive-operator test, and the spectral radius only when it cannot
-    decide; NotMsStable with the exact radius when the loop is not
-    stable)."""
-    return _solve_fresh(aug)[0]
+    b, omega, residual = _side_system(aug, side)
+    y = solve_linear_extended(inv if side == "value" else inv.T, b, residual)
+    return _unhvec(y / omega, aug.dim).astype(np.float64)
 
 
 def _solve_against(aug: AugmentedClosedLoop, held: np.ndarray) -> AugmentedSolution | None:
@@ -641,40 +551,100 @@ def _solve_against(aug: AugmentedClosedLoop, held: np.ndarray) -> AugmentedSolut
     return AugmentedSolution(*sides)
 
 
-def solve_both_held(aug: AugmentedClosedLoop, held: np.ndarray | None):
-    """Solve both sides as ``solve_both`` does, against ``held`` where it
-    serves: the inverse of I - Psi_s that an earlier loop of the same solve
-    returned, or None.  Returns (solution, inverse to hold for the next
-    loop).
+@dataclass(eq=False)
+class Evaluation:
+    """One policy evaluation of a closed loop (``evaluate``).
 
-    Below HELD_INVERSE_MIN_UNKNOWNS this is ``solve_both``, and no inverse
-    is held.  Otherwise a held inverse is tried first (``_solve_against``);
-    where it does not serve, or none is held, I - Psi_s is built and
-    inverted afresh and stability decided as in ``solve_both``, so a loop
-    that is not mean-square stable raises NotMsStable with its exact
-    radius, and the new inverse is the one to hold.
+    ``stable`` is the mean-square stability verdict.  A stable loop carries
+    its ``solution`` (P', S'), and ``inv`` is the inverse of I - Psi_s for
+    the next evaluation of the same solve to refine against, or None below
+    HELD_INVERSE_MIN_UNKNOWNS.  ``exact_radius`` holds the spectral radius
+    once it has been computed: by the fallback when the positive-operator
+    test cannot decide, or on request by ``radius()``.  Only a loop that is
+    not stable keeps Psi_s (``psi``), for its radius.
+    """
+
+    aug: AugmentedClosedLoop
+    stable: bool
+    solution: AugmentedSolution | None = None
+    inv: np.ndarray | None = None
+    psi: np.ndarray | None = None
+    exact_radius: float | None = None
+
+    def radius(self) -> float:
+        """The exact spectral radius, computed on first request; Psi_s is
+        built for it where the evaluation kept none."""
+        if self.exact_radius is None:
+            psi = self.psi if self.psi is not None else build_second_moment_matrix(self.aug, "value")
+            self.exact_radius = spectral_radius(psi)
+        return self.exact_radius
+
+    def cost(self) -> float:
+        """Average cost <P', W'> of the policy, cross-checked against <S', Q'>.
+
+        Raises NotMsStable with the exact radius when the loop is not
+        stable, and DualityViolation when the two forms disagree beyond
+        1e-9 * (1 + |J|), which signals an upstream solve bug.
+        """
+        sol = self._stable_solution()
+        J = frobenius(sol.Pprime, self.aug.Wprime)
+        J_dual = frobenius(sol.Sprime, self.aug.Qprime)
+        if abs(J - J_dual) > COST_DUALITY_TOL * (1.0 + abs(J)):
+            raise DualityViolation(J, J_dual)
+        return J
+
+    def _stable_solution(self) -> AugmentedSolution:
+        if not self.stable:
+            raise NotMsStable(self.radius())
+        return self.solution
+
+
+def evaluate(aug: AugmentedClosedLoop, held: np.ndarray | None = None) -> Evaluation:
+    """Evaluate the policy of a closed loop: its mean-square stability and,
+    when it is stable, both sides (P', S').  Never raises NotMsStable.
+
+    From HELD_INVERSE_MIN_UNKNOWNS unknowns on, ``held``, the ``inv`` of an
+    earlier evaluation of the same solve, is tried first
+    (``_solve_against``) and held again where it serves.  Otherwise Psi_s
+    is built and I - Psi_s inverted once.  The positive-operator test's
+    candidate is X = (I - Psi_s)^-1 hvec(I); when the inverse fails or the
+    test cannot decide, the loop is stable iff its exact spectral radius
+    is below 1 - STABILITY_MARGIN.  A stable loop is solved on both sides
+    with that inverse (``_solve_side``), which the evaluation holds from
+    the cut-over on; a loop decided stable by its radius whose I - Psi_s
+    LAPACK cannot invert raises ``LinAlgError``.
     """
     d = aug.dim
-    if d * (d + 1) // 2 < HELD_INVERSE_MIN_UNKNOWNS:
-        return solve_both(aug), None
-    if held is not None:
+    hold = d * (d + 1) // 2 >= HELD_INVERSE_MIN_UNKNOWNS
+    if hold and held is not None:
         sol = _solve_against(aug, held)
         if sol is not None:
-            return sol, held
-    return _solve_fresh(aug)
+            return Evaluation(aug, True, sol, held)
+    psi = build_second_moment_matrix(aug, "value")
+    inv = _inverse(np.eye(psi.shape[0]) - psi)
+    verdict = radius = None
+    if inv is not None:
+        verdict = _positive_operator_test(aug, _unhvec(inv @ _hvec(np.eye(d)), d))
+    if verdict is None:
+        radius = spectral_radius(psi)
+        verdict = radius < 1.0 - STABILITY_MARGIN
+    if not verdict:
+        return Evaluation(aug, False, psi=psi, exact_radius=radius)
+    del psi  # a stable evaluation keeps no Psi_s, and the solves need none
+    if inv is None:
+        raise la.LinAlgError("I - Psi_s of a loop inside the stability margin is singular")
+    sol = AugmentedSolution(_solve_side(aug, inv, "value"), _solve_side(aug, inv, "covariance"))
+    return Evaluation(aug, True, sol, inv if hold else None, exact_radius=radius)
 
 
-def evaluate_cost(sol: AugmentedSolution, aug: AugmentedClosedLoop) -> float:
-    """Average cost <P', W'> of the policy, cross-checked against <S', Q'>.
-
-    Raises DualityViolation when the two forms disagree beyond
-    1e-9 * (1 + |J|), which signals an upstream solve bug.
-    """
-    J = frobenius(sol.Pprime, aug.Wprime)
-    J_dual = frobenius(sol.Sprime, aug.Qprime)
-    if abs(J - J_dual) > COST_DUALITY_TOL * (1.0 + abs(J)):
-        raise DualityViolation(J, J_dual)
-    return J
+def solve_lyapunov(aug: AugmentedClosedLoop, side: str) -> np.ndarray:
+    """P' solving P' = Psi(P') + Q' (side="value") or S' solving
+    S' = Gamma(S') + W' (side="covariance"), by ``evaluate``; NotMsStable
+    when the loop is not mean-square stable."""
+    if side not in ("value", "covariance"):
+        raise ValueError(f"side must be 'value' or 'covariance', got {side!r}")
+    sol = evaluate(aug)._stable_solution()
+    return sol.Pprime if side == "value" else sol.Sprime
 
 
 def extract_tuple(sol: AugmentedSolution) -> ValueCovarianceTuple:
@@ -694,11 +664,10 @@ def extract_tuple(sol: AugmentedSolution) -> ValueCovarianceTuple:
 
 
 def evaluate_policy(problem: ProblemInstance, ctrl: Controller):
-    """Full policy evaluation: returns (aug, solution, cost).
+    """Full policy evaluation (``evaluate``): returns (aug, solution, cost).
 
     Raises NotMsStable when the controller does not stabilize the loop in
     the mean-square sense.
     """
-    aug = build_augmented(problem, ctrl)
-    sol = solve_both(aug)
-    return aug, sol, evaluate_cost(sol, aug)
+    evaluation = evaluate(build_augmented(problem, ctrl))
+    return evaluation.aug, evaluation.solution, evaluation.cost()

@@ -21,8 +21,10 @@ Two solvers are provided:
 * ``value_iteration_solve``: the contraction X <- X + R(X) from X = 0; needs
   no stabilizing policy but converges at a linear rate.
 * ``policy_iteration_solve``: alternates exact policy evaluation (via the
-  generalized Lyapunov equations) with the gain update; needs a mean-square
-  stabilizing initial policy and converges in few iterations.
+  generalized Lyapunov equations, ``moments.evaluate``) with the gain
+  update; needs a mean-square stabilizing initial policy, chosen by
+  default as ``stabilizing_initial_controller`` does, and converges in few
+  iterations.
 
 PI's fallback initial policy, the classical noise-free design, is value
 iteration on the instance without multiplicative noise: with every sigma = 0
@@ -44,7 +46,6 @@ from .exceptions import (
     InitialPolicyNotStabilizing,
     IterateNotStabilizing,
     MaxIterationsExceeded,
-    NotMsStable,
     SingularBlock,
     SolverError,
 )
@@ -252,16 +253,14 @@ def _finalize_report(problem, X_star, history, tuples, method, held=None):
 
     The reported controller is recomputed from the converged X via
     gain_operators, so the report's gains and the gain operators agree
-    exactly; its cost is evaluated through the Lyapunov equations with the
-    duality cross-check, against PI's ``held`` inverse where it serves
-    (``moments.solve_both_held``).
+    exactly; its cost is that of its evaluation (``moments.evaluate``,
+    against PI's ``held`` inverse where it serves), with the duality
+    cross-check.
     """
     A, B, C = problem.system.A, problem.system.B, problem.system.C
     K, L = gain_operators(X_star, problem)
     ctrl = Controller(A + B @ K - L @ C, K, L)
-    aug = moments.build_augmented(problem, ctrl)
-    sol, _ = moments.solve_both_held(aug, held)
-    cost = moments.evaluate_cost(sol, aug)
+    cost = moments.evaluate(moments.build_augmented(problem, ctrl), held).cost()
     residual_norm = riccati_residual(X_star, problem).max_norm()
     return SolveReport(
         controller=ctrl,
@@ -310,22 +309,25 @@ def value_iteration_solve(
 
 def policy_iteration_solve(
     problem: ProblemInstance,
-    initial: Controller,
+    initial: Controller | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = PI_MAX_ITER,
 ) -> SolveReport:
     """Alternate exact policy evaluation and gain improvement.
 
-    Each iteration evaluates the current policy by solving both generalized
-    Lyapunov equations and extracting X, then updates the gains to
-    (K(X), L(X)) with model matrix A + B K - L C.  Stops when successive
-    evaluated X differ by at most ``tol`` (blockwise max Frobenius norm), or
-    by at most STEP_FLOOR_ULPS float64 ulps of the iterate's norm when that
-    is larger (see ``_step_converged``).
+    Each iteration evaluates the current policy (``moments.evaluate``:
+    both generalized Lyapunov equations, then X extracted), then updates
+    the gains to (K(X), L(X)) with model matrix A + B K - L C.  Stops when
+    successive evaluated X differ by at most ``tol`` (blockwise max
+    Frobenius norm), or by at most STEP_FLOOR_ULPS float64 ulps of the
+    iterate's norm when that is larger (see ``_step_converged``).
 
-    Each evaluation after the first refines against the inverse of
-    I - Psi_s that an earlier one formed, and inverts afresh only where
-    that inverse stops contracting (``moments.solve_both_held``).
+    With ``initial`` None the solve starts from the policy that
+    ``stabilizing_initial_controller`` returns, and from the evaluation
+    that chose it, so its first loop is evaluated once; the history's
+    seconds then include that choice.  Each evaluation passes its ``inv``
+    to the next, which refines against it and inverts afresh only where
+    it stops contracting.
 
     The initial policy must be mean-square stabilizing
     (InitialPolicyNotStabilizing otherwise), and so must every improved
@@ -334,28 +336,31 @@ def policy_iteration_solve(
     """
     sys = problem.system
     A, B, C = sys.A, sys.B, sys.C
-    aug = moments.build_augmented(problem, initial)
+    start = time.perf_counter()
+    if initial is None:
+        _, evaluation = _initial_evaluation(problem)
+    else:
+        evaluation = moments.evaluate(moments.build_augmented(problem, initial))
+        if not evaluation.stable:
+            raise InitialPolicyNotStabilizing(evaluation.radius())
     tuples: list[ValueCovarianceTuple] = []
     history: list[HistoryEntry] = []
     previous: ValueCovarianceTuple | None = None
-    held = None  # the inverse of I - Psi_s that the next evaluation refines against
-    start = time.perf_counter()
     for k in range(max_iter + 1):
-        try:
-            sol, held = moments.solve_both_held(aug, held)
-        except NotMsStable as exc:
-            if k == 0:
-                raise InitialPolicyNotStabilizing(exc.radius) from exc
-            raise IterateNotStabilizing(k, exc.radius) from exc
-        X = moments.extract_tuple(sol)
+        if k > 0:
+            evaluation = moments.evaluate(aug, evaluation.inv)
+            if not evaluation.stable:
+                raise IterateNotStabilizing(k, evaluation.radius())
+        X = moments.extract_tuple(evaluation.solution)
         tuples.append(X)
         delta = None if previous is None else X.distance(previous)
         history.append(HistoryEntry(delta, time.perf_counter() - start))
         if delta is not None and _step_converged(delta, X.max_norm(), tol):
-            return _finalize_report(problem, X, history, tuples, "policy_iteration", held)
+            return _finalize_report(
+                problem, X, history, tuples, "policy_iteration", evaluation.inv
+            )
         K, L = gain_operators(X, problem)
-        improved = Controller(A + B @ K - L @ C, K, L)
-        aug = moments.build_augmented(problem, improved)
+        aug = moments.build_augmented(problem, Controller(A + B @ K - L @ C, K, L))
         previous = X
     raise MaxIterationsExceeded("policy iteration", max_iter, history[-1].delta)
 
@@ -382,31 +387,38 @@ def noise_free_controller(problem: ProblemInstance) -> Controller:
     return value_iteration_solve(noise_free).controller
 
 
-def stabilizing_initial_controller(problem: ProblemInstance) -> Controller:
-    """Deterministic initial policy for policy iteration.
+def _initial_evaluation(problem: ProblemInstance) -> tuple[Controller, moments.Evaluation]:
+    """The deterministic initial policy for policy iteration, with the
+    ``moments.evaluate`` of its loop.
 
     Prefers the open-loop policy (A, 0, 0); when that is not mean-square
     stabilizing, falls back to the classical noise-free design.  Raises
-    InitialPolicyNotStabilizing when neither candidate stabilizes the loop,
-    or when the noise-free design itself fails.  Each candidate is checked
-    by ``moments.decide_stability``, so the dense spectral radius is
-    computed only when the positive-operator test cannot decide, or to
-    report the radius of a rejected candidate in that error.
+    InitialPolicyNotStabilizing, with the open loop's exact radius, when
+    neither candidate stabilizes the loop or the noise-free design itself
+    fails; the dense spectral radius is computed only for that error or
+    where the positive-operator test cannot decide.
     """
     ol = open_loop_controller(problem)
-    ol_check = moments.decide_stability(moments.build_augmented(problem, ol))
-    if ol_check.stable:
-        return ol
+    ol_evaluation = moments.evaluate(moments.build_augmented(problem, ol))
+    if ol_evaluation.stable:
+        return ol, ol_evaluation
     try:
         ctrl = noise_free_controller(problem)
     except SolverError as exc:
         raise InitialPolicyNotStabilizing(
-            ol_check.radius(), f"noise-free fallback failed: {exc}"
+            ol_evaluation.radius(), f"noise-free fallback failed: {exc}"
         ) from exc
-    check = moments.decide_stability(moments.build_augmented(problem, ctrl))
-    if check.stable:
-        return ctrl
+    evaluation = moments.evaluate(moments.build_augmented(problem, ctrl))
+    if evaluation.stable:
+        return ctrl, evaluation
     raise InitialPolicyNotStabilizing(
-        ol_check.radius(),
-        f"noise-free fallback is also not stabilizing (radius {check.radius():.6g})",
+        ol_evaluation.radius(),
+        f"noise-free fallback is also not stabilizing (radius {evaluation.radius():.6g})",
     )
+
+
+def stabilizing_initial_controller(problem: ProblemInstance) -> Controller:
+    """The initial policy that ``policy_iteration_solve`` starts from by
+    default: the open loop, or else the noise-free design
+    (``_initial_evaluation``)."""
+    return _initial_evaluation(problem)[0]

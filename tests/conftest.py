@@ -74,6 +74,19 @@ def make_random_controller(problem, rng, scale=0.3):
     )
 
 
+def assert_same_report(got, want):
+    """Two solve reports agree bit for bit, iterate trajectory included,
+    outside the wall-clock seconds of their histories."""
+    assert (got.method, got.converged, got.iterations) == (want.method, want.converged, want.iterations)
+    assert got.cost == want.cost and got.residual_norm == want.residual_norm
+    for name in ("F", "K", "L"):
+        assert np.array_equal(getattr(got.controller, name), getattr(want.controller, name))
+    assert [entry.delta for entry in got.history] == [entry.delta for entry in want.history]
+    assert len(got.solution_history) == len(want.solution_history)
+    for X, Y in zip((got.solution, *got.solution_history), (want.solution, *want.solution_history)):
+        assert all(np.array_equal(a, b) for a, b in zip(X.blocks(), Y.blocks()))
+
+
 @pytest.fixture
 def scalar_problem():
     return make_scalar_problem()

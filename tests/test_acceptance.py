@@ -34,7 +34,6 @@ import pytest
 from mnlqg import (
     build_augmented,
     build_second_moment_matrix,
-    evaluate_policy,
     monte_carlo_cost,
     pendulum_problem,
     policy_iteration_solve,
@@ -47,6 +46,7 @@ from mnlqg import (
 from mnlqg.cli import main
 from mnlqg.exceptions import SolverError
 from mnlqg.matrixmath import frobenius
+from mnlqg.moments import evaluate_policy
 
 from conftest import ACCEPTANCE_LINES, make_random_controller
 from oracles import (

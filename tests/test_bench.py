@@ -19,7 +19,6 @@ from mnlqg import (
     build_augmented,
     build_second_moment_matrix,
     convergence_metric,
-    evaluate_policy,
     monte_carlo_cost,
     open_loop_controller,
     pendulum_problem,
@@ -33,6 +32,7 @@ from mnlqg import bench, riccati
 from mnlqg.bench import _ROLLOUT_BLOCK, _ROLLOUT_DRAWS, MAX_REDRAWS
 from mnlqg.cli import main
 from mnlqg.exceptions import RetryExhausted, UnstableRollout
+from mnlqg.moments import evaluate_policy
 
 from conftest import make_scalar_problem
 from oracles import critical_noise_scale_reference, monte_carlo_cost_reference

@@ -1,9 +1,12 @@
 """Policy evaluation against a held inverse of I - Psi_s
-(``moments.solve_both_held``), on the benchmark's n=10 synthetic instance.
+(``moments.evaluate(aug, held)``), on the benchmark's n=10 synthetic
+instance.
 
-Above the cut-over, PI refines each evaluation against the inverse of an
-earlier loop and inverts afresh only where that inverse stops contracting;
-the tests compare it with the fresh path, forced by raising the cut-over.
+Above the cut-over, PI passes each ``Evaluation.inv`` to the next
+evaluation, which refines against it and inverts afresh only where it stops
+contracting; the tests compare it with the fresh path, forced by raising the
+cut-over or by passing no inverse.  PI's default start evaluates its first
+loop once, so a ``--init auto`` solve inverts once per distinct loop.
 """
 
 import importlib.util
@@ -24,12 +27,14 @@ from mnlqg import (
     open_loop_controller,
     pendulum_problem,
     policy_iteration_solve,
-    solve_both,
+    random_problem,
     stabilizing_initial_controller,
 )
 from mnlqg.cli import main
 from mnlqg.exceptions import NotMsStable
-from mnlqg.moments import solve_both_held
+from mnlqg.moments import evaluate
+
+from conftest import assert_same_report
 
 # cost of the benchmark's pi-large solve on the fresh path
 PI_LARGE_COST = 0.3215663851692543
@@ -105,7 +110,9 @@ class TestSamePathAsFreshInverses:
 
 
 class TestInversionsPerSolve:
-    def test_init_auto_solve_inverts_at_most_three_times(self, problem, tmp_path, monkeypatch):
+    def test_init_auto_solve_inverts_two_distinct_loops_once_each(self, problem, tmp_path, monkeypatch):
+        """The initial policy's evaluation is PI's first: 2 inversions and 2
+        Psi_s builds for the 2 loops the held inverse does not serve."""
         path = tmp_path / "problem.json"
         path.write_text(mnlqg.save_problem(problem))
         out = tmp_path / "report.json"
@@ -116,7 +123,7 @@ class TestInversionsPerSolve:
         assert report["iterations"] == PI_LARGE_ITERATIONS
         assert abs(report["cost"] - PI_LARGE_COST) <= 4 * np.spacing(PI_LARGE_COST)
         # Psi_s is built only for the fresh inversions
-        assert calls["inv"] <= 3 and calls["build"] == calls["inv"]
+        assert calls == {"inv": 2, "build": 2}
 
     def test_fresh_path_inverts_every_evaluation(self, problem, initial, monkeypatch):
         monkeypatch.setattr(moments, "HELD_INVERSE_MIN_UNKNOWNS", np.inf)
@@ -124,16 +131,36 @@ class TestInversionsPerSolve:
         report = policy_iteration_solve(problem, initial)
         assert calls["inv"] == report.iterations + 2
 
+    def test_default_start_inverts_once_less_than_two_calls(self, monkeypatch):
+        """At n=2 every evaluation inverts: the default start inverts
+        iterations + 2 times (the loops and the report's cost), the route
+        through stabilizing_initial_controller once more, for the initial
+        loop it evaluates twice."""
+        small, _ = random_problem(7000)
+        calls = count_inversions(monkeypatch)
+        report = policy_iteration_solve(small)
+        assert calls["inv"] == report.iterations + 2
+        calls["inv"] = 0
+        two_calls = policy_iteration_solve(small, stabilizing_initial_controller(small))
+        assert calls["inv"] == two_calls.iterations + 3
+        assert two_calls.iterations == report.iterations
+
+
+class TestDefaultStart:
+    def test_same_report_as_the_two_call_route(self, problem, held_report):
+        assert_same_report(policy_iteration_solve(problem), held_report)
+
 
 class TestFallback:
     def test_inverse_of_a_distant_loop_inverts_once(self, problem, held_report, monkeypatch):
         """The open loop's inverse does not contract on the converged
         policy's loop: one fresh inversion, and the fresh path's solution."""
-        _, held = solve_both_held(build_augmented(problem, open_loop_controller(problem)), None)
+        held = evaluate(build_augmented(problem, open_loop_controller(problem))).inv
         aug = converged_loop(problem, held_report)
-        expected = solve_both(aug)
+        expected = evaluate(aug).solution
         calls = count_inversions(monkeypatch)
-        sol, inv = solve_both_held(aug, held)
+        evaluation = evaluate(aug, held)
+        sol, inv = evaluation.solution, evaluation.inv
         assert calls["inv"] == 1
         assert inv is not held
         assert np.array_equal(sol.Pprime, expected.Pprime)
@@ -141,9 +168,11 @@ class TestFallback:
 
     def test_inverse_of_a_near_loop_serves_without_inverting(self, problem, held_report, monkeypatch):
         aug = converged_loop(problem, held_report)
-        expected, held = solve_both_held(aug, None)
+        fresh = evaluate(aug)
+        expected, held = fresh.solution, fresh.inv
         calls = count_inversions(monkeypatch)
-        sol, inv = solve_both_held(aug, held)
+        evaluation = evaluate(aug, held)
+        sol, inv = evaluation.solution, evaluation.inv
         assert calls == {"inv": 0, "build": 0}
         assert inv is held
         for got, want in ((sol.Pprime, expected.Pprime), (sol.Sprime, expected.Sprime)):
@@ -153,7 +182,8 @@ class TestFallback:
         """The held path counts a loop as stable only where the certificate
         returns True; otherwise the loop is inverted and decided afresh."""
         aug = converged_loop(problem, held_report)
-        expected, held = solve_both_held(aug, None)
+        fresh = evaluate(aug)
+        expected, held = fresh.solution, fresh.inv
         certificate = moments._positive_operator_test
         verdicts = []
 
@@ -163,7 +193,8 @@ class TestFallback:
 
         monkeypatch.setattr(moments, "_positive_operator_test", undecided_first)
         calls = count_inversions(monkeypatch)
-        sol, inv = solve_both_held(aug, held)
+        evaluation = evaluate(aug, held)
+        sol, inv = evaluation.solution, evaluation.inv
         assert verdicts == [True, True] and calls["inv"] == 1 and inv is not held
         assert np.array_equal(sol.Pprime, expected.Pprime)
         assert np.array_equal(sol.Sprime, expected.Sprime)
@@ -171,7 +202,8 @@ class TestFallback:
     def test_unstable_loop_keeps_the_exact_radius(self, problem, held_report):
         """Tripled noise variances put the open loop past the boundary (the
         instance sits at half the critical noise); with a held inverse it
-        still raises NotMsStable with the fresh path's radius, bit for bit."""
+        is still not stable, and its cost still raises NotMsStable with the
+        fresh path's radius, bit for bit."""
         sys_ = problem.system
 
         def tripled(terms):
@@ -183,25 +215,42 @@ class TestFallback:
             problem.noise,
         )
         aug = build_augmented(noisy, open_loop_controller(noisy))
-        _, held = solve_both_held(converged_loop(problem, held_report), None)
+        held = evaluate(converged_loop(problem, held_report)).inv
+        fresh_evaluation, refined_evaluation = evaluate(aug), evaluate(aug, held)
+        assert not fresh_evaluation.stable and not refined_evaluation.stable
         with pytest.raises(NotMsStable) as fresh:
-            solve_both(aug)
+            fresh_evaluation.cost()
         with pytest.raises(NotMsStable) as refined:
-            solve_both_held(aug, held)
+            refined_evaluation.cost()
         assert fresh.value.radius > 1.0
         assert refined.value.radius == fresh.value.radius
         assert str(refined.value) == str(fresh.value)
+
+    def test_radius_of_a_held_evaluation_is_the_fresh_one(self, problem, held_report, monkeypatch):
+        """An evaluation served by a held inverse keeps no Psi_s; its radius
+        builds Psi_s once, on request, and equals the fresh path's, bit for
+        bit."""
+        aug = converged_loop(problem, held_report)
+        fresh = evaluate(aug)
+        calls = count_inversions(monkeypatch)
+        evaluation = evaluate(aug, fresh.inv)
+        assert evaluation.inv is fresh.inv and evaluation.psi is None
+        assert calls == {"inv": 0, "build": 0}
+        assert fresh.psi is None and fresh.exact_radius is None
+        assert evaluation.radius() == fresh.radius() < 1.0
+        assert calls == {"inv": 0, "build": 2}
 
 
 class TestBelowTheCutOver:
     def test_small_loop_holds_no_inverse(self, monkeypatch):
         """At n=2 (10 unknowns) a held inverse is ignored: the evaluation is
-        ``solve_both``'s, bit for bit, with one inversion."""
+        the fresh one, bit for bit, with one inversion."""
         problem = pendulum_problem(0.05)
         aug = build_augmented(problem, stabilizing_initial_controller(problem))
-        expected = solve_both(aug)
+        expected = evaluate(aug).solution
         calls = count_inversions(monkeypatch)
-        sol, inv = solve_both_held(aug, np.eye(10))
+        evaluation = evaluate(aug, np.eye(10))
+        sol, inv = evaluation.solution, evaluation.inv
         assert inv is None and calls["inv"] == 1
         assert np.array_equal(sol.Pprime, expected.Pprime)
         assert np.array_equal(sol.Sprime, expected.Sprime)

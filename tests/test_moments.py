@@ -3,24 +3,26 @@ import numpy.linalg as la
 import pytest
 
 from mnlqg import (
-    AugmentedSolution,
     Controller,
     build_augmented,
     build_second_moment_matrix,
-    evaluate_cost,
-    extract_tuple,
     noise_free_controller,
     open_loop_controller,
     pendulum_problem,
     policy_iteration_solve,
     random_problem,
-    solve_both,
-    solve_lyapunov,
     spectral_radius,
     stabilizing_initial_controller,
 )
 from mnlqg.exceptions import DualityViolation, NotMsStable
-from mnlqg.moments import STABILITY_MARGIN, decide_stability
+from mnlqg.moments import (
+    STABILITY_MARGIN,
+    AugmentedSolution,
+    Evaluation,
+    evaluate,
+    extract_tuple,
+    solve_lyapunov,
+)
 from mnlqg.riccati import gain_operators
 
 from conftest import make_random_controller, make_scalar_problem
@@ -282,7 +284,7 @@ class TestReducedOperator:
             aug = build_augmented(problem, ctrl)
             radius = spectral_radius(build_second_moment_matrix(aug, "value"))
             assert radius == pytest.approx(full_spectral_radius(aug), rel=1e-12, abs=0.0)
-            assert decide_stability(aug).radius() == radius
+            assert evaluate(aug).radius() == radius
 
     def test_evaluation_needs_no_kronecker_product(self, monkeypatch):
         aug = six_state_loop(0.25)
@@ -291,7 +293,7 @@ class TestReducedOperator:
             raise AssertionError("np.kron called on the policy-evaluation path")
 
         monkeypatch.setattr(np, "kron", no_kron)
-        sol = solve_both(aug)
+        sol = evaluate(aug).solution
         for M, op, rhs in (
             (sol.Pprime, apply_value_operator, aug.Qprime),
             (sol.Sprime, apply_covariance_operator, aug.Wprime),
@@ -427,11 +429,11 @@ class TestOneInversePerEvaluation:
         return calls
 
     @pytest.mark.parametrize("make_aug", [lambda: six_state_loop(0.25), lambda: two_term_loop()])
-    def test_solve_both(self, make_aug, monkeypatch):
+    def test_evaluate(self, make_aug, monkeypatch):
         aug = make_aug()
         d = aug.dim * (aug.dim + 1) // 2
         calls = self.count_linalg(monkeypatch, d)
-        solve_both(aug)
+        evaluate(aug)
         assert calls == {"inv": 1, "solve_dxd": 0}
 
     def test_policy_iteration(self, monkeypatch):
@@ -455,7 +457,7 @@ class TestOneInversePerEvaluation:
             return verdicts[-1]
 
         monkeypatch.setattr(moments, "_positive_operator_test", recorded)
-        decision = decide_stability(scalar_loop(1.0))
+        decision = evaluate(scalar_loop(1.0))
         assert decision.inv is None and verdicts == []
         assert not decision.stable and decision.exact_radius == 1.0
 
@@ -464,26 +466,28 @@ class TestOneInversePerEvaluation:
         (``test_certified_verdicts_skip_the_radius``) goes to the radius
         when the inverse is not finite."""
         monkeypatch.setattr(la, "inv", lambda a: np.full(np.shape(a), np.inf))
-        decision = decide_stability(scalar_loop(1.2))
+        decision = evaluate(scalar_loop(1.2))
         assert decision.inv is None
         assert not decision.stable
         assert decision.exact_radius == pytest.approx(1.44, rel=1e-12)
         with pytest.raises(NotMsStable):
-            solve_both(scalar_loop(1.2))
+            decision.cost()
 
     def test_stable_loop_without_inverse_raises(self, monkeypatch):
+        """The radius decides the loop stable, and with no inverse to solve
+        with the evaluation raises."""
         monkeypatch.setattr(la, "inv", lambda a: np.full(np.shape(a), np.nan))
-        decision = decide_stability(scalar_open_loop_aug(sigma_a=0.3))
-        assert decision.stable and decision.inv is None
+        aug = scalar_open_loop_aug(sigma_a=0.3)
+        assert spectral_radius(build_second_moment_matrix(aug, "value")) < 1.0 - STABILITY_MARGIN
         with pytest.raises(la.LinAlgError):
-            solve_both(scalar_open_loop_aug(sigma_a=0.3))
+            evaluate(aug)
 
 
 class TestMsStable:
-    """``decide_stability`` and its exact radius on closed-form loops."""
+    """``evaluate``'s verdict and exact radius on closed-form loops."""
 
     def test_scalar_stable(self):
-        decision = decide_stability(scalar_open_loop_aug(sigma_a=0.3))
+        decision = evaluate(scalar_open_loop_aug(sigma_a=0.3))
         assert decision.stable
         assert decision.radius() == pytest.approx(0.34, rel=1e-10)
 
@@ -497,7 +501,7 @@ class TestMsStable:
             CostModel(np.eye(2)),
             NoiseModel(W=np.eye(2), X0=np.zeros((1, 1))),
         )
-        decision = decide_stability(build_augmented(marginal, open_loop_controller(marginal)))
+        decision = evaluate(build_augmented(marginal, open_loop_controller(marginal)))
         assert not decision.stable
         assert decision.radius() == pytest.approx(1.0, rel=1e-10)
 
@@ -510,7 +514,7 @@ class TestMsStable:
             CostModel(np.eye(2)),
             NoiseModel(W=np.eye(2), X0=np.zeros((1, 1))),
         )
-        decision = decide_stability(build_augmented(problem, open_loop_controller(problem)))
+        decision = evaluate(build_augmented(problem, open_loop_controller(problem)))
         assert not decision.stable
         assert decision.radius() == pytest.approx(0.81 + 0.36, rel=1e-10)
 
@@ -543,21 +547,22 @@ def scalar_loop(a):
 
 
 class TestPositiveOperatorTest:
-    """``decide_stability`` agrees with the exact spectral-radius decision."""
+    """``evaluate``'s verdict agrees with the exact spectral-radius decision."""
 
     @staticmethod
     def assert_sound(aug):
-        """Certified loops lie inside the margin; rejected loops raise
-        NotMsStable with the exact radius, bitwise.  Returns the decision."""
+        """Certified loops lie inside the margin and are solved; the cost of
+        a rejected loop raises NotMsStable with the exact radius, bitwise.
+        Returns the evaluation."""
         radius = spectral_radius(build_second_moment_matrix(aug, "value"))
-        decision = decide_stability(aug)
+        decision = evaluate(aug)
         if decision.stable:
             assert radius < 1.0 - STABILITY_MARGIN
-            solve_both(aug)
+            assert decision.solution is not None
         else:
             assert not radius < 1.0 - STABILITY_MARGIN
             with pytest.raises(NotMsStable) as excinfo:
-                solve_both(aug)
+                decision.cost()
             assert excinfo.value.radius == radius
         return decision
 
@@ -615,27 +620,27 @@ class TestPositiveOperatorTest:
 
     def test_exactly_singular_operator_falls_back(self):
         aug = scalar_loop(1.0)  # I - Psi is the zero matrix
-        decision = decide_stability(aug)
+        decision = evaluate(aug)
         assert not decision.stable
         assert decision.exact_radius == 1.0
         with pytest.raises(NotMsStable) as excinfo:
-            solve_both(aug)
+            decision.cost()
         assert excinfo.value.radius == 1.0
 
     def test_radius_just_inside_the_margin_is_rejected(self):
         aug = scalar_loop(np.sqrt(1.0 - 0.5 * STABILITY_MARGIN))
         radius = spectral_radius(build_second_moment_matrix(aug, "value"))
         assert 1.0 - STABILITY_MARGIN < radius < 1.0
-        decision = decide_stability(aug)
+        decision = evaluate(aug)
         assert not decision.stable
         assert decision.exact_radius == radius  # decided by the fallback
         with pytest.raises(NotMsStable) as excinfo:
-            solve_both(aug)
+            decision.cost()
         assert excinfo.value.radius == radius
 
     def test_certified_verdicts_skip_the_radius(self):
-        stable = decide_stability(scalar_open_loop_aug(sigma_a=0.3))
-        unstable = decide_stability(scalar_loop(1.2))
+        stable = evaluate(scalar_open_loop_aug(sigma_a=0.3))
+        unstable = evaluate(scalar_loop(1.2))
         assert stable.stable and stable.exact_radius is None
         assert not unstable.stable and unstable.exact_radius is None
         assert unstable.radius() == pytest.approx(1.44, rel=1e-12)
@@ -709,13 +714,11 @@ class TestSolveLyapunov:
         assert np.array_equal(Pprime, Pprime.T)
         assert np.array_equal(Sprime, Sprime.T)
         # outputs stay PSD up to roundoff from the dense solve
-        from mnlqg import extract_tuple as _extract
         from mnlqg.matrixmath import min_eigval
-        from mnlqg.moments import AugmentedSolution as _Sol
 
         for M in (Pprime, Sprime):
             assert min_eigval(M) >= -1e-8 * (1.0 + la.norm(M))
-        X = _extract(_Sol(Pprime=Pprime, Sprime=Sprime))
+        X = extract_tuple(AugmentedSolution(Pprime=Pprime, Sprime=Sprime))
         for block in X.blocks():
             assert min_eigval(block) >= -1e-8 * (1.0 + la.norm(block))
 
@@ -734,8 +737,8 @@ class TestSolveLyapunov:
     reason="np.longdouble is float64 here, so the reference is no more precise",
 )
 class TestExtendedPrecisionAccuracy:
-    """solve_lyapunov lands within one float64 ulp per entry of the unrounded
-    longdouble solution while cond(I - Psi_s) is moderate (radius up to
+    """``evaluate``'s fresh solve lands within one float64 ulp per entry of
+    the unrounded longdouble solution while cond(I - Psi_s) is moderate (radius up to
     0.984 here), and within the policy-iteration stopping floor
     (riccati.STEP_FLOOR_ULPS) at radius 0.99987, where 5.6 ulps (value) and
     5.5 (covariance) are measured; the floor relies on evaluations this
@@ -743,8 +746,8 @@ class TestExtendedPrecisionAccuracy:
 
     @staticmethod
     def assert_within_one_ulp(aug):
-        for side in ("value", "covariance"):
-            M = solve_lyapunov(aug, side)
+        sol = evaluate(aug).solution
+        for side, M in (("value", sol.Pprime), ("covariance", sol.Sprime)):
             reference = lyapunov_extended(aug, side)
             error = np.abs(M.astype(np.longdouble) - reference)
             assert np.all(error <= np.spacing(np.abs(M))), side
@@ -787,7 +790,7 @@ class TestExtendedPrecisionAccuracy:
         stable, radius = is_ms_stable(aug)
         assert stable and radius >= 0.98, "test construction should be stable near the boundary"
         assert np.all(aug.Wprime != 0.0)
-        S = solve_lyapunov(aug, "covariance")
+        S = evaluate(aug).solution.Sprime
         error = np.abs(S.astype(np.longdouble) - lyapunov_extended(aug, "covariance"))
         assert np.all(error <= np.spacing(np.abs(S)))
 
@@ -801,30 +804,22 @@ class TestExtendedPrecisionAccuracy:
         aug = six_state_loop(0.275)
         stable, radius = is_ms_stable(aug)
         assert stable and radius > 0.9998, "test construction should sit at the boundary"
-        for side in ("value", "covariance"):
-            M = solve_lyapunov(aug, side)
+        sol = evaluate(aug).solution
+        for side, M in (("value", sol.Pprime), ("covariance", sol.Sprime)):
             error = np.abs(M.astype(np.longdouble) - lyapunov_extended(aug, side))
             assert np.all(error <= STEP_FLOOR_ULPS * np.spacing(np.abs(M))), side
 
 
-class TestEvaluateCost:
+class TestEvaluationCost:
     def test_scalar_cost_and_duality(self):
         aug = scalar_open_loop_aug(sigma_a=0.3, w_diag=(0.01, 0.01))
-        sol = AugmentedSolution(
-            Pprime=solve_lyapunov(aug, "value"),
-            Sprime=solve_lyapunov(aug, "covariance"),
-        )
-        J = evaluate_cost(sol, aug)
+        J = evaluate(aug).cost()
         assert J == pytest.approx(0.01 / 0.66, rel=1e-12)
 
     def test_zero_injected_noise_means_zero_cost(self, scalar_problem):
         problem = make_scalar_problem(sigma_a=0.3, w_diag=(0.0, 0.0))
         aug = build_augmented(problem, open_loop_controller(problem))
-        sol = AugmentedSolution(
-            Pprime=solve_lyapunov(aug, "value"),
-            Sprime=solve_lyapunov(aug, "covariance"),
-        )
-        assert evaluate_cost(sol, aug) == 0.0
+        assert evaluate(aug).cost() == 0.0
 
     def test_duality_violation_raises(self):
         aug = scalar_open_loop_aug(sigma_a=0.3)
@@ -832,7 +827,7 @@ class TestEvaluateCost:
             Pprime=np.diag([5.0, 0.0]), Sprime=np.diag([1.0, 0.0])
         )
         with pytest.raises(DualityViolation):
-            evaluate_cost(sol, aug)
+            Evaluation(aug, True, sol).cost()
 
 
 class TestExtractTuple:

@@ -32,6 +32,7 @@ from mnlqg.exceptions import (
 )
 
 from conftest import (
+    assert_same_report,
     make_scalar_problem,
     make_singular_filter_problem,
     make_unstabilizable_problem,
@@ -616,6 +617,39 @@ class TestInitialPolicies:
         )
         assert excinfo.value.radius == pytest.approx(1.44, rel=1e-12)
         assert isinstance(excinfo.value.__cause__, Diverged)
+
+
+class TestDefaultStart:
+    """``policy_iteration_solve(problem)`` starts from the ``auto`` policy
+    and the evaluation that chose it: the report and the errors of the
+    route through ``stabilizing_initial_controller``, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(7000, 7010))
+    def test_open_loop_branch(self, seed):
+        problem, _ = random_problem(seed)
+        initial = stabilizing_initial_controller(problem)
+        assert np.array_equal(initial.F, problem.system.A) and not initial.K.any()
+        assert_same_report(policy_iteration_solve(problem), policy_iteration_solve(problem, initial))
+
+    def test_noise_free_branch(self):
+        problem = pendulum_problem(0.05)
+        initial = stabilizing_initial_controller(problem)
+        assert np.array_equal(initial.K, noise_free_controller(problem).K)
+        assert_same_report(policy_iteration_solve(problem), policy_iteration_solve(problem, initial))
+
+    @pytest.mark.parametrize(
+        "make_problem",
+        [make_unstabilizable_problem, make_singular_filter_problem, lambda: pendulum_problem(0.1)],
+    )
+    def test_same_error_when_nothing_stabilizes(self, make_problem):
+        problem = make_problem()
+        with pytest.raises(InitialPolicyNotStabilizing) as chosen:
+            stabilizing_initial_controller(problem)
+        with pytest.raises(InitialPolicyNotStabilizing) as solved:
+            policy_iteration_solve(problem)
+        assert str(solved.value) == str(chosen.value)
+        assert solved.value.radius == chosen.value.radius
+        assert type(solved.value.__cause__) is type(chosen.value.__cause__)
 
 
 class TestSymmetryInvariant:

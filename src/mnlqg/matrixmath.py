@@ -117,26 +117,27 @@ def solve_linear_extended(inv, b, residual):
     return x
 
 
-def refine_until(inv, x, residual, tol):
+def refine_until(inv, x, residual, tol, scale=None):
     """Refine ``x`` toward the solution of A x = b against an approximate
-    inverse ``inv`` of A, until a correction is at most ``tol`` times the
-    largest entry of ``x``.
+    inverse ``inv`` of A, until a correction is at most ``tol`` times
+    ``scale``, by default the largest entry of ``x``.
 
     ``residual(x)`` returns b - A x in the dtype of ``x``; each step adds
     ``inv`` times it, rounded to float64, to ``x`` in place.  The error
     shrinks by about ||I - inv A|| per step (``solve_linear_extended``), so
     successive corrections should shrink by at least that much.  Returns
     None when one does not shrink to REFINE_CONTRACTION times the one
-    before it (for the first, times the largest entry of ``x``), or after
-    REFINE_MAX_STEPS steps: the inverse is then too far from A's to pay,
-    or the rounding of the residual has stopped the progress.
+    before it (for the first, times ``scale``), or after REFINE_MAX_STEPS
+    steps: the inverse is then too far from A's to pay, or the rounding of
+    the residual has stopped the progress.  A ``scale`` lets ``x`` be a
+    correction to a larger solution, starting from zero.
     """
-    previous = float(np.max(np.abs(x)))
+    previous = float(np.max(np.abs(x))) if scale is None else scale
     for _ in range(REFINE_MAX_STEPS):
         dx = inv @ residual(x).astype(np.float64)
         x += dx
         size = float(np.max(np.abs(dx)))
-        if size <= tol * float(np.max(np.abs(x))):
+        if size <= tol * (float(np.max(np.abs(x))) if scale is None else scale):
             return x
         if not size <= REFINE_CONTRACTION * previous:
             return None

@@ -53,17 +53,21 @@ evaluation builds I - Psi_s once and inverts it once; the inverse serves
 the stability test and both equations (the covariance side with its
 transpose, for the unknown Omega hvec(S')), each solution refined with
 extended-precision residuals.  Policy iteration holds that inverse across
-the loops of one solve, passing each evaluation's ``inv`` to the next.
-Refinement against
-the inverse of another loop converges at the rate
-rho(I - inv_held (I - Psi_s)), which late in a solve, where the policy
-hardly moves, is far below one: the certificate's candidate is refined
-with float64 residuals, and each side with float64 and then longdouble
-residuals, all in matrix form, so neither Psi_s nor a new inverse is
-formed.  Where the held inverse stops contracting, or the certificate does
-not certify the loop stable, the evaluation falls back to the fresh path,
-which also reports the exact radius of a loop that is not stable.  Below
-HELD_INVERSE_MIN_UNKNOWNS unknowns every evaluation is fresh.
+the loops of one solve, passing each evaluation to the next as its
+``prior``.  Refinement against the inverse of another loop converges at
+the rate rho(I - inv_held (I - Psi_s)), which late in a solve, where the
+policy hardly moves, is far below one.  It starts from the prior's
+certificate candidate, P' and S', which late in a solve are within
+rounding of the new ones (a warm start, as in inexact Newton-Kleinman
+methods).  The candidate is refined with float64 residuals; each side with
+float64 residuals, then with one longdouble residual at that float64
+solution and float64 residuals of the small correction to it
+(``_refine_side``).  All residuals are formed in matrix form, so neither
+Psi_s nor a new inverse is formed.  Where the held inverse stops contracting, or the
+certificate does not certify the loop stable, the evaluation falls back to
+the fresh path, which also reports the exact radius of a loop that is not
+stable.  Below HELD_INVERSE_MIN_UNKNOWNS unknowns every evaluation is
+fresh.
 
 Stability is decided without eigenvalues where possible.  Psi maps positive
 semidefinite matrices to positive semidefinite ones, so the positive-operator
@@ -122,8 +126,8 @@ COST_DUALITY_TOL = 1e-9
 # same solve (``evaluate``).  Below it an inverse is cheaper than
 # refinement steps in Python.  Measured crossover, PI solves of the
 # benchmark's synthetic instances on one BLAS thread: fresh inverses win at
-# n = 7 (105 unknowns, 21-30 ms against 31-38 ms), the held one from n = 8
-# (136 unknowns, 32-44 ms against 48-53 ms).
+# n = 7 (105 unknowns, 18-22 ms against 20-29 ms), the held one from n = 8
+# (136 unknowns, 22-25 ms against 31-34 ms).
 HELD_INVERSE_MIN_UNKNOWNS = 136
 # Refinement against a held inverse, relative to the largest entry: the
 # certificate's candidate need not be accurate; the float64 residual steps
@@ -401,7 +405,7 @@ def _operator_blocks(aug: AugmentedClosedLoop, value: bool, dtype=np.longdouble)
     and r and c swap, so an operator is applied in matrix form, without a
     Kronecker product.  Extended-precision residuals take the default
     longdouble terms; the float64 ones serve the cheap first steps of a
-    refinement against a held inverse (``_solve_against``).
+    refinement against a held inverse (``_evaluate_against``).
     """
     full = slice(0, aug.dim)
     return [
@@ -508,47 +512,90 @@ def _solve_side(aug: AugmentedClosedLoop, inv: np.ndarray, side: str) -> np.ndar
     result is rounded to float64.  An inverse is not backward stable, but
     refinement with accurate residuals restores the accuracy of a
     backward-stable solve while cond(I - Psi_s) * eps_float64 is well below
-    one.  The result is within one ulp per entry of the extended-precision
-    solution while cond(I - Psi_s) stays well below
-    eps_float64 / eps_longdouble (about 2000 with 80-bit longdouble), as at
-    radius 0.984, where the condition number is 300.  Closer to the
-    boundary the error grows with cond(I - Psi_s) * eps_longdouble relative
-    to the norm of the solution: 5.6 ulps (value side) and 5.5 ulps
-    (covariance side) at radius 0.99987, where it is 3.7e4.
+    one.  The result is within one float64 ulp of its largest entry of the
+    extended-precision solution, entry by entry, while cond(I - Psi_s)
+    stays well below eps_float64 / eps_longdouble (about 2000 with 80-bit
+    longdouble), as at radius 0.984, where the condition number is 300.
+    The bound is norm-wise: a small entry can be several of its own ulps
+    off, as on the converged loop of the benchmark's n=10 instance (radius
+    0.671, condition number 14.5), where 2 of the 400 entries of P' are
+    more than one of their own ulps off (the worst 2.3, at an entry of
+    1.9e-4 against a largest entry of 4.28), and the largest error is 0.31
+    ulp of the largest entry.  Closer to the boundary the error grows with
+    cond(I - Psi_s) * eps_longdouble relative to the norm of the solution:
+    5.6 ulps (value side) and 5.5 ulps (covariance side) at radius
+    0.99987, where it is 3.7e4.
     """
     b, omega, residual = _side_system(aug, side)
     y = solve_linear_extended(inv if side == "value" else inv.T, b, residual)
     return _unhvec(y / omega, aug.dim).astype(np.float64)
 
 
-def _solve_against(aug: AugmentedClosedLoop, held: np.ndarray) -> AugmentedSolution | None:
-    """Both sides of a loop refined against ``held``, the inverse of
-    I - Psi_s of another loop, or None when it does not serve.
-
-    The certificate's candidate X, solving X - Psi(X) = I, is refined with
-    float64 residuals to HELD_CANDIDATE_TOL; ``_positive_operator_test`` is
-    sound for any candidate, so the loop counts as stable only where it
-    returns True.  Each side is then refined with float64 residuals to
-    HELD_FLOAT64_TOL and with longdouble residuals until a correction is
-    within a float64 ulp of the largest entry.  None when the test does not
-    return True, or when a refinement stops contracting
+def _refine_side(
+    aug: AugmentedClosedLoop, side: str, inv: np.ndarray, start: np.ndarray
+) -> np.ndarray | None:
+    """P' or S', one side (``_side_system``) refined against ``inv``, an
+    approximate inverse of its matrix A, from the symmetric ``start``
+    (left unchanged); None where a refinement stops contracting
     (``refine_until``).
+
+    Float64 residuals bring the unknown y to HELD_FLOAT64_TOL.  Then
+    r0 = b - A y is computed once, in longdouble, and the correction delta
+    solving A delta = r0 is refined with float64 residuals r0 - A delta, applied
+    by the same operator with a zero right-hand side, until a correction
+    is within a float64 ulp of the largest entry of y.  The float64 error
+    of A delta, about eps_float64 * gain * ||delta|| with
+    ||delta|| <= HELD_FLOAT64_TOL ||y||, is far below the longdouble
+    rounding of r0, about eps_longdouble * gain * ||y||, so y + delta is
+    as accurate as a refinement with longdouble residuals throughout
+    (mixed-precision refinement; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 12).
     """
-    d = aug.dim
-    b, _, residual = _side_system(aug, "value", np.eye(d))
-    x = refine_until(held, held @ b, residual, HELD_CANDIDATE_TOL)
+    _, omega, residual = _side_system(aug, side)
+    y = refine_until(inv, omega * _hvec(start), residual, HELD_FLOAT64_TOL)
+    if y is None:
+        return None
+    r0 = residual(y.astype(np.longdouble)).astype(np.float64)
+    _, _, minus_operator = _side_system(aug, side, np.zeros((aug.dim, aug.dim)))
+    delta = refine_until(
+        inv,
+        np.zeros_like(y),
+        lambda dy: r0 + minus_operator(dy),
+        np.finfo(np.float64).eps,
+        float(np.max(np.abs(y))),
+    )
+    if delta is None:
+        return None
+    return _unhvec((y.astype(np.longdouble) + delta) / omega, aug.dim).astype(np.float64)
+
+
+def _evaluate_against(aug: AugmentedClosedLoop, prior: "Evaluation") -> "Evaluation | None":
+    """The evaluation of a loop refined against the held inverse of
+    ``prior``, an earlier evaluation of the same solve, and warm-started
+    from its candidate, P' and S'; None when the held inverse does not
+    serve.
+
+    The certificate's candidate X, solving X - Psi(X) = I, is refined
+    with float64 residuals to HELD_CANDIDATE_TOL;
+    ``_positive_operator_test`` is sound for any candidate, so the loop
+    counts as stable only where it returns True.  Each side is then
+    refined by ``_refine_side``.  None when the test does not return
+    True, or when a refinement stops contracting (``refine_until``).
+    ``prior`` is left unchanged: every start is a copy.
+    """
+    d, held = aug.dim, prior.inv
+    _, _, residual = _side_system(aug, "value", np.eye(d))
+    x = refine_until(held, prior.candidate.copy(), residual, HELD_CANDIDATE_TOL)
     if x is None or _positive_operator_test(aug, _unhvec(x, d)) is not True:
         return None
     sides = []
-    for side, inv in (("value", held), ("covariance", held.T)):
-        b, omega, residual = _side_system(aug, side)
-        y = refine_until(inv, inv @ b, residual, HELD_FLOAT64_TOL)
-        if y is not None:
-            y = refine_until(inv, y.astype(np.longdouble), residual, np.finfo(np.float64).eps)
-        if y is None:
+    starts = (("value", held, prior.solution.Pprime), ("covariance", held.T, prior.solution.Sprime))
+    for side, inv, start in starts:
+        M = _refine_side(aug, side, inv, start)
+        if M is None:
             return None
-        sides.append(_unhvec(y / omega, d).astype(np.float64))
-    return AugmentedSolution(*sides)
+        sides.append(M)
+    return Evaluation(aug, True, AugmentedSolution(*sides), held, x)
 
 
 @dataclass(eq=False)
@@ -556,11 +603,13 @@ class Evaluation:
     """One policy evaluation of a closed loop (``evaluate``).
 
     ``stable`` is the mean-square stability verdict.  A stable loop carries
-    its ``solution`` (P', S'), and ``inv`` is the inverse of I - Psi_s for
-    the next evaluation of the same solve to refine against, or None below
-    HELD_INVERSE_MIN_UNKNOWNS.  ``exact_radius`` holds the spectral radius
-    once it has been computed: by the fallback when the positive-operator
-    test cannot decide, or on request by ``radius()``.  Only a loop that is
+    its ``solution`` (P', S'), its certificate's ``candidate`` hvec(X) for
+    X - Psi(X) = I, and ``inv``, the inverse of I - Psi_s, or None below
+    HELD_INVERSE_MIN_UNKNOWNS: the next evaluation of the same solve
+    refines against ``inv`` from ``candidate`` and ``solution``.
+    ``exact_radius`` holds the spectral radius once it has been computed:
+    by the fallback when the positive-operator test cannot decide, or on
+    request by ``radius()``.  Only a loop that is
     not stable keeps Psi_s (``psi``), for its radius.
     """
 
@@ -568,6 +617,7 @@ class Evaluation:
     stable: bool
     solution: AugmentedSolution | None = None
     inv: np.ndarray | None = None
+    candidate: np.ndarray | None = None
     psi: np.ndarray | None = None
     exact_radius: float | None = None
 
@@ -599,14 +649,15 @@ class Evaluation:
         return self.solution
 
 
-def evaluate(aug: AugmentedClosedLoop, held: np.ndarray | None = None) -> Evaluation:
+def evaluate(aug: AugmentedClosedLoop, prior: Evaluation | None = None) -> Evaluation:
     """Evaluate the policy of a closed loop: its mean-square stability and,
     when it is stable, both sides (P', S').  Never raises NotMsStable.
 
-    From HELD_INVERSE_MIN_UNKNOWNS unknowns on, ``held``, the ``inv`` of an
-    earlier evaluation of the same solve, is tried first
-    (``_solve_against``) and held again where it serves.  Otherwise Psi_s
-    is built and I - Psi_s inverted once.  The positive-operator test's
+    From HELD_INVERSE_MIN_UNKNOWNS unknowns on, the ``inv`` of ``prior``,
+    an earlier evaluation of the same solve, is tried first, warm-started
+    from ``prior`` (``_evaluate_against``), and held again where it
+    serves; ``prior`` is left unchanged.  Otherwise Psi_s is built and
+    I - Psi_s inverted once.  The positive-operator test's
     candidate is X = (I - Psi_s)^-1 hvec(I); when the inverse fails or the
     test cannot decide, the loop is stable iff its exact spectral radius
     is below 1 - STABILITY_MARGIN.  A stable loop is solved on both sides
@@ -616,15 +667,16 @@ def evaluate(aug: AugmentedClosedLoop, held: np.ndarray | None = None) -> Evalua
     """
     d = aug.dim
     hold = d * (d + 1) // 2 >= HELD_INVERSE_MIN_UNKNOWNS
-    if hold and held is not None:
-        sol = _solve_against(aug, held)
-        if sol is not None:
-            return Evaluation(aug, True, sol, held)
+    if hold and prior is not None and prior.inv is not None:
+        evaluation = _evaluate_against(aug, prior)
+        if evaluation is not None:
+            return evaluation
     psi = build_second_moment_matrix(aug, "value")
     inv = _inverse(np.eye(psi.shape[0]) - psi)
-    verdict = radius = None
+    verdict = radius = candidate = None
     if inv is not None:
-        verdict = _positive_operator_test(aug, _unhvec(inv @ _hvec(np.eye(d)), d))
+        candidate = inv @ _hvec(np.eye(d))
+        verdict = _positive_operator_test(aug, _unhvec(candidate, d))
     if verdict is None:
         radius = spectral_radius(psi)
         verdict = radius < 1.0 - STABILITY_MARGIN
@@ -634,7 +686,7 @@ def evaluate(aug: AugmentedClosedLoop, held: np.ndarray | None = None) -> Evalua
     if inv is None:
         raise la.LinAlgError("I - Psi_s of a loop inside the stability margin is singular")
     sol = AugmentedSolution(_solve_side(aug, inv, "value"), _solve_side(aug, inv, "covariance"))
-    return Evaluation(aug, True, sol, inv if hold else None, exact_radius=radius)
+    return Evaluation(aug, True, sol, inv if hold else None, candidate, exact_radius=radius)
 
 
 def solve_lyapunov(aug: AugmentedClosedLoop, side: str) -> np.ndarray:

@@ -248,19 +248,19 @@ def riccati_residual(X: ValueCovarianceTuple, problem: ProblemInstance) -> Ricca
     )
 
 
-def _finalize_report(problem, X_star, history, tuples, method, held=None):
+def _finalize_report(problem, X_star, history, tuples, method, prior=None):
     """Build the report fields shared by both solvers.
 
     The reported controller is recomputed from the converged X via
     gain_operators, so the report's gains and the gain operators agree
-    exactly; its cost is that of its evaluation (``moments.evaluate``,
-    against PI's ``held`` inverse where it serves), with the duality
+    exactly; its cost is that of its evaluation (``moments.evaluate``, from
+    PI's last evaluation, ``prior``, where it serves), with the duality
     cross-check.
     """
     A, B, C = problem.system.A, problem.system.B, problem.system.C
     K, L = gain_operators(X_star, problem)
     ctrl = Controller(A + B @ K - L @ C, K, L)
-    cost = moments.evaluate(moments.build_augmented(problem, ctrl), held).cost()
+    cost = moments.evaluate(moments.build_augmented(problem, ctrl), prior).cost()
     residual_norm = riccati_residual(X_star, problem).max_norm()
     return SolveReport(
         controller=ctrl,
@@ -325,9 +325,9 @@ def policy_iteration_solve(
     With ``initial`` None the solve starts from the policy that
     ``stabilizing_initial_controller`` returns, and from the evaluation
     that chose it, so its first loop is evaluated once; the history's
-    seconds then include that choice.  Each evaluation passes its ``inv``
-    to the next, which refines against it and inverts afresh only where
-    it stops contracting.
+    seconds then include that choice.  Each evaluation is passed to the
+    next, which refines against its inverse, from its solution, and
+    inverts afresh only where that stops contracting.
 
     The initial policy must be mean-square stabilizing
     (InitialPolicyNotStabilizing otherwise), and so must every improved
@@ -348,7 +348,7 @@ def policy_iteration_solve(
     previous: ValueCovarianceTuple | None = None
     for k in range(max_iter + 1):
         if k > 0:
-            evaluation = moments.evaluate(aug, evaluation.inv)
+            evaluation = moments.evaluate(aug, evaluation)
             if not evaluation.stable:
                 raise IterateNotStabilizing(k, evaluation.radius())
         X = moments.extract_tuple(evaluation.solution)
@@ -357,7 +357,7 @@ def policy_iteration_solve(
         history.append(HistoryEntry(delta, time.perf_counter() - start))
         if delta is not None and _step_converged(delta, X.max_norm(), tol):
             return _finalize_report(
-                problem, X, history, tuples, "policy_iteration", evaluation.inv
+                problem, X, history, tuples, "policy_iteration", evaluation
             )
         K, L = gain_operators(X, problem)
         aug = moments.build_augmented(problem, Controller(A + B @ K - L @ C, K, L))

@@ -1,12 +1,13 @@
 """Policy evaluation against a held inverse of I - Psi_s
-(``moments.evaluate(aug, held)``), on the benchmark's n=10 synthetic
-instance.
+(``moments.evaluate(aug, prior)``), on the benchmark's n=10 synthetic
+instance and three more instances from 136 unknowns on.
 
-Above the cut-over, PI passes each ``Evaluation.inv`` to the next
-evaluation, which refines against it and inverts afresh only where it stops
-contracting; the tests compare it with the fresh path, forced by raising the
-cut-over or by passing no inverse.  PI's default start evaluates its first
-loop once, so a ``--init auto`` solve inverts once per distinct loop.
+Above the cut-over, PI passes each ``Evaluation`` to the next evaluation,
+which refines against its inverse, warm-started from its solution, and
+inverts afresh only where that stops contracting; the tests compare it with
+the fresh path, forced by raising the cut-over or by passing no prior.
+PI's default start evaluates its first loop once, so a ``--init auto``
+solve inverts once per distinct loop.
 """
 
 import importlib.util
@@ -19,6 +20,7 @@ import pytest
 
 import mnlqg
 from mnlqg import (
+    Controller,
     NoiseTerm,
     ProblemInstance,
     SystemModel,
@@ -33,25 +35,27 @@ from mnlqg import (
 from mnlqg.cli import main
 from mnlqg.exceptions import NotMsStable
 from mnlqg.moments import evaluate
+from mnlqg.riccati import gain_operators
 
 from conftest import assert_same_report
+from oracles import lyapunov_extended
 
 # cost of the benchmark's pi-large solve on the fresh path
 PI_LARGE_COST = 0.3215663851692543
 PI_LARGE_ITERATIONS = 10
 
 
-def _synthetic_problem(n):
+def _synthetic_problem(seed, n, noise_fraction):
     path = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
     spec = importlib.util.spec_from_file_location("perfbench_instances", path)
     instances = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(instances)
-    return instances.synthetic_problem(mnlqg, 11, n, 2, 2, 0.5)
+    return instances.synthetic_problem(mnlqg, seed, n, 2, 2, noise_fraction)
 
 
 @pytest.fixture(scope="module")
 def problem():
-    problem = _synthetic_problem(10)
+    problem = _synthetic_problem(11, 10, 0.5)
     assert 10 * 21 >= moments.HELD_INVERSE_MIN_UNKNOWNS
     return problem
 
@@ -92,6 +96,34 @@ def count_inversions(monkeypatch):
 
 def converged_loop(problem, report):
     return build_augmented(problem, report.controller)
+
+
+def loop_of(problem, X):
+    """The loop of the policy improved from X, as PI forms it."""
+    sys_ = problem.system
+    K, L = gain_operators(X, problem)
+    return build_augmented(problem, Controller(sys_.A + sys_.B @ K - L @ sys_.C, K, L))
+
+
+@pytest.fixture(scope="module")
+def previous_evaluation(problem, held_report):
+    """The evaluation of the loop before the converged one: the loop whose
+    (P', S') gave the solve's last iterate, and so the report's prior."""
+    return evaluate(loop_of(problem, held_report.solution_history[-2]))
+
+
+def count_longdouble_operators(monkeypatch):
+    """Counts the operator applications (``_add_operator``) to longdouble
+    matrices."""
+    calls = {"longdouble": 0}
+    add_operator = moments._add_operator
+
+    def counted(R, M, terms, sign=1.0):
+        calls["longdouble"] += M.dtype == np.longdouble
+        return add_operator(R, M, terms, sign)
+
+    monkeypatch.setattr(moments, "_add_operator", counted)
+    return calls
 
 
 class TestSamePathAsFreshInverses:
@@ -155,26 +187,26 @@ class TestFallback:
     def test_inverse_of_a_distant_loop_inverts_once(self, problem, held_report, monkeypatch):
         """The open loop's inverse does not contract on the converged
         policy's loop: one fresh inversion, and the fresh path's solution."""
-        held = evaluate(build_augmented(problem, open_loop_controller(problem))).inv
+        prior = evaluate(build_augmented(problem, open_loop_controller(problem)))
         aug = converged_loop(problem, held_report)
         expected = evaluate(aug).solution
         calls = count_inversions(monkeypatch)
-        evaluation = evaluate(aug, held)
+        evaluation = evaluate(aug, prior)
         sol, inv = evaluation.solution, evaluation.inv
         assert calls["inv"] == 1
-        assert inv is not held
+        assert inv is not prior.inv
         assert np.array_equal(sol.Pprime, expected.Pprime)
         assert np.array_equal(sol.Sprime, expected.Sprime)
 
     def test_inverse_of_a_near_loop_serves_without_inverting(self, problem, held_report, monkeypatch):
         aug = converged_loop(problem, held_report)
         fresh = evaluate(aug)
-        expected, held = fresh.solution, fresh.inv
+        expected = fresh.solution
         calls = count_inversions(monkeypatch)
-        evaluation = evaluate(aug, held)
+        evaluation = evaluate(aug, fresh)
         sol, inv = evaluation.solution, evaluation.inv
         assert calls == {"inv": 0, "build": 0}
-        assert inv is held
+        assert inv is fresh.inv
         for got, want in ((sol.Pprime, expected.Pprime), (sol.Sprime, expected.Sprime)):
             assert la.norm(got - want) <= 1e-14 * la.norm(want)
 
@@ -183,7 +215,7 @@ class TestFallback:
         returns True; otherwise the loop is inverted and decided afresh."""
         aug = converged_loop(problem, held_report)
         fresh = evaluate(aug)
-        expected, held = fresh.solution, fresh.inv
+        expected = fresh.solution
         certificate = moments._positive_operator_test
         verdicts = []
 
@@ -193,9 +225,9 @@ class TestFallback:
 
         monkeypatch.setattr(moments, "_positive_operator_test", undecided_first)
         calls = count_inversions(monkeypatch)
-        evaluation = evaluate(aug, held)
+        evaluation = evaluate(aug, fresh)
         sol, inv = evaluation.solution, evaluation.inv
-        assert verdicts == [True, True] and calls["inv"] == 1 and inv is not held
+        assert verdicts == [True, True] and calls["inv"] == 1 and inv is not fresh.inv
         assert np.array_equal(sol.Pprime, expected.Pprime)
         assert np.array_equal(sol.Sprime, expected.Sprime)
 
@@ -215,8 +247,8 @@ class TestFallback:
             problem.noise,
         )
         aug = build_augmented(noisy, open_loop_controller(noisy))
-        held = evaluate(converged_loop(problem, held_report)).inv
-        fresh_evaluation, refined_evaluation = evaluate(aug), evaluate(aug, held)
+        prior = evaluate(converged_loop(problem, held_report))
+        fresh_evaluation, refined_evaluation = evaluate(aug), evaluate(aug, prior)
         assert not fresh_evaluation.stable and not refined_evaluation.stable
         with pytest.raises(NotMsStable) as fresh:
             fresh_evaluation.cost()
@@ -233,7 +265,7 @@ class TestFallback:
         aug = converged_loop(problem, held_report)
         fresh = evaluate(aug)
         calls = count_inversions(monkeypatch)
-        evaluation = evaluate(aug, fresh.inv)
+        evaluation = evaluate(aug, fresh)
         assert evaluation.inv is fresh.inv and evaluation.psi is None
         assert calls == {"inv": 0, "build": 0}
         assert fresh.psi is None and fresh.exact_radius is None
@@ -241,15 +273,93 @@ class TestFallback:
         assert calls == {"inv": 0, "build": 2}
 
 
+class TestWarmStart:
+    def test_one_longdouble_residual_per_side(self, problem, held_report, previous_evaluation, monkeypatch):
+        """A held evaluation of the converged loop, from the loop before it,
+        applies the operator to longdouble matrices 3 times: the
+        certificate's residual and one residual per side."""
+        calls = count_longdouble_operators(monkeypatch)
+        evaluation = evaluate(converged_loop(problem, held_report), previous_evaluation)
+        assert evaluation.inv is previous_evaluation.inv
+        assert calls == {"longdouble": 3}
+
+    def test_longdouble_operators_per_solve(self, problem, monkeypatch):
+        """A --init auto solve: 5 longdouble applications for each of its 2
+        fresh evaluations (the certificate and 2 refinement steps per side)
+        and 3 for each of its 10 held ones."""
+        calls = count_longdouble_operators(monkeypatch)
+        report = policy_iteration_solve(problem)
+        assert report.iterations == PI_LARGE_ITERATIONS
+        assert calls["longdouble"] <= 40
+
+    def test_prior_is_left_unchanged(self, problem, held_report, previous_evaluation):
+        """The refinement adds in place, so it must start from copies of the
+        prior's arrays."""
+        prior = previous_evaluation
+        arrays = (prior.solution.Pprime, prior.solution.Sprime, prior.candidate, prior.inv)
+        before = [a.copy() for a in arrays]
+        evaluation = evaluate(converged_loop(problem, held_report), prior)
+        assert evaluation.inv is prior.inv
+        assert not np.shares_memory(evaluation.candidate, prior.candidate)
+        for a, b in zip(arrays, before):
+            assert a.tobytes() == b.tobytes()
+
+    def test_fresh_candidate_is_the_certificate_candidate(self, problem, held_report):
+        aug = converged_loop(problem, held_report)
+        fresh = evaluate(aug)
+        assert np.array_equal(fresh.candidate, fresh.inv @ moments._hvec(np.eye(aug.dim)))
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is float64 here, so the reference is no more precise",
+)
+def test_held_path_within_one_ulp_of_the_largest_entry(problem, held_report, previous_evaluation):
+    """The converged loop, evaluated from the loop before it: each side is
+    within one float64 ulp of its largest entry of the unrounded longdouble
+    solution (measured 0.33 ulp on the value side, 0.49 on the covariance
+    side)."""
+    aug = converged_loop(problem, held_report)
+    evaluation = evaluate(aug, previous_evaluation)
+    assert evaluation.inv is previous_evaluation.inv
+    for side, M in (("value", evaluation.solution.Pprime), ("covariance", evaluation.solution.Sprime)):
+        error = np.abs(M.astype(np.longdouble) - lyapunov_extended(aug, side))
+        assert np.max(error) <= np.spacing(np.max(np.abs(M))), side
+
+
+@pytest.mark.parametrize(
+    "seed, n, noise_fraction, iterations",
+    [
+        (11, 8, 0.5, 11),  # 136 unknowns, at the cut-over
+        (11, 10, 0.8, 11),  # higher noise
+        (12, 10, 0.5, 14),  # another seed
+    ],
+)
+def test_held_and_fresh_paths_agree(seed, n, noise_fraction, iterations, monkeypatch):
+    problem = _synthetic_problem(seed, n, noise_fraction)
+    assert n * (2 * n + 1) >= moments.HELD_INVERSE_MIN_UNKNOWNS
+    held = policy_iteration_solve(problem)
+    monkeypatch.setattr(moments, "HELD_INVERSE_MIN_UNKNOWNS", np.inf)
+    fresh = policy_iteration_solve(problem)
+    assert held.iterations == fresh.iterations == iterations
+    assert abs(held.cost - fresh.cost) <= 4 * np.spacing(fresh.cost)
+    for got, want in zip(held.solution_history, fresh.solution_history):
+        assert got.distance(want) <= 1e-14 * want.max_norm()
+
+
 class TestBelowTheCutOver:
     def test_small_loop_holds_no_inverse(self, monkeypatch):
-        """At n=2 (10 unknowns) a held inverse is ignored: the evaluation is
-        the fresh one, bit for bit, with one inversion."""
+        """At n=2 (10 unknowns) a prior's inverse is ignored: the evaluation
+        is the fresh one, bit for bit, with one inversion."""
         problem = pendulum_problem(0.05)
         aug = build_augmented(problem, stabilizing_initial_controller(problem))
         expected = evaluate(aug).solution
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moments, "HELD_INVERSE_MIN_UNKNOWNS", 0)
+            prior = evaluate(aug)
+        assert prior.inv is not None
         calls = count_inversions(monkeypatch)
-        evaluation = evaluate(aug, np.eye(10))
+        evaluation = evaluate(aug, prior)
         sol, inv = evaluation.solution, evaluation.inv
         assert inv is None and calls["inv"] == 1
         assert np.array_equal(sol.Pprime, expected.Pprime)

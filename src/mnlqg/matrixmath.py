@@ -5,12 +5,9 @@ import math
 import numpy as np
 import numpy.linalg as la
 
-# Refinement steps after the float64 solve in ``solve_linear_extended``: each
-# shrinks the error by about cond(A) * eps, so the second one matters for
-# loops near the stability boundary, where cond(I - Psi) grows.
-REFINE_STEPS = 2
-# ``refine_until`` gives up on an approximate inverse when a correction is
-# more than this fraction of the one before it, or after this many steps.
+# ``solve_linear_extended`` gives up on an approximate inverse when a
+# correction is more than this fraction of the one before it, or after this
+# many steps.
 REFINE_CONTRACTION = 0.25
 REFINE_MAX_STEPS = 40
 # Eigenvalue floors of ``is_positive_definite`` and ``is_positive_semidefinite``.
@@ -91,46 +88,27 @@ def psd_factor(M):
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def solve_linear_extended(inv, b, residual):
-    """Solve A x = b given the float64 inverse ``inv`` of A, then refine in
-    extended precision.
-
-    ``residual(x)`` returns b - A x in ``np.longdouble`` (80-bit on x86) for
-    the longdouble iterate ``x``; each refinement step adds ``inv`` times
-    that residual.  Mixed-precision iterative refinement (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, ch. 12): the error after a step
-    is (I - inv A) times the error before it, up to the rounding of the
-    residual, so refinement converges at the rate ||I - inv A|| for any
-    approximate inverse ``inv``.  For the float64 inverse of A itself that
-    rate is about cond(A) * eps: an inverse is not backward stable, but
-    each step shrinks the error down to one float64 ulp while
-    cond(A) * eps_longdouble stays well below eps_float64, and to about
-    cond(A) * eps_longdouble relative to ||x|| beyond that.  One inverse
-    serves any number of right-hand sides and steps, where each LAPACK
-    solve would factor A again.  Returns the longdouble solution after
-    REFINE_STEPS steps; ``refine_until`` takes as many as an approximate
-    inverse needs.
-    """
-    x = (inv @ b).astype(np.longdouble)
-    for _ in range(REFINE_STEPS):
-        x += inv @ residual(x).astype(np.float64)
-    return x
-
-
-def refine_until(inv, x, residual, tol, scale=None):
+def solve_linear_extended(inv, x, residual, tol, scale=None):
     """Refine ``x`` toward the solution of A x = b against an approximate
     inverse ``inv`` of A, until a correction is at most ``tol`` times
     ``scale``, by default the largest entry of ``x``.
 
     ``residual(x)`` returns b - A x in the dtype of ``x``; each step adds
-    ``inv`` times it, rounded to float64, to ``x`` in place.  The error
-    shrinks by about ||I - inv A|| per step (``solve_linear_extended``), so
-    successive corrections should shrink by at least that much.  Returns
-    None when one does not shrink to REFINE_CONTRACTION times the one
-    before it (for the first, times ``scale``), or after REFINE_MAX_STEPS
-    steps: the inverse is then too far from A's to pay, or the rounding of
-    the residual has stopped the progress.  A ``scale`` lets ``x`` be a
-    correction to a larger solution, starting from zero.
+    ``inv`` times it, rounded to float64, to ``x`` in place.  Iterative
+    refinement (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 12): the error after a step is (I - inv A) times the error before
+    it, up to the rounding of the residual, so successive corrections
+    shrink by about ||I - inv A||, which for the float64 inverse of A
+    itself is about cond(A) * eps.  One inverse serves any number of
+    right-hand sides and steps, where each LAPACK solve would factor A
+    again.  Returns None when a correction does not shrink to
+    REFINE_CONTRACTION times the one before it (for the first, times
+    ``scale``), or after REFINE_MAX_STEPS steps: the inverse is then too
+    far from A's to pay, or the rounding of the residual has stopped the
+    progress.  A ``scale`` lets ``x`` be a small correction to a larger
+    solution: refining the correction against a residual taken once in
+    ``np.longdouble`` gives the solution to extended precision
+    (``moments._refine_sides``).
     """
     previous = float(np.max(np.abs(x))) if scale is None else scale
     for _ in range(REFINE_MAX_STEPS):

@@ -51,19 +51,21 @@ an ``Evaluation``: the stability verdict, (P', S') of a stable loop, the
 inverse to hold, the exact radius on demand and the cost.  A fresh
 evaluation builds I - Psi_s once and inverts it once; the inverse serves
 the stability test and both equations (the covariance side with its
-transpose, for the unknown Omega hvec(S')), each solution refined with
-extended-precision residuals.  Policy iteration holds that inverse across
-the loops of one solve, passing each evaluation to the next as its
-``prior``.  Refinement against the inverse of another loop converges at
-the rate rho(I - inv_held (I - Psi_s)), which late in a solve, where the
-policy hardly moves, is far below one.  It starts from the prior's
-certificate candidate, P' and S', which late in a solve are within
-rounding of the new ones (a warm start, as in inexact Newton-Kleinman
-methods).  The candidate is refined with float64 residuals; each side with
-float64 residuals, then with one longdouble residual at that float64
-solution and float64 residuals of the small correction to it
-(``_refine_side``).  All residuals are formed in matrix form, so neither
-Psi_s nor a new inverse is formed.  Where the held inverse stops contracting, or the
+transpose, for the unknown Omega hvec(S')).  Policy iteration holds that
+inverse across the loops of one solve, passing each evaluation to the next
+as its ``prior``; refinement against the inverse of another loop converges
+at the rate rho(I - inv_held (I - Psi_s)), which late in a solve, where the
+policy hardly moves, is far below one.  Both paths solve the two sides
+with one refinement (``_refine_sides``) that differs only in its start: a
+fresh evaluation starts cold from inv @ b, already at float64 accuracy; a
+held one warm-starts from the prior's P' and S', which late in a solve are
+within rounding of the new ones (as in inexact Newton-Kleinman methods),
+and takes float64 residual steps first.  Then one longdouble residual at
+the float64 solution and float64 residuals of the small correction to it
+bring the side to extended-precision accuracy.  The held path also refines
+the certificate candidate from the prior's, with float64 residuals.  All
+residuals are formed in matrix form, so the held path forms neither Psi_s
+nor a new inverse.  Where the held inverse stops contracting, or the
 certificate does not certify the loop stable, the evaluation falls back to
 the fresh path, which also reports the exact radius of a loop that is not
 stable.  Below HELD_INVERSE_MIN_UNKNOWNS unknowns every evaluation is
@@ -89,13 +91,7 @@ import numpy as np
 import numpy.linalg as la
 
 from .exceptions import DualityViolation, EigenvalueFailure, NotMsStable
-from .matrixmath import (
-    frobenius,
-    frobenius_norm,
-    refine_until,
-    solve_linear_extended,
-    symmetrize,
-)
+from .matrixmath import frobenius, frobenius_norm, solve_linear_extended, symmetrize
 from .model import Controller, ProblemInstance
 
 __all__ = [
@@ -125,9 +121,10 @@ COST_DUALITY_TOL = 1e-9
 # augmented state, hold their inverse of I - Psi_s for the next loop of the
 # same solve (``evaluate``).  Below it an inverse is cheaper than
 # refinement steps in Python.  Measured crossover, PI solves of the
-# benchmark's synthetic instances on one BLAS thread: fresh inverses win at
-# n = 7 (105 unknowns, 18-22 ms against 20-29 ms), the held one from n = 8
-# (136 unknowns, 22-25 ms against 31-34 ms).
+# benchmark's synthetic instances on one BLAS thread, medians of three runs
+# alternating the two paths: fresh inverses win at n = 7 (105 unknowns,
+# 32-45 ms against 34-45 ms), the held one from n = 8 (136 unknowns,
+# 20-35 ms against 31-52 ms).
 HELD_INVERSE_MIN_UNKNOWNS = 136
 # Refinement against a held inverse, relative to the largest entry: the
 # certificate's candidate need not be accurate; the float64 residual steps
@@ -404,8 +401,8 @@ def _operator_blocks(aug: AugmentedClosedLoop, value: bool, dtype=np.longdouble)
     (``_lift_blocks``).  On the covariance side the pairs are transposed
     and r and c swap, so an operator is applied in matrix form, without a
     Kronecker product.  Extended-precision residuals take the default
-    longdouble terms; the float64 ones serve the cheap first steps of a
-    refinement against a held inverse (``_evaluate_against``).
+    longdouble terms; the float64 ones serve the cheap steps of a
+    refinement (``_refine_sides``, ``_evaluate_against``).
     """
     full = slice(0, aug.dim)
     return [
@@ -473,15 +470,18 @@ def _inverse(M: np.ndarray) -> np.ndarray | None:
 
 
 def _side_system(aug: AugmentedClosedLoop, side: str, rhs=None):
-    """(b, omega, residual) of one side on the symmetric subspace.
+    """(b, omega, residual, minus_operator) of one side on the symmetric
+    subspace.
 
     The value side solves (I - Psi_s) hvec(P') = hvec(Q').  The covariance
     side solves (I - Psi_s).T y = Omega hvec(W') for y = Omega hvec(S'),
     since I - Gamma_s = Omega^-1 (I - Psi_s).T Omega; the factors of Omega
     are 1 and 2, so the scaling is exact, and the inverse of the
     transpose is the transpose of the inverse.  ``rhs`` replaces Q' or W'.
-    ``residual(y)`` returns b - A y in the dtype of ``y``, float64 or
-    longdouble, applying the operator in matrix form (``_add_operator``).
+    ``residual(y)`` returns b - A y and ``minus_operator(y)`` returns -A y,
+    the residual with a zero right-hand side, in the dtype of ``y``,
+    float64 or longdouble, applying the operator in matrix form
+    (``_add_operator``) with terms built once per dtype.
     """
     value = side == "value"
     if rhs is None:
@@ -490,83 +490,74 @@ def _side_system(aug: AugmentedClosedLoop, side: str, rhs=None):
     omega = 1.0 if value else _half_indices(d).omega
     by_dtype = {}  # (rhs, terms) per dtype, built on first use
 
-    def residual(y):
+    def apply(y, zero_rhs):
         if y.dtype not in by_dtype:
             by_dtype[y.dtype] = rhs.astype(y.dtype), _operator_blocks(aug, value, y.dtype.type)
         rhs_t, terms = by_dtype[y.dtype]
         M = _unhvec(y / omega, d)
-        return omega * _hvec(_add_operator(rhs_t - M, M, terms))
+        return omega * _hvec(_add_operator((0.0 if zero_rhs else rhs_t) - M, M, terms))
 
-    return omega * _hvec(rhs), omega, residual
-
-
-def _solve_side(aug: AugmentedClosedLoop, inv: np.ndarray, side: str) -> np.ndarray:
-    """Solve one side (``_side_system``) given (I - Psi_s)^-1, with
-    REFINE_STEPS longdouble residual steps (``solve_linear_extended``).
-
-    The dense system on the symmetric subspace (n(2n+1) unknowns, the lower
-    triangle of P' or S') is solved with the float64 inverse of I - Psi_s
-    that ``evaluate`` formed for its stability test, or on the covariance side with its
-    transpose and the diagonal scaling Omega (see the module docstring), and
-    refined with residuals in extended precision; the exactly symmetric
-    result is rounded to float64.  An inverse is not backward stable, but
-    refinement with accurate residuals restores the accuracy of a
-    backward-stable solve while cond(I - Psi_s) * eps_float64 is well below
-    one.  The result is within one float64 ulp of its largest entry of the
-    extended-precision solution, entry by entry, while cond(I - Psi_s)
-    stays well below eps_float64 / eps_longdouble (about 2000 with 80-bit
-    longdouble), as at radius 0.984, where the condition number is 300.
-    The bound is norm-wise: a small entry can be several of its own ulps
-    off, as on the converged loop of the benchmark's n=10 instance (radius
-    0.671, condition number 14.5), where 2 of the 400 entries of P' are
-    more than one of their own ulps off (the worst 2.3, at an entry of
-    1.9e-4 against a largest entry of 4.28), and the largest error is 0.31
-    ulp of the largest entry.  Closer to the boundary the error grows with
-    cond(I - Psi_s) * eps_longdouble relative to the norm of the solution:
-    5.6 ulps (value side) and 5.5 ulps (covariance side) at radius
-    0.99987, where it is 3.7e4.
-    """
-    b, omega, residual = _side_system(aug, side)
-    y = solve_linear_extended(inv if side == "value" else inv.T, b, residual)
-    return _unhvec(y / omega, aug.dim).astype(np.float64)
+    return omega * _hvec(rhs), omega, lambda y: apply(y, False), lambda y: apply(y, True)
 
 
-def _refine_side(
-    aug: AugmentedClosedLoop, side: str, inv: np.ndarray, start: np.ndarray
-) -> np.ndarray | None:
-    """P' or S', one side (``_side_system``) refined against ``inv``, an
-    approximate inverse of its matrix A, from the symmetric ``start``
-    (left unchanged); None where a refinement stops contracting
-    (``refine_until``).
+def _refine_sides(
+    aug: AugmentedClosedLoop, inv: np.ndarray, start: AugmentedSolution | None = None
+) -> AugmentedSolution | None:
+    """(P', S'), each side (``_side_system``) refined against ``inv``, an
+    approximate inverse of I - Psi_s (its transpose on the covariance side);
+    None where a refinement stops contracting (``solve_linear_extended``).
 
-    Float64 residuals bring the unknown y to HELD_FLOAT64_TOL.  Then
+    Each side reaches a float64 solution y: from the warm ``start``, an
+    earlier loop's solution (left unchanged), by float64 residual steps to
+    HELD_FLOAT64_TOL; cold, without a ``start``, as inv @ b, already at
+    float64 accuracy when ``inv`` is I - Psi_s's own inverse.  Then
     r0 = b - A y is computed once, in longdouble, and the correction delta
-    solving A delta = r0 is refined with float64 residuals r0 - A delta, applied
-    by the same operator with a zero right-hand side, until a correction
-    is within a float64 ulp of the largest entry of y.  The float64 error
-    of A delta, about eps_float64 * gain * ||delta|| with
-    ||delta|| <= HELD_FLOAT64_TOL ||y||, is far below the longdouble
-    rounding of r0, about eps_longdouble * gain * ||y||, so y + delta is
-    as accurate as a refinement with longdouble residuals throughout
-    (mixed-precision refinement; Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 12).
+    solving A delta = r0 is refined from inv @ r0 with float64 residuals
+    r0 - A delta until a correction is within a float64 ulp of the largest
+    entry of y.  The float64 error of A delta, about
+    eps_float64 * gain * ||delta||, is far below the longdouble rounding of
+    r0, about eps_longdouble * gain * ||y||, while ||delta|| is far below
+    ||y||, so y + delta is as accurate as a refinement with longdouble
+    residuals throughout (mixed-precision refinement; Higham, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 12), at one longdouble
+    operator application per side.
+
+    The exactly symmetric result is within one float64 ulp of its largest
+    entry of the extended-precision solution while cond(I - Psi_s) stays
+    well below eps_float64 / eps_longdouble (about 2000 with 80-bit
+    longdouble), as at radius 0.984, where it is 300.  The bound is
+    norm-wise: on the converged loop of the benchmark's n=10 instance
+    (radius 0.671, condition number 14.5) the cold start's largest error
+    is 0.32 ulp of the largest entry, while 2 of the 400 entries of P' are
+    more than one of their own ulps off (the worst 11, at an entry of
+    1.9e-4).  Closer to the boundary the error grows with
+    cond(I - Psi_s) * eps_longdouble relative to the norm of the solution:
+    at radius 0.99987, where it is 3.7e4, up to 5.3 ulps of an entry on
+    the value side and 3.6 on the covariance side.
     """
-    _, omega, residual = _side_system(aug, side)
-    y = refine_until(inv, omega * _hvec(start), residual, HELD_FLOAT64_TOL)
-    if y is None:
-        return None
-    r0 = residual(y.astype(np.longdouble)).astype(np.float64)
-    _, _, minus_operator = _side_system(aug, side, np.zeros((aug.dim, aug.dim)))
-    delta = refine_until(
-        inv,
-        np.zeros_like(y),
-        lambda dy: r0 + minus_operator(dy),
-        np.finfo(np.float64).eps,
-        float(np.max(np.abs(y))),
-    )
-    if delta is None:
-        return None
-    return _unhvec((y.astype(np.longdouble) + delta) / omega, aug.dim).astype(np.float64)
+    sides = []
+    starts = (None, None) if start is None else (start.Pprime, start.Sprime)
+    for side, side_inv, M in zip(("value", "covariance"), (inv, inv.T), starts):
+        b, omega, residual, minus_operator = _side_system(aug, side)
+        if M is None:
+            y = side_inv @ b
+        else:
+            y = solve_linear_extended(side_inv, omega * _hvec(M), residual, HELD_FLOAT64_TOL)
+            if y is None:
+                return None
+        r0 = residual(y.astype(np.longdouble)).astype(np.float64)
+        delta = solve_linear_extended(
+            side_inv,
+            side_inv @ r0,
+            lambda dy: r0 + minus_operator(dy),
+            np.finfo(np.float64).eps,
+            float(np.max(np.abs(y))),
+        )
+        if delta is None:
+            return None
+        x = (y.astype(np.longdouble) + delta) / omega
+        sides.append(_unhvec(x, aug.dim).astype(np.float64))
+    return AugmentedSolution(*sides)
 
 
 def _evaluate_against(aug: AugmentedClosedLoop, prior: "Evaluation") -> "Evaluation | None":
@@ -578,24 +569,19 @@ def _evaluate_against(aug: AugmentedClosedLoop, prior: "Evaluation") -> "Evaluat
     The certificate's candidate X, solving X - Psi(X) = I, is refined
     with float64 residuals to HELD_CANDIDATE_TOL;
     ``_positive_operator_test`` is sound for any candidate, so the loop
-    counts as stable only where it returns True.  Each side is then
-    refined by ``_refine_side``.  None when the test does not return
-    True, or when a refinement stops contracting (``refine_until``).
-    ``prior`` is left unchanged: every start is a copy.
+    counts as stable only where it returns True.  Both sides are then
+    refined from ``prior.solution`` (``_refine_sides``).  None when the
+    test does not return True, or when a refinement stops contracting
+    (``solve_linear_extended``).  ``prior`` is left unchanged: every start
+    is a copy.
     """
     d, held = aug.dim, prior.inv
-    _, _, residual = _side_system(aug, "value", np.eye(d))
-    x = refine_until(held, prior.candidate.copy(), residual, HELD_CANDIDATE_TOL)
+    _, _, residual, _ = _side_system(aug, "value", np.eye(d))
+    x = solve_linear_extended(held, prior.candidate.copy(), residual, HELD_CANDIDATE_TOL)
     if x is None or _positive_operator_test(aug, _unhvec(x, d)) is not True:
         return None
-    sides = []
-    starts = (("value", held, prior.solution.Pprime), ("covariance", held.T, prior.solution.Sprime))
-    for side, inv, start in starts:
-        M = _refine_side(aug, side, inv, start)
-        if M is None:
-            return None
-        sides.append(M)
-    return Evaluation(aug, True, AugmentedSolution(*sides), held, x)
+    sol = _refine_sides(aug, held, prior.solution)
+    return None if sol is None else Evaluation(aug, True, sol, held, x)
 
 
 @dataclass(eq=False)
@@ -661,9 +647,10 @@ def evaluate(aug: AugmentedClosedLoop, prior: Evaluation | None = None) -> Evalu
     candidate is X = (I - Psi_s)^-1 hvec(I); when the inverse fails or the
     test cannot decide, the loop is stable iff its exact spectral radius
     is below 1 - STABILITY_MARGIN.  A stable loop is solved on both sides
-    with that inverse (``_solve_side``), which the evaluation holds from
-    the cut-over on; a loop decided stable by its radius whose I - Psi_s
-    LAPACK cannot invert raises ``LinAlgError``.
+    with that inverse from the cold start (``_refine_sides``), and the
+    evaluation holds it from the cut-over on.  A loop decided stable by
+    its radius whose I - Psi_s LAPACK cannot invert, or whose refinement
+    stops contracting, raises ``LinAlgError``.
     """
     d = aug.dim
     hold = d * (d + 1) // 2 >= HELD_INVERSE_MIN_UNKNOWNS
@@ -685,7 +672,9 @@ def evaluate(aug: AugmentedClosedLoop, prior: Evaluation | None = None) -> Evalu
     del psi  # a stable evaluation keeps no Psi_s, and the solves need none
     if inv is None:
         raise la.LinAlgError("I - Psi_s of a loop inside the stability margin is singular")
-    sol = AugmentedSolution(_solve_side(aug, inv, "value"), _solve_side(aug, inv, "covariance"))
+    sol = _refine_sides(aug, inv)
+    if sol is None:
+        raise la.LinAlgError("refinement against the inverse of I - Psi_s stopped contracting")
     return Evaluation(aug, True, sol, inv if hold else None, candidate, exact_radius=radius)
 
 

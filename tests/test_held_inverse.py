@@ -310,6 +310,30 @@ class TestWarmStart:
         assert np.array_equal(fresh.candidate, fresh.inv @ moments._hvec(np.eye(aug.dim)))
 
 
+class TestColdStart:
+    @pytest.fixture
+    def open_loop(self):
+        problem, _ = random_problem(7000)
+        return build_augmented(problem, open_loop_controller(problem))
+
+    def test_one_longdouble_residual_per_side(self, open_loop, monkeypatch):
+        """A fresh evaluation applies the operator to longdouble matrices 3
+        times, as a held one does (``TestWarmStart``): the certificate's
+        residual and one residual per side."""
+        calls = count_longdouble_operators(monkeypatch)
+        evaluation = evaluate(open_loop)
+        assert evaluation.stable and evaluation.exact_radius is None
+        assert calls == {"longdouble": 3}
+
+    def test_refinement_that_stops_contracting_raises(self, open_loop, monkeypatch):
+        """A negated inverse leaves the certificate undecided, so the radius
+        decides the loop stable; refining against it then diverges, which
+        raises like a singular I - Psi_s."""
+        monkeypatch.setattr(moments, "_inverse", lambda M: -la.inv(M))
+        with pytest.raises(la.LinAlgError, match="stopped contracting"):
+            evaluate(open_loop)
+
+
 @pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
     reason="np.longdouble is float64 here, so the reference is no more precise",

@@ -110,12 +110,12 @@ def solve_linear_extended(inv, x, residual, tol, scale=None):
     ``np.longdouble`` gives the solution to extended precision
     (``moments._refine_sides``).
     """
-    previous = float(np.max(np.abs(x))) if scale is None else scale
+    previous = float(abs(x).max()) if scale is None else scale
     for _ in range(REFINE_MAX_STEPS):
         dx = inv @ residual(x).astype(np.float64)
         x += dx
-        size = float(np.max(np.abs(dx)))
-        if size <= tol * (float(np.max(np.abs(x))) if scale is None else scale):
+        size = float(abs(dx).max())
+        if size <= tol * (float(abs(x).max()) if scale is None else scale):
             return x
         if not size <= REFINE_CONTRACTION * previous:
             return None

@@ -123,8 +123,8 @@ COST_DUALITY_TOL = 1e-9
 # refinement steps in Python.  Measured crossover, PI solves of the
 # benchmark's synthetic instances on one BLAS thread, medians of three runs
 # alternating the two paths: fresh inverses win at n = 7 (105 unknowns,
-# 32-45 ms against 34-45 ms), the held one from n = 8 (136 unknowns,
-# 20-35 ms against 31-52 ms).
+# 19-27 ms against 22-30 ms), the held one from n = 8 (136 unknowns,
+# 20-31 ms against 31-43 ms).
 HELD_INVERSE_MIN_UNKNOWNS = 136
 # Refinement against a held inverse, relative to the largest entry: the
 # certificate's candidate need not be accurate; the float64 residual steps
@@ -511,10 +511,11 @@ def _refine_sides(
     earlier loop's solution (left unchanged), by float64 residual steps to
     HELD_FLOAT64_TOL; cold, without a ``start``, as inv @ b, already at
     float64 accuracy when ``inv`` is I - Psi_s's own inverse.  Then
-    r0 = b - A y is computed once, in longdouble, and the correction delta
-    solving A delta = r0 is refined from inv @ r0 with float64 residuals
-    r0 - A delta until a correction is within a float64 ulp of the largest
-    entry of y.  The float64 error of A delta, about
+    r0 = b - A y is computed once, in longdouble.  The correction delta
+    solving A delta = r0 starts at inv @ r0, the first correction of a
+    refinement from zero; unless that is within a float64 ulp of the
+    largest entry of y, it is refined with float64 residuals r0 - A delta
+    until a correction is.  The float64 error of A delta, about
     eps_float64 * gain * ||delta||, is far below the longdouble rounding of
     r0, about eps_longdouble * gain * ||y||, while ||delta|| is far below
     ||y||, so y + delta is as accurate as a refinement with longdouble
@@ -528,14 +529,14 @@ def _refine_sides(
     longdouble), as at radius 0.984, where it is 300.  The bound is
     norm-wise: on the converged loop of the benchmark's n=10 instance
     (radius 0.671, condition number 14.5) the cold start's largest error
-    is 0.32 ulp of the largest entry, while 2 of the 400 entries of P' are
-    more than one of their own ulps off (the worst 11, at an entry of
+    is 0.31 ulp of the largest entry, while 2 of the 400 entries of P' are
+    more than one of their own ulps off (the worst 4.7, at an entry of
     1.9e-4).  Closer to the boundary the error grows with
     cond(I - Psi_s) * eps_longdouble relative to the norm of the solution:
     at radius 0.99987, where it is 3.7e4, up to 5.3 ulps of an entry on
     the value side and 3.6 on the covariance side.
     """
-    sides = []
+    eps, sides = np.finfo(np.float64).eps, []
     starts = (None, None) if start is None else (start.Pprime, start.Sprime)
     for side, side_inv, M in zip(("value", "covariance"), (inv, inv.T), starts):
         b, omega, residual, minus_operator = _side_system(aug, side)
@@ -545,17 +546,16 @@ def _refine_sides(
             y = solve_linear_extended(side_inv, omega * _hvec(M), residual, HELD_FLOAT64_TOL)
             if y is None:
                 return None
-        r0 = residual(y.astype(np.longdouble)).astype(np.float64)
-        delta = solve_linear_extended(
-            side_inv,
-            side_inv @ r0,
-            lambda dy: r0 + minus_operator(dy),
-            np.finfo(np.float64).eps,
-            float(np.max(np.abs(y))),
-        )
-        if delta is None:
-            return None
-        x = (y.astype(np.longdouble) + delta) / omega
+        y_ld = y.astype(np.longdouble)
+        r0 = residual(y_ld).astype(np.float64)
+        delta, scale = side_inv @ r0, float(abs(y).max())
+        if abs(delta).max() > eps * scale:
+            delta = solve_linear_extended(
+                side_inv, delta, lambda dy: r0 + minus_operator(dy), eps, scale
+            )
+            if delta is None:
+                return None
+        x = (y_ld + delta) / omega
         sides.append(_unhvec(x, aug.dim).astype(np.float64))
     return AugmentedSolution(*sides)
 

@@ -19,8 +19,10 @@ Psi_s and the extended-precision residuals with every noise lift over the
 whole augmented state, the references for the package's sums, which touch
 each lift's block only.  ``monte_carlo_cost_reference``
 simulates the raw system equations (x, y, u, xhat) one step at a time, the
-reference for the package's augmented-loop rollout; ``value_iteration_step``
-is the single update X <- X + R(X) that value iteration applies, and
+reference for the package's augmented-loop rollout; ``reference_residual``
+is the Riccati residual R(X) written out once more, every product in ``@``
+form, independent of the package's per-solve step; ``value_iteration_step`` the single
+update X <- X + R(X) that value iteration applies, and
 ``value_iteration_reference`` the plain loop of those updates, each through
 the symmetrizing constructor, with ``la.norm`` step sizes.
 ``critical_noise_scale_reference`` is the instance generator's
@@ -44,7 +46,6 @@ from mnlqg.riccati import (
     STEP_FLOOR_ULPS,
     VI_MAX_ITER,
     open_loop_controller,
-    riccati_residual,
 )
 
 
@@ -446,12 +447,79 @@ def monte_carlo_cost_reference(problem, ctrl, horizon, trials, seed):
     return RolloutEstimate(horizon, trials, seed, mean, stderr)
 
 
-def value_iteration_step(X, problem):
-    """One update X <- X + R(X), blockwise."""
-    R = riccati_residual(X, problem)
-    return ValueCovarianceTuple(
-        X.P + R.P, X.Phat + R.Phat, X.S + R.S, X.Shat + R.Shat
+def reference_gain_blocks(X, problem):
+    """(G_ux, G_uu, H_xy, H_yy, P + Phat, S + Shat): the gain blocks of G(X)
+    and H(X), each product evaluated left to right with ``@``, and the two
+    block sums the residual's noise terms take."""
+    sys = problem.system
+    A, B, C = sys.A, sys.B, sys.C
+    _, _, Qux, Quu = problem.q_blocks()
+    _, Wxy, _, Wyy = problem.w_blocks()
+
+    P_sum = X.P + X.Phat
+    Guu = Quu + B.T @ X.P @ B
+    for t in sys.noise_b:
+        Guu = Guu + t.sigma**2 * (t.pattern.T @ P_sum @ t.pattern)
+    Gux = Qux + B.T @ X.P @ A
+
+    S_sum = X.S + X.Shat
+    Hyy = Wyy + C @ X.S @ C.T
+    for t in sys.noise_c:
+        Hyy = Hyy + t.sigma**2 * (t.pattern @ S_sum @ t.pattern.T)
+    Hxy = Wxy + A @ X.S @ C.T
+    return Gux, Guu, Hxy, Hyy, P_sum, S_sum
+
+
+def reference_gains(X, problem):
+    """(K, L) = (-G_uu^{-1} G_ux, H_xy H_yy^{-1}) by ``la.solve``, with no
+    condition check: the package's checks only raise, they change no bit."""
+    Gux, Guu, Hxy, Hyy, _, _ = reference_gain_blocks(X, problem)
+    return -la.solve(Guu, Gux), la.solve(Hyy.T, Hxy.T).T
+
+
+def reference_residual(X, problem):
+    """R(X) as four symmetrized blocks (P, Phat, S, Shat), from the gain
+    blocks, the corners G_xx and H_xx, and the Schur complements -G_ux^T K
+    and L H_xy^T, every product in ``@`` form.  Bitwise the value
+    iteration's reference: the package's step must reproduce it."""
+    sys = problem.system
+    A, B, C = sys.A, sys.B, sys.C
+    Qxx = problem.q_blocks()[0]
+    Wxx = problem.w_blocks()[0]
+    Gux, Guu, Hxy, Hyy, P_sum, S_sum = reference_gain_blocks(X, problem)
+    K = -la.solve(Guu, Gux)
+    L = la.solve(Hyy.T, Hxy.T).T
+
+    Gxx = Qxx + A.T @ X.P @ A
+    for t in sys.noise_a:
+        Gxx = Gxx + t.sigma**2 * (t.pattern.T @ P_sum @ t.pattern)
+    for t in sys.noise_c:
+        LC = L @ t.pattern
+        Gxx = Gxx + t.sigma**2 * (LC.T @ X.Phat @ LC)
+
+    Hxx = Wxx + A @ X.S @ A.T
+    for t in sys.noise_a:
+        Hxx = Hxx + t.sigma**2 * (t.pattern @ S_sum @ t.pattern.T)
+    for t in sys.noise_b:
+        BK = t.pattern @ K
+        Hxx = Hxx + t.sigma**2 * (BK @ X.Shat @ BK.T)
+
+    Zg = -Gux.T @ K
+    Zh = L @ Hxy.T
+    ALC = A - L @ C
+    ABK = A + B @ K
+    return (
+        _symmetrize(-X.P + Gxx - Zg),
+        _symmetrize(-X.Phat + ALC.T @ X.Phat @ ALC + Zg),
+        _symmetrize(-X.S + Hxx - Zh),
+        _symmetrize(-X.Shat + ABK @ X.Shat @ ABK.T + Zh),
     )
+
+
+def value_iteration_step(X, problem):
+    """One update X <- X + R(X), blockwise, with R from ``reference_residual``."""
+    R = reference_residual(X, problem)
+    return ValueCovarianceTuple(*(x + r for x, r in zip(X.blocks(), R)))
 
 
 def value_iteration_reference(problem, tol=DEFAULT_TOL, max_iter=VI_MAX_ITER):

@@ -42,6 +42,9 @@ from oracles import (
     dare_filter_fixed_point,
     optimal_cost,
     q_matrices,
+    reference_gain_blocks,
+    reference_gains,
+    reference_residual,
     riccati_residual_full,
     scalar_noise_free_fixed_point,
     value_iteration_reference,
@@ -136,7 +139,40 @@ def three_state_noisy_problem():
     )
 
 
-ORACLE_CASES = [("random", seed) for seed in range(7000, 7010)] + [("three-state", 3)]
+def four_state_problem():
+    """n=4, m=2, p=2 instance with one A, B and C noise term each; A is
+    scaled to spectral radius 0.9."""
+    rng = np.random.default_rng(4)
+    n, m, p = 4, 2, 2
+    A = rng.standard_normal((n, n))
+    A *= 0.9 / max(abs(la.eigvals(A)))
+    system = SystemModel(
+        A=A,
+        B=rng.standard_normal((n, m)),
+        C=rng.standard_normal((p, n)),
+        noise_a=(NoiseTerm(0.4, rng.standard_normal((n, n)) / n),),
+        noise_b=(NoiseTerm(0.4, rng.standard_normal((n, m)) / n),),
+        noise_c=(NoiseTerm(0.4, rng.standard_normal((p, n)) / n),),
+    )
+    Q = rng.standard_normal((n + m, n + m))
+    W = rng.standard_normal((n + p, n + p))
+    return ProblemInstance(
+        system,
+        CostModel(Q @ Q.T + np.eye(n + m)),
+        NoiseModel(W=W @ W.T + np.eye(n + p), X0=np.zeros((n, n))),
+    )
+
+
+def oracle_problem(kind, seed):
+    if kind == "random":
+        return random_problem(seed)[0]
+    return three_state_noisy_problem() if kind == "three-state" else four_state_problem()
+
+
+ORACLE_CASES = [("random", seed) for seed in range(7000, 7010)] + [
+    ("three-state", 3),
+    ("four-state", 4),
+]
 
 
 class TestQOperators:
@@ -190,10 +226,7 @@ class TestQOperators:
 
     @pytest.mark.parametrize("kind, seed", ORACLE_CASES)
     def test_blocks_and_residual_match_full_matrix_oracle(self, kind, seed):
-        if kind == "random":
-            problem, _ = random_problem(seed)
-        else:
-            problem = three_state_noisy_problem()
+        problem = oracle_problem(kind, seed)
         n = problem.n
         rng = np.random.default_rng(seed)
         X = ValueCovarianceTuple(*(random_spd(rng, n) for _ in range(4)))
@@ -206,6 +239,24 @@ class TestQOperators:
         R = riccati_residual(X, problem)
         for block, expected in zip(R.blocks(), riccati_residual_full(X, problem)):
             assert rel_err(block, expected) <= 1e-13
+
+
+    @pytest.mark.parametrize("kind, seed", ORACLE_CASES)
+    def test_bitwise_equal_to_the_reference_residual(self, kind, seed):
+        """The per-solve step, with its shared products and ``.dot`` calls,
+        changes no bit of the ``@``-form gain blocks, gains and residual."""
+        problem = oracle_problem(kind, seed)
+        rng = np.random.default_rng(seed)
+        X = ValueCovarianceTuple(*(random_spd(rng, problem.n) for _ in range(4)))
+        q = q_operators(X, problem)
+        blocks = reference_gain_blocks(X, problem)[:4]
+        for got, want in zip((q.Gux, q.Guu, q.Hxy, q.Hyy), blocks):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(gain_operators(X, problem), reference_gains(X, problem)):
+            assert got.tobytes() == want.tobytes()
+        R = riccati_residual(X, problem)
+        for got, want in zip(R.blocks(), reference_residual(X, problem)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestRiccatiResidual:
@@ -291,13 +342,15 @@ VI_REFERENCE_CASES = [("random", seed) for seed in range(7000, 7020)] + [
     ("pendulum", 0.0),
     ("pendulum", 0.05),
     ("scalar", None),
+    ("three-state", 3),
+    ("four-state", 4),
 ]
 
 
 def vi_reference_problem(kind, arg):
-    if kind == "random":
-        return random_problem(arg)[0]
-    return pendulum_problem(arg) if kind == "pendulum" else make_scalar_problem()
+    if kind == "pendulum":
+        return pendulum_problem(arg)
+    return make_scalar_problem() if kind == "scalar" else oracle_problem(kind, arg)
 
 
 class TestValueIterationMatchesReference:

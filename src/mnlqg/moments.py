@@ -186,17 +186,13 @@ class ValueCovarianceTuple:
     def blocks(self):
         return (self.P, self.Phat, self.S, self.Shat)
 
-    def plus(self, other) -> "ValueCovarianceTuple":
-        """The tuple (P + other.P, ..., Shat + other.Shat) for an ``other``
-        with exactly symmetric float64 blocks, such as a Riccati residual.
-
-        A sum of exactly symmetric matrices is exactly symmetric, so the
-        sums are frozen as they are: ``symmetrize`` would change no bit of
-        a block whose entries stay below half the float64 maximum.
-        """
-        out = object.__new__(type(self))
-        for name in ("P", "Phat", "S", "Shat"):
-            M = getattr(self, name) + getattr(other, name)
+    @classmethod
+    def of_symmetric(cls, P, Phat, S, Shat) -> "ValueCovarianceTuple":
+        """The tuple of four exactly symmetric float64 blocks, frozen as they
+        are: ``symmetrize`` would change no bit of a block whose entries stay
+        below half the float64 maximum.  The blocks are made read-only."""
+        out = object.__new__(cls)
+        for name, M in zip(("P", "Phat", "S", "Shat"), (P, Phat, S, Shat)):
             M.setflags(write=False)
             object.__setattr__(out, name, M)
         return out

@@ -84,7 +84,7 @@ dense spectral radius computed.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -146,6 +146,8 @@ class AugmentedClosedLoop:
     lifts_a: tuple[tuple[float, np.ndarray], ...]
     lifts_b: tuple[tuple[float, np.ndarray], ...]
     lifts_c: tuple[tuple[float, np.ndarray], ...]
+    # operator terms per (side, dtype), each built on first use (``_terms``)
+    term_lists: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -407,6 +409,16 @@ def _operator_blocks(aug: AugmentedClosedLoop, value: bool, dtype=np.longdouble)
     ]
 
 
+def _terms(aug: AugmentedClosedLoop, value: bool, dtype=np.longdouble):
+    """``_operator_blocks(aug, value, dtype)``, built once per loop: the
+    certificate and both refinements of an evaluation share each list."""
+    key = (value, dtype)
+    terms = aug.term_lists.get(key)
+    if terms is None:
+        terms = aug.term_lists[key] = _operator_blocks(aug, value, dtype)
+    return terms
+
+
 def _add_operator(R, M, terms, sign=1.0):
     """R += sign op(M) in place, each term on its block (``_operator_blocks``).
 
@@ -440,7 +452,7 @@ def _positive_operator_test(aug: AugmentedClosedLoop, X: np.ndarray) -> bool | N
     if not np.all(np.isfinite(X)):
         return None
     X_ld = X.astype(np.longdouble)
-    R = _add_operator(X_ld.copy(), X_ld, _operator_blocks(aug, value=True), -1.0)
+    R = _add_operator(X_ld.copy(), X_ld, _terms(aug, True), -1.0)
     wX = la.eigvalsh(X)
     wR = la.eigvalsh(symmetrize(R).astype(np.float64))
     # ||X||_F + ||Psi(X)||_F <= gain * ||X||_F: the scale of the longdouble sum
@@ -477,21 +489,18 @@ def _side_system(aug: AugmentedClosedLoop, side: str, rhs=None):
     ``residual(y)`` returns b - A y and ``minus_operator(y)`` returns -A y,
     the residual with a zero right-hand side, in the dtype of ``y``,
     float64 or longdouble, applying the operator in matrix form
-    (``_add_operator``) with terms built once per dtype.
+    (``_add_operator``) with the loop's terms in that dtype (``_terms``).
     """
     value = side == "value"
     if rhs is None:
         rhs = aug.Qprime if value else aug.Wprime
     d = rhs.shape[0]
     omega = 1.0 if value else _half_indices(d).omega
-    by_dtype = {}  # (rhs, terms) per dtype, built on first use
 
     def apply(y, zero_rhs):
-        if y.dtype not in by_dtype:
-            by_dtype[y.dtype] = rhs.astype(y.dtype), _operator_blocks(aug, value, y.dtype.type)
-        rhs_t, terms = by_dtype[y.dtype]
         M = _unhvec(y / omega, d)
-        return omega * _hvec(_add_operator((0.0 if zero_rhs else rhs_t) - M, M, terms))
+        R = (0.0 if zero_rhs else rhs.astype(y.dtype, copy=False)) - M
+        return omega * _hvec(_add_operator(R, M, _terms(aug, value, y.dtype.type)))
 
     return omega * _hvec(rhs), omega, lambda y: apply(y, False), lambda y: apply(y, True)
 

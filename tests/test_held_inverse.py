@@ -10,6 +10,7 @@ PI's default start evaluates its first loop once, so a ``--init auto``
 solve inverts once per distinct loop.
 """
 
+import collections
 import importlib.util
 import json
 from pathlib import Path
@@ -284,13 +285,13 @@ class TestWarmStart:
         assert calls == {"longdouble": 3}
 
     def test_longdouble_operators_per_solve(self, problem, monkeypatch):
-        """A --init auto solve: 5 longdouble applications for each of its 2
-        fresh evaluations (the certificate and 2 refinement steps per side)
-        and 3 for each of its 10 held ones."""
+        """A --init auto solve: 3 longdouble applications (the certificate
+        and one residual per side) for each of its 2 fresh evaluations
+        (``TestColdStart``) and each of its 10 held ones."""
         calls = count_longdouble_operators(monkeypatch)
         report = policy_iteration_solve(problem)
         assert report.iterations == PI_LARGE_ITERATIONS
-        assert calls["longdouble"] <= 40
+        assert calls["longdouble"] == 36
 
     def test_prior_is_left_unchanged(self, problem, held_report, previous_evaluation):
         """The refinement adds in place, so it must start from copies of the
@@ -310,12 +311,13 @@ class TestWarmStart:
         assert np.array_equal(fresh.candidate, fresh.inv @ moments._hvec(np.eye(aug.dim)))
 
 
-class TestColdStart:
-    @pytest.fixture
-    def open_loop(self):
-        problem, _ = random_problem(7000)
-        return build_augmented(problem, open_loop_controller(problem))
+@pytest.fixture
+def open_loop():
+    problem, _ = random_problem(7000)
+    return build_augmented(problem, open_loop_controller(problem))
 
+
+class TestColdStart:
     def test_one_longdouble_residual_per_side(self, open_loop, monkeypatch):
         """A fresh evaluation applies the operator to longdouble matrices 3
         times, as a held one does (``TestWarmStart``): the certificate's
@@ -332,6 +334,58 @@ class TestColdStart:
         monkeypatch.setattr(moments, "_inverse", lambda M: -la.inv(M))
         with pytest.raises(la.LinAlgError, match="stopped contracting"):
             evaluate(open_loop)
+
+
+def count_term_builds(monkeypatch):
+    """Counts the operator-term lists (``_operator_blocks``) built, per
+    (value side, dtype)."""
+    calls = collections.Counter()
+    build = moments._operator_blocks
+
+    def counted(aug, value, dtype=np.longdouble):
+        calls[value, dtype] += 1
+        return build(aug, value, dtype)
+
+    monkeypatch.setattr(moments, "_operator_blocks", counted)
+    return calls
+
+
+class TestTermListsPerEvaluation:
+    """Each evaluation builds one operator-term list per side and dtype:
+    the certificate and the refinements of a side share it."""
+
+    def test_fresh_evaluation(self, open_loop, monkeypatch):
+        calls = count_term_builds(monkeypatch)
+        assert evaluate(open_loop).stable
+        assert calls == {(True, np.longdouble): 1, (False, np.longdouble): 1}
+
+    def test_held_evaluation(self, problem, held_report, previous_evaluation, monkeypatch):
+        calls = count_term_builds(monkeypatch)
+        evaluation = evaluate(converged_loop(problem, held_report), previous_evaluation)
+        assert evaluation.inv is previous_evaluation.inv
+        assert calls == {
+            (True, np.float64): 1,
+            (True, np.longdouble): 1,
+            (False, np.float64): 1,
+            (False, np.longdouble): 1,
+        }
+
+    def test_solve(self, problem, monkeypatch):
+        """Over a --init auto solve, no list is built twice for one loop."""
+        calls = count_term_builds(monkeypatch)
+        evaluations = []
+        evaluate_ = moments.evaluate
+
+        def counted(aug, prior=None):
+            evaluations.append(aug)
+            return evaluate_(aug, prior)
+
+        monkeypatch.setattr(moments, "evaluate", counted)
+        report = policy_iteration_solve(problem)
+        assert report.iterations == PI_LARGE_ITERATIONS
+        assert len(evaluations) == 12
+        assert calls[True, np.longdouble] == calls[False, np.longdouble] == 12
+        assert max(calls.values()) == 12
 
 
 @pytest.mark.skipif(

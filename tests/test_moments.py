@@ -744,7 +744,7 @@ class TestExtendedPrecisionAccuracy:
     their own ulps off.  On the instances here (radius up to 0.984) every
     entry is within one of its own ulps, which is what the tests assert.
     At radius 0.99987 it stays within the policy-iteration stopping floor
-    (riccati.STEP_FLOOR_ULPS), where 5.6 ulps (value) and 5.5 (covariance)
+    (riccati.STEP_FLOOR_ULPS), where 5.3 ulps (value) and 3.6 (covariance)
     are measured; the floor relies on evaluations this accurate."""
 
     @staticmethod
@@ -799,9 +799,9 @@ class TestExtendedPrecisionAccuracy:
 
     def test_within_the_stopping_floor_at_the_boundary(self):
         """At radius 0.99987, cond(I - Psi_s) is about 3.7e4 and one ulp is
-        out of reach (measured with the inverse of I - Psi_s: 5.6 ulps on
-        the value side, 5.5 on the covariance side); both stay below the
-        32-ulp stopping floor."""
+        out of reach (measured with the inverse of I - Psi_s and one
+        longdouble residual per side: 5.3 ulps on the value side, 3.6 on
+        the covariance side); both stay below the 32-ulp stopping floor."""
         from mnlqg.riccati import STEP_FLOOR_ULPS
 
         aug = six_state_loop(0.275)

@@ -16,10 +16,24 @@ L H_xy^T, give the fixed-point map; G and H are never assembled whole.  The
 residual R(X) stacks the four defining equations; X* solves R(X*) = 0 and
 the optimal compensator is (A + B K(X*) - L(X*) C, K(X*), L(X*)).
 
+The Riccati step (``_RiccatiStep``) is built once per solve: A, B, C and
+their transposes, the Q/W blocks and each noise term's (sigma^2, D, D^T).
+One pass forms the gain blocks, the gains, the corners and the residual
+blocks, taking the products B^T P and A S once each.  Products go through
+``ndarray.dot``: for 2-d float64 operands it reaches the same BLAS routine
+as ``@`` with the same operands, without the ufunc dispatch (0.43 us
+against 0.95 us at 2x2), and the results are bitwise equal, but that a
+zero product of two 1x1 matrices (n=1) can be -0.0 where ``@`` gives
++0.0.  The iterates start at +0.0 and absorb that sign.  At n=2 a step is
+per-call overhead: over the benchmark's 64 n=2 ``ensemble`` instances it
+takes about 65-70 us against 105-111 us with ``@`` and per-step set-up.
+``q_operators``, ``gain_operators`` and ``riccati_residual`` wrap the step.
+
 Two solvers are provided:
 
-* ``value_iteration_solve``: the contraction X <- X + R(X) from X = 0; needs
-  no stabilizing policy but converges at a linear rate.
+* ``value_iteration_solve``: the contraction X <- X + R(X) from X = 0,
+  taking each step and its norms in one pass; needs no stabilizing policy
+  but converges at a linear rate.
 * ``policy_iteration_solve``: alternates exact policy evaluation (via the
   generalized Lyapunov equations, ``moments.evaluate``) with the gain
   update; needs a mean-square stabilizing initial policy, chosen by
@@ -180,10 +194,10 @@ class _RiccatiStep:
 
     Holds A, B, C and their transposes, the Q/W blocks and each noise
     family's (sigma^2, D, D^T).  ``gain_blocks``, ``gains`` and ``residual``
-    evaluate every product left to right with ``ndarray.dot``, which reaches
-    the same BLAS call as ``@`` for these 2-d operands, so each result is
-    bitwise the ``@`` form; the products that form shares are taken once:
-    B^T P for G_uu and G_ux, A S for H_xy and H_xx.
+    evaluate every product left to right with ``ndarray.dot``, bitwise the
+    ``@`` form up to the sign of a zero at n=1 (module docstring); the
+    products that form shares are taken once: B^T P for G_uu and G_ux, A S
+    for H_xy and H_xx.
     """
 
     __slots__ = (
@@ -320,13 +334,6 @@ def _finalize_report(problem, X_star, history, tuples, method, prior=None):
     )
 
 
-def _squared_norm(M):
-    """The dot product of M's memory-order ravel with itself, whose square
-    root is ``frobenius_norm(M)``."""
-    x = M.ravel(order="K")
-    return x.dot(x)
-
-
 def value_iteration_solve(
     problem: ProblemInstance,
     tol: float = DEFAULT_TOL,
@@ -353,13 +360,13 @@ def value_iteration_solve(
             M_next *= 0.5
             M_next += M
             blocks.append(M_next)
-            steps.append(_squared_norm(M_next - M))
-            norms.append(_squared_norm(M_next))
+            steps.append(frobenius_norm(M_next - M))
+            norms.append(frobenius_norm(M_next))
         X = ValueCovarianceTuple.of_symmetric(*blocks)
-        delta = math.sqrt(max(steps))
+        delta = max(steps)
         history.append(HistoryEntry(delta, time.perf_counter() - start))
         tuples.append(X)
-        norm = math.sqrt(max(norms))
+        norm = max(norms)
         if not math.isfinite(delta) or norm > OVERFLOW_GUARD:
             raise Diverged("value iteration", k)
         if _step_converged(delta, norm, tol):

@@ -26,7 +26,7 @@ against 0.95 us at 2x2), and the results are bitwise equal, but that a
 zero product of two 1x1 matrices (n=1) can be -0.0 where ``@`` gives
 +0.0.  The iterates start at +0.0 and absorb that sign.  At n=2 a step is
 per-call overhead: over the benchmark's 64 n=2 ``ensemble`` instances it
-takes 62-69 us against 95-112 us with ``@`` and per-step set-up (one BLAS
+takes 56-69 us against 95-112 us with ``@`` and per-step set-up (one BLAS
 thread, shared 2-CPU machine).
 ``q_operators``, ``gain_operators`` and ``riccati_residual`` wrap the step.
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import moments, riccati
 from .exceptions import RetryExhausted, SolverError, UnstableRollout
-from .matrixmath import frobenius_norm, psd_factor
+from .matrixmath import frobenius_norms, psd_factor
 from .model import Controller, CostModel, NoiseModel, NoiseTerm, ProblemInstance, SystemModel
 from .moments import ValueCovarianceTuple
 
@@ -134,22 +134,18 @@ def _critical_noise_scale(A, B, C, patterns, variances, Q, W):
 
     At the open loop Psi_s is linear in the variances: the lifts' directions
     do not depend on sigma, so Psi_s(c) gathers T_Phi + sum_i c v_i T_i from
-    sigma-free term products (``moments.term_product``).  They are formed
-    once per draw; each radius evaluation only weights, sums and gathers
-    them.  Each weight is sigma_i^2 with sigma_i = sqrt(c v_i), rounded as
-    for a noise term of that sigma, so Psi_s is bitwise the one of the
-    assembled instance.
+    sigma-free term products, formed once per draw and weighted at each
+    radius evaluation by ``moments.build_second_moment_matrix``'s assembly.
+    Each weight is sigma_i^2 with sigma_i = sqrt(c v_i), rounded as for a
+    noise term of that sigma, so Psi_s is bitwise the assembled instance's.
     """
     problem = _assemble_random(A, B, C, patterns, np.sqrt(variances), Q, W)
     aug = moments.build_augmented(problem, riccati.open_loop_controller(problem))
-    products = [moments.term_product(D) for D in (aug.Phi,) + tuple(D for _, D in aug.lifts())]
+    phi, lifts = moments.term_product(aug.Phi), moments._lift_products(aug)
 
     def radius(c):
-        weights = (1.0,) + tuple(float(s) ** 2 for s in np.sqrt(c * variances))
-        rows = 0.0
-        for s2, T in zip(weights, products):
-            rows = rows + s2 * T
-        return moments.spectral_radius(moments.gather_second_moment(rows))
+        weights = [float(s) ** 2 for s in np.sqrt(c * variances)]
+        return moments.spectral_radius(moments._weighted_second_moment(phi.copy(), lifts, weights))
 
     hi = 1.0
     for _ in range(80):
@@ -239,22 +235,15 @@ def convergence_metric(
     Per block, delta_k = ||M_k - M*|| / ||M_0 - M*|| (Frobenius); blocks
     whose initial error is zero contribute 0.  e_k is the max over the four
     blocks, so e_0 = 1 whenever the trajectory does not start at the fixed
-    point.
+    point.  The norms of the whole stacked trajectory are taken in one
+    batched product (``frobenius_norms``).
     """
     if not history:
         return []
-    base = [
-        frobenius_norm(b0 - br)
-        for b0, br in zip(history[0].blocks(), reference.blocks())
-    ]
-    out = []
-    for X in history:
-        deltas = [
-            0.0 if den <= ZERO_ERROR_GUARD else frobenius_norm(bk - br) / den
-            for bk, br, den in zip(X.blocks(), reference.blocks(), base)
-        ]
-        out.append(max(deltas))
-    return out
+    norms = frobenius_norms(np.array([X.blocks() for X in history]) - reference.blocks())
+    base = norms[0]
+    deltas = np.divide(norms, base, out=np.zeros_like(norms), where=base > ZERO_ERROR_GUARD)
+    return [max(row) for row in deltas.tolist()]
 
 
 def _run_method(problem, method):
@@ -489,8 +478,7 @@ def write_trace_csv(path, entries) -> None:
         writer.writerow(TRACE_COLUMNS)
         for seed, _eta, result in entries:
             for rec in result.records:
-                for k, e_k in enumerate(rec.e_k):
-                    cum = rec.cum_seconds[k] if k < len(rec.cum_seconds) else None
+                for k, (e_k, cum) in enumerate(zip(rec.e_k, rec.cum_seconds, strict=True)):
                     writer.writerow(
                         [_cell(seed), rec.method, k, _cell(float(e_k)), _cell(cum)]
                     )

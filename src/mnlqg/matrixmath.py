@@ -16,9 +16,9 @@ PSD_TOL = 1e-10
 
 
 def symmetrize(M):
-    """Return (M + M.T) / 2."""
+    """Return (M + M.T) / 2, of each matrix of a stack on the last two axes."""
     M = np.asarray(M)
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def frobenius(A, B):
@@ -35,6 +35,15 @@ def frobenius_norm(M):
     """
     x = M.ravel(order="K")
     return math.sqrt(x.dot(x))
+
+
+def frobenius_norms(blocks):
+    """Frobenius norms of the n x n blocks along the last two axes of
+    ``blocks``.  One batched matmul takes each block's dot product with
+    itself by the ``ddot`` call of ``frobenius_norm``: bitwise its result on
+    an exactly symmetric block, whose rows and columns ravel alike."""
+    rows = blocks.reshape(-1, 1, blocks.shape[-1] * blocks.shape[-2])
+    return np.sqrt(rows @ rows.transpose(0, 2, 1)).reshape(blocks.shape[:-2])
 
 
 def condition_number(M):

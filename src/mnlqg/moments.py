@@ -91,7 +91,7 @@ import numpy as np
 import numpy.linalg as la
 
 from .exceptions import DualityViolation, EigenvalueFailure, NotMsStable
-from .matrixmath import frobenius, frobenius_norm, solve_linear_extended, symmetrize
+from .matrixmath import frobenius, frobenius_norms, solve_linear_extended, symmetrize
 from .model import Controller, ProblemInstance
 
 __all__ = [
@@ -165,48 +165,58 @@ class AugmentedSolution:
     Sprime: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ValueCovarianceTuple:
-    """The joint variable X = (P, Phat, S, Shat) of the coupled equations."""
+    """The joint variable X = (P, Phat, S, Shat) of the coupled equations,
+    symmetrized in one operation (bitwise ``symmetrize`` of each block) into
+    one read-only (4, n, n) array, ``blocks()``, of which ``P``, ``Phat``,
+    ``S`` and ``Shat`` are views."""
 
     P: np.ndarray
     Phat: np.ndarray
     S: np.ndarray
     Shat: np.ndarray
+    _stack: np.ndarray = field(init=False, repr=False)
+    _NAMES = ("P", "Phat", "S", "Shat")
 
-    def __post_init__(self):
-        for name in ("P", "Phat", "S", "Shat"):
-            M = symmetrize(np.asarray(getattr(self, name), dtype=float))
-            M.setflags(write=False)
+    def __init__(self, P, Phat, S, Shat):
+        blocks = (P, Phat, S, Shat)
+        try:
+            stack = np.array(blocks, dtype=float)
+        except ValueError:
+            self._check_shapes(blocks)
+            raise
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            self._check_shapes(blocks)
+        stack = symmetrize(stack)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        for name, M in zip(self._NAMES, stack):
             object.__setattr__(self, name, M)
 
     @classmethod
-    def zeros(cls, n: int) -> "ValueCovarianceTuple":
-        Z = np.zeros((n, n))
-        return cls(Z, Z, Z, Z)
-
-    def blocks(self):
-        return (self.P, self.Phat, self.S, self.Shat)
+    def _check_shapes(cls, blocks):
+        """ValueError naming the first block not a square matrix of P's shape."""
+        shapes = [np.shape(M) for M in blocks]
+        for name, shape in zip(cls._NAMES, shapes):
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ValueError(f"block {name} has shape {shape}, not a square matrix's")
+            if shape != shapes[0]:
+                raise ValueError(f"block {name} has shape {shape}, but P has shape {shapes[0]}")
 
     @classmethod
-    def of_symmetric(cls, P, Phat, S, Shat) -> "ValueCovarianceTuple":
-        """The tuple of four exactly symmetric float64 blocks, frozen as they
-        are: ``symmetrize`` would change no bit of a block whose entries stay
-        below half the float64 maximum.  The blocks are made read-only."""
-        out = object.__new__(cls)
-        for name, M in zip(("P", "Phat", "S", "Shat"), (P, Phat, S, Shat)):
-            M.setflags(write=False)
-            object.__setattr__(out, name, M)
-        return out
+    def zeros(cls, n: int) -> "ValueCovarianceTuple":
+        return cls(*np.zeros((4, n, n)))
+
+    def blocks(self) -> np.ndarray:
+        return self._stack
 
     def distance(self, other: "ValueCovarianceTuple") -> float:
         """Max over blocks of the Frobenius norm of the difference."""
-        return max(
-            frobenius_norm(a - b) for a, b in zip(self.blocks(), other.blocks())
-        )
+        return max(frobenius_norms(self._stack - other._stack).tolist())
 
     def max_norm(self) -> float:
-        return max(frobenius_norm(b) for b in self.blocks())
+        return max(frobenius_norms(self._stack).tolist())
 
 
 def build_augmented(problem: ProblemInstance, ctrl: Controller) -> AugmentedClosedLoop:
@@ -336,15 +346,29 @@ def build_second_moment_matrix(aug: AugmentedClosedLoop, side: str) -> np.ndarra
     """
     if side not in ("value", "covariance"):
         raise ValueError(f"side must be 'value' or 'covariance', got {side!r}")
-    d = aug.dim
-    rows = term_product(aug.Phi)
+    weights = [s2 for s2, _ in aug.lifts()]
+    psi = _weighted_second_moment(term_product(aug.Phi), _lift_products(aug), weights)
+    h = _half_indices(aug.dim)
+    return psi if side == "value" else psi.T * h.omega / h.omega[:, None]
+
+
+def _lift_products(aug: AugmentedClosedLoop):
+    """(``_block_positions``, sigma-free ``term_product``) of each lift's
+    block (``_lift_blocks``), in the order of ``aug.lifts()``."""
+    blocks = _lift_blocks(aug)
+    return [(_block_positions(aug.dim, r.start, c.start), term_product(D)) for _, r, c, D in blocks]
+
+
+def _weighted_second_moment(rows, lifts, weights):
+    """Psi_s from ``rows``, Phi's sigma-free product, updated in place: each
+    of ``lifts`` (``_lift_products``) weighted by its entry of ``weights``
+    and added at its positions (``build_second_moment_matrix``), then the
+    sum gathered."""
     rows += 0.0  # as 0.0 + rows: -0.0 becomes +0.0
     flat = rows.reshape(-1)  # a view: term_product returns a C-contiguous array
-    for s2, r, c, D in _lift_blocks(aug):
-        flat[_block_positions(d, r.start, c.start)] += (s2 * term_product(D)).reshape(-1)
-    psi = gather_second_moment(rows)
-    h = _half_indices(d)
-    return psi if side == "value" else psi.T * h.omega / h.omega[:, None]
+    for s2, (positions, T) in zip(weights, lifts):
+        flat[positions] += (s2 * T).reshape(-1)
+    return gather_second_moment(rows)
 
 
 def term_product(D: np.ndarray) -> np.ndarray:

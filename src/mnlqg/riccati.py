@@ -18,17 +18,16 @@ the optimal compensator is (A + B K(X*) - L(X*) C, K(X*), L(X*)).
 
 The Riccati step (``_RiccatiStep``) is built once per solve: A, B, C and
 their transposes, the Q/W blocks and each noise term's (sigma^2, D, D^T).
-One pass forms the gain blocks, the gains, the corners and the residual
-blocks, taking the products B^T P and A S once each.  Products go through
-``ndarray.dot``: for 2-d float64 operands it reaches the same BLAS routine
-as ``@`` with the same operands, without the ufunc dispatch (0.43 us
-against 0.95 us at 2x2), and the results are bitwise equal, but that a
-zero product of two 1x1 matrices (n=1) can be -0.0 where ``@`` gives
-+0.0.  The iterates start at +0.0 and absorb that sign.  At n=2 a step is
-per-call overhead: over the benchmark's 64 n=2 ``ensemble`` instances it
-takes 56-69 us against 95-112 us with ``@`` and per-step set-up (one BLAS
-thread, shared 2-CPU machine).
-``q_operators``, ``gain_operators`` and ``riccati_residual`` wrap the step.
+PI takes each gain update from its ``gain_blocks`` and ``gains``, VI each
+step from its ``residual``, and the report one ``residual`` pass at the
+converged X, for the controller's gains and the residual norm.  A pass
+takes the products B^T P and A S once each, through ``ndarray.dot``: for
+2-d float64 operands it reaches the same BLAS routine as ``@`` with the
+same operands, without the ufunc dispatch (0.43 us against 0.95 us at
+2x2), and the results are bitwise equal, but that a zero product of two
+1x1 matrices (n=1) can be -0.0 where ``@`` gives +0.0.  The iterates start
+at +0.0 and absorb that sign.  ``q_operators``, ``gain_operators`` and
+``riccati_residual`` build a step for one call each; no solver calls them.
 
 Two solvers are provided:
 
@@ -65,7 +64,7 @@ from .exceptions import (
     SingularBlock,
     SolverError,
 )
-from .matrixmath import condition_number, frobenius_norm, symmetrize
+from .matrixmath import condition_number, frobenius_norms, symmetrize
 from .model import Controller, ProblemInstance, SystemModel
 from .moments import ValueCovarianceTuple
 
@@ -122,7 +121,7 @@ class RiccatiResidual:
         return (self.P, self.Phat, self.S, self.Shat)
 
     def block_norms(self):
-        return tuple(frobenius_norm(b) for b in self.blocks())
+        return tuple(frobenius_norms(np.array(self.blocks())).tolist())
 
     def max_norm(self) -> float:
         return max(self.block_norms())
@@ -247,8 +246,8 @@ class _RiccatiStep:
         return K, L
 
     def residual(self, X: ValueCovarianceTuple):
-        """The four blocks of R(X) before symmetrization, in the order
-        (P, Phat, S, Shat).
+        """(K, L, R): the gains at X and the four blocks of R(X) before
+        symmetrization, stacked in the order (P, Phat, S, Shat).
 
         Besides the gain blocks, forms only the corners G_xx and H_xx; the
         Schur complements G_xu G_uu^{-1} G_ux = -G_ux^T K and
@@ -285,7 +284,7 @@ class _RiccatiStep:
         RPhat += Zg
         RShat = ABK.dot(Shat).dot(ABK.T) - Shat
         RShat += Zh
-        return Gxx, RPhat, Hxx, RShat
+        return K, L, np.array((Gxx, RPhat, Hxx, RShat))
 
 
 def q_operators(X: ValueCovarianceTuple, problem: ProblemInstance) -> QFunctionPair:
@@ -305,23 +304,18 @@ def gain_operators(X: ValueCovarianceTuple, problem: ProblemInstance):
 def riccati_residual(X: ValueCovarianceTuple, problem: ProblemInstance) -> RiccatiResidual:
     """R(X): one symmetric n x n residual block per unknown
     (``_RiccatiStep.residual``, symmetrized)."""
-    return RiccatiResidual(*(symmetrize(R) for R in _RiccatiStep(problem).residual(X)))
+    return RiccatiResidual(*symmetrize(_RiccatiStep(problem).residual(X)[2]))
 
 
-def _finalize_report(problem, X_star, history, tuples, method, prior=None):
-    """Build the report fields shared by both solvers.
-
-    The reported controller is recomputed from the converged X via
-    gain_operators, so the report's gains and the gain operators agree
-    exactly; its cost is that of its evaluation (``moments.evaluate``, from
-    PI's last evaluation, ``prior``, where it serves), with the duality
-    cross-check.
-    """
-    A, B, C = problem.system.A, problem.system.B, problem.system.C
-    K, L = gain_operators(X_star, problem)
-    ctrl = Controller(A + B @ K - L @ C, K, L)
+def _finalize_report(problem, step, X_star, history, tuples, method, prior=None):
+    """The report shared by both solvers.  One pass of the solve's ``step``
+    at the converged X gives the controller's gains, as ``gain_operators``,
+    and the residual norm; the cost is the controller's evaluation (from
+    PI's last, ``prior``, where it serves), with the duality cross-check."""
+    K, L, R = step.residual(X_star)
+    ctrl = Controller(step.A + step.B @ K - L @ step.C, K, L)
     cost = moments.evaluate(moments.build_augmented(problem, ctrl), prior).cost()
-    residual_norm = riccati_residual(X_star, problem).max_norm()
+    residual_norm = max(frobenius_norms(symmetrize(R)).tolist())
     return SolveReport(
         controller=ctrl,
         solution=X_star,
@@ -333,16 +327,6 @@ def _finalize_report(problem, X_star, history, tuples, method, prior=None):
         converged=True,
         solution_history=tuple(tuples),
     )
-
-
-def _max_block_norm(blocks):
-    """``max(frobenius_norm(M) for M in blocks)`` for exactly symmetric
-    blocks stacked in one array.  One batched matmul takes every block's
-    dot product with itself through the same ``ddot`` call as
-    ``frobenius_norm``; a symmetric block's elements come in the same order
-    whether raveled by rows or by columns."""
-    rows = blocks.reshape(len(blocks), 1, -1)
-    return max(map(math.sqrt, (rows @ rows.transpose(0, 2, 1)).ravel().tolist()))
 
 
 def value_iteration_solve(
@@ -361,25 +345,19 @@ def value_iteration_solve(
     """
     step = _RiccatiStep(problem)
     X = ValueCovarianceTuple.zeros(problem.n)
-    stacked = np.zeros((4, problem.n, problem.n))  # X's blocks
     tuples = [X]
     history = [HistoryEntry(delta=None, seconds=0.0)]
     start = time.perf_counter()
     for k in range(1, max_iter + 1):
-        R = np.array(step.residual(X))
-        X_next = R + R.transpose(0, 2, 1)
-        X_next *= 0.5
-        X_next += stacked
-        X_next.setflags(write=False)
-        delta = _max_block_norm(X_next - stacked)
-        stacked, X = X_next, ValueCovarianceTuple.of_symmetric(*X_next)
+        previous, X = X, ValueCovarianceTuple(*(symmetrize(step.residual(X)[2]) + X.blocks()))
+        delta = X.distance(previous)
         history.append(HistoryEntry(delta, time.perf_counter() - start))
         tuples.append(X)
-        norm = _max_block_norm(stacked)
+        norm = X.max_norm()
         if not math.isfinite(delta) or norm > OVERFLOW_GUARD:
             raise Diverged("value iteration", k)
         if _step_converged(delta, norm, tol):
-            return _finalize_report(problem, X, history, tuples, "value_iteration")
+            return _finalize_report(problem, step, X, history, tuples, "value_iteration")
     raise MaxIterationsExceeded("value iteration", max_iter, history[-1].delta)
 
 
@@ -410,8 +388,7 @@ def policy_iteration_solve(
     policy (IterateNotStabilizing), as decided once by its evaluation; the
     solver never falls back to a different method silently.
     """
-    sys = problem.system
-    A, B, C = sys.A, sys.B, sys.C
+    step = _RiccatiStep(problem)
     start = time.perf_counter()
     if initial is None:
         _, evaluation = _initial_evaluation(problem)
@@ -433,10 +410,11 @@ def policy_iteration_solve(
         history.append(HistoryEntry(delta, time.perf_counter() - start))
         if delta is not None and _step_converged(delta, X.max_norm(), tol):
             return _finalize_report(
-                problem, X, history, tuples, "policy_iteration", evaluation
+                problem, step, X, history, tuples, "policy_iteration", evaluation
             )
-        K, L = gain_operators(X, problem)
-        aug = moments.build_augmented(problem, Controller(A + B @ K - L @ C, K, L))
+        K, L = step.gains(*step.gain_blocks(X)[:4])
+        ctrl = Controller(step.A + step.B @ K - L @ step.C, K, L)
+        aug = moments.build_augmented(problem, ctrl)
         previous = X
     raise MaxIterationsExceeded("policy iteration", max_iter, history[-1].delta)
 

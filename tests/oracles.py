@@ -25,6 +25,9 @@ form, independent of the package's per-solve step; ``value_iteration_step`` the 
 update X <- X + R(X) that value iteration applies, and
 ``value_iteration_reference`` the plain loop of those updates, each through
 the symmetrizing constructor, with ``la.norm`` step sizes.
+``convergence_metric_reference`` is the e_k trace block by block, each
+norm by ``la.norm``, the reference for the package's one batched product
+over the stacked trajectory.
 ``critical_noise_scale_reference`` is the instance generator's
 critical-noise bisection with a whole problem, its open loop and its Psi_s
 assembled at every midpoint.
@@ -593,3 +596,21 @@ def critical_noise_scale_reference(A, B, C, patterns, variances, Q, W):
         if hi - lo <= 1e-16 * max(hi, 1.0):
             break
     return 0.5 * (lo + hi)
+
+
+def convergence_metric_reference(history, reference):
+    """e_k = max over blocks of ||M_k - M*||_F / ||M_0 - M*||_F, a block
+    whose initial error is at most 1e-300 counting 0: one ``la.norm`` per
+    block and iterate."""
+    if not history:
+        return []
+    base = [
+        float(la.norm(b0 - br)) for b0, br in zip(history[0].blocks(), reference.blocks())
+    ]
+    return [
+        max(
+            0.0 if den <= 1e-300 else float(la.norm(bk - br)) / den
+            for bk, br, den in zip(X.blocks(), reference.blocks(), base)
+        )
+        for X in history
+    ]

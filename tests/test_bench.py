@@ -1,3 +1,4 @@
+import csv
 import importlib
 import importlib.util
 import inspect
@@ -22,6 +23,7 @@ from mnlqg import (
     monte_carlo_cost,
     open_loop_controller,
     pendulum_problem,
+    policy_iteration_solve,
     random_problem,
     run_comparison,
     save_problem,
@@ -29,13 +31,17 @@ from mnlqg import (
     value_iteration_solve,
 )
 from mnlqg import bench, riccati
-from mnlqg.bench import _ROLLOUT_BLOCK, _ROLLOUT_DRAWS, MAX_REDRAWS
+from mnlqg.bench import _ROLLOUT_BLOCK, _ROLLOUT_DRAWS, MAX_REDRAWS, write_trace_csv
 from mnlqg.cli import main
 from mnlqg.exceptions import RetryExhausted, UnstableRollout
 from mnlqg.moments import evaluate_policy
 
 from conftest import make_scalar_problem
-from oracles import critical_noise_scale_reference, monte_carlo_cost_reference
+from oracles import (
+    convergence_metric_reference,
+    critical_noise_scale_reference,
+    monte_carlo_cost_reference,
+)
 
 POOL_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "ensemble_pool.json"
 
@@ -201,6 +207,23 @@ class TestConvergenceMetric:
         ref = ValueCovarianceTuple.zeros(2)
         assert convergence_metric([], ref) == []
 
+    @pytest.mark.parametrize(
+        "make_problem",
+        [lambda seed=seed: random_problem(seed)[0] for seed in range(7000, 7010)]
+        + [lambda: pendulum_problem(0.05)],
+        ids=[f"random-{seed}" for seed in range(7000, 7010)] + ["pendulum-0.05"],
+    )
+    def test_bitwise_the_per_block_loop(self, make_problem):
+        problem = make_problem()
+        pi = policy_iteration_solve(problem)
+        for report in (pi, value_iteration_solve(problem)):
+            # against PI's fixed point, as bench-random, and its own, as solve --trace
+            for reference in (pi.solution, report.solution):
+                got = convergence_metric(report.solution_history, reference)
+                assert got == convergence_metric_reference(report.solution_history, reference)
+                assert got[0] == 1.0
+            assert got[-1] == 0.0
+
 
 class TestRunComparison:
     def test_scalar_both_methods(self, scalar_problem):
@@ -218,6 +241,23 @@ class TestRunComparison:
             assert rec.e_k[-1] <= 1e-6
             assert all(e >= 0.0 and np.isfinite(e) for e in rec.e_k)
             assert len(rec.cum_seconds) == len(rec.e_k)
+
+    def test_every_trace_row_has_its_seconds(self, tmp_path):
+        entries = [(seed, *reversed(random_problem(seed))) for seed in range(7000, 7010)]
+        entries = [(seed, eta, run_comparison(problem)) for seed, eta, problem in entries]
+        entries.append((0, 1.0, run_comparison(pendulum_problem(1.0))))  # both fail
+        for _, _, result in entries:
+            for rec in result.records:
+                if rec.converged:
+                    assert len(rec.e_k) == len(rec.cum_seconds) == rec.iterations + 1
+                else:
+                    assert rec.e_k == rec.cum_seconds == ()
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, entries)
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == sum(len(rec.e_k) for _, _, r in entries for rec in r.records)
+        assert all(row["cum_seconds"] for row in rows)
 
     def test_single_method_no_ratios(self, scalar_problem):
         result = run_comparison(scalar_problem, ("policy_iteration",))

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.linalg as la
 import pytest
 
-from mnlqg.matrixmath import condition_number, frobenius_norm
+from mnlqg.matrixmath import condition_number, frobenius_norm, frobenius_norms, symmetrize
 
 
 def random_blocks():
@@ -83,3 +83,18 @@ class TestFrobeniusNorm:
         with np.errstate(over="ignore"):
             assert frobenius_norm(np.full((2, 2), 1e200)) == la.norm(np.full((2, 2), 1e200)) == np.inf
         assert frobenius_norm(np.zeros((3, 3))) == 0.0
+
+
+class TestFrobeniusNorms:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_bitwise_frobenius_norm_of_each_symmetric_block(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            shape = (int(rng.integers(1, 6)), 4, n, n)
+            stack = symmetrize(rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5, size=shape))
+            norms = frobenius_norms(stack)
+            assert norms.shape == shape[:2]
+            for block, norm in zip(stack.reshape(-1, n, n), norms.ravel().tolist()):
+                assert norm == frobenius_norm(block)
+                # the transposed layout of the same block
+                assert norm == frobenius_norm(np.asfortranarray(block))

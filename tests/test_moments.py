@@ -19,6 +19,7 @@ from mnlqg.moments import (
     STABILITY_MARGIN,
     AugmentedSolution,
     Evaluation,
+    ValueCovarianceTuple,
     evaluate,
     extract_tuple,
     solve_lyapunov,
@@ -869,3 +870,34 @@ class TestExtractTuple:
         D = np.hstack([np.eye(2), -np.eye(2)])
         assert np.allclose(X.P, E @ Pprime @ E.T, atol=1e-14)
         assert np.allclose(X.S, D @ Sprime @ D.T, atol=1e-14)
+
+
+class TestValueCovarianceTuple:
+    """The four blocks are views of one read-only stacked array."""
+
+    def test_views_of_one_symmetrized_stack(self):
+        rng = np.random.default_rng(29)
+        blocks = [rng.standard_normal((3, 3)) for _ in range(4)]
+        X = ValueCovarianceTuple(*blocks)
+        stack = X.blocks()
+        assert stack.shape == (4, 3, 3) and not stack.flags.writeable
+        for name, M, block in zip(("P", "Phat", "S", "Shat"), blocks, stack):
+            view = getattr(X, name)
+            assert view.base is stack
+            # bitwise the blockwise (M + M.T) / 2
+            assert view.tobytes() == block.tobytes() == (0.5 * (M + M.T)).tobytes()
+
+    def test_block_of_another_shape_is_named(self):
+        with pytest.raises(ValueError, match=r"block Phat has shape \(3, 3\), but P has shape \(2, 2\)"):
+            ValueCovarianceTuple(np.eye(2), np.eye(3), np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("name", ["P", "Phat", "S", "Shat"])
+    def test_non_square_block_is_named(self, name):
+        blocks = {block: np.eye(2) for block in ("P", "Phat", "S", "Shat")}
+        blocks[name] = np.ones((2, 3))
+        with pytest.raises(ValueError, match=rf"block {name} has shape \(2, 3\), not a square matrix's"):
+            ValueCovarianceTuple(**blocks)
+
+    def test_four_non_square_blocks_name_the_first(self):
+        with pytest.raises(ValueError, match=r"block P has shape \(2, 3\), not a square matrix's"):
+            ValueCovarianceTuple(*(np.ones((2, 3)) for _ in range(4)))

@@ -355,7 +355,7 @@ def vi_reference_problem(kind, arg):
 
 class TestValueIterationMatchesReference:
     """The solver's iterates and step sizes equal the plain loop's bitwise:
-    the unsymmetrized step X + R(X) and the norm helper change no bit."""
+    the stacked step X + R(X) and the batched norms change no bit."""
 
     @pytest.mark.parametrize("kind, arg", VI_REFERENCE_CASES)
     def test_bitwise_iterates_and_steps(self, kind, arg):
@@ -493,12 +493,44 @@ class TestStabilityDecision:
     def test_destabilizing_improvement_is_reported(self, scalar_problem, monkeypatch):
         # K = 2 puts an eigenvalue 0.5 + 2 = 2.5 into the compensator F = A + B K
         monkeypatch.setattr(
-            riccati, "gain_operators", lambda X, problem: (np.array([[2.0]]), np.zeros((1, 1)))
+            riccati._RiccatiStep,
+            "gains",
+            staticmethod(lambda Gux, Guu, Hxy, Hyy: (np.array([[2.0]]), np.zeros((1, 1)))),
         )
         with pytest.raises(IterateNotStabilizing) as excinfo:
             policy_iteration_solve(scalar_problem, open_loop_controller(scalar_problem))
         assert excinfo.value.iteration == 1
         assert excinfo.value.radius >= 1.0
+
+
+class TestOneStepPerSolve:
+    """A solve builds its Riccati step once, and its report takes the gains
+    and the residual from one pass of that step."""
+
+    @pytest.mark.parametrize("method", ["policy_iteration", "value_iteration"])
+    def test_one_step_and_one_report_pass(self, method, monkeypatch):
+        problem, _ = random_problem(7000)
+        counts = {"steps": 0, "gain_blocks": 0}
+        init, gain_blocks = riccati._RiccatiStep.__init__, riccati._RiccatiStep.gain_blocks
+
+        def counted_init(step, problem):
+            counts["steps"] += 1
+            init(step, problem)
+
+        def counted_gain_blocks(step, X):
+            counts["gain_blocks"] += 1
+            return gain_blocks(step, X)
+
+        monkeypatch.setattr(riccati._RiccatiStep, "__init__", counted_init)
+        monkeypatch.setattr(riccati._RiccatiStep, "gain_blocks", counted_gain_blocks)
+        if method == "policy_iteration":
+            report = policy_iteration_solve(problem, open_loop_controller(problem))
+        else:
+            report = value_iteration_solve(problem)
+        assert report.converged and report.iterations > 1
+        assert counts["steps"] == 1
+        # one per gain update (PI) or step (VI), one for the report
+        assert counts["gain_blocks"] == report.iterations + 1
 
 
 class TestEigvalsOffThePolicyPath:

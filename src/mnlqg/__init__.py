@@ -43,7 +43,6 @@ from .moments import (
 from .riccati import (
     HistoryEntry,
     QFunctionPair,
-    RiccatiResidual,
     SolveReport,
     gain_operators,
     noise_free_controller,
@@ -83,7 +82,6 @@ __all__ = [
     # riccati
     "HistoryEntry",
     "QFunctionPair",
-    "RiccatiResidual",
     "SolveReport",
     "gain_operators",
     "noise_free_controller",

@@ -235,15 +235,16 @@ def convergence_metric(
     Per block, delta_k = ||M_k - M*|| / ||M_0 - M*|| (Frobenius); blocks
     whose initial error is zero contribute 0.  e_k is the max over the four
     blocks, so e_0 = 1 whenever the trajectory does not start at the fixed
-    point.  The norms of the whole stacked trajectory are taken in one
-    batched product (``frobenius_norms``).
+    point, and NaN when any block's delta_k is: a NaN initial error is not
+    read as a zero one.  The norms of the whole stacked trajectory are
+    taken in one batched product (``frobenius_norms``).
     """
     if not history:
         return []
     norms = frobenius_norms(np.array([X.blocks() for X in history]) - reference.blocks())
     base = norms[0]
-    deltas = np.divide(norms, base, out=np.zeros_like(norms), where=base > ZERO_ERROR_GUARD)
-    return [max(row) for row in deltas.tolist()]
+    deltas = np.divide(norms, base, out=np.zeros_like(norms), where=~(base <= ZERO_ERROR_GUARD))
+    return deltas.max(axis=1).tolist()
 
 
 def _run_method(problem, method):

@@ -32,6 +32,7 @@ because serialization uses the shortest decimal repr.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,10 +263,11 @@ def validate(problem: ProblemInstance) -> ValidationReport:
 
     Dimension consistency is enforced at construction time, so this reports
     only data-level problems: noise standard deviations must be nonnegative,
-    Q must be symmetric positive definite, W symmetric positive definite
-    (positive semidefinite W is tolerated with a warning because the solver
-    only needs the W_yy Schur block to be invertible), and X0 symmetric
-    positive semidefinite.
+    with a square (the variance the solvers use) finite in float64, Q must be
+    symmetric positive definite, W symmetric positive definite (positive
+    semidefinite W is tolerated with a warning because the solver only needs
+    the W_yy Schur block to be invertible), and X0 symmetric positive
+    semidefinite.
     """
     violations: list[Violation] = []
     sys = problem.system
@@ -278,6 +280,10 @@ def validate(problem: ProblemInstance) -> ValidationReport:
             if term.sigma < 0.0:
                 violations.append(
                     Violation(f"{name}[{i}].sigma", "negative standard deviation", "error")
+                )
+            elif math.isinf(term.sigma * term.sigma):
+                violations.append(
+                    Violation(f"{name}[{i}].sigma", "squared overflows float64", "error")
                 )
 
     Q = problem.cost.Q

@@ -91,7 +91,9 @@ import numpy as np
 import numpy.linalg as la
 
 from .exceptions import DualityViolation, EigenvalueFailure, NotMsStable
-from .matrixmath import frobenius, frobenius_norms, solve_linear_extended, symmetrize
+from .matrixmath import (
+    frobenius, frobenius_norm, frobenius_norms, solve_linear_extended, symmetrize,
+)
 from .model import Controller, ProblemInstance
 
 __all__ = [
@@ -212,11 +214,13 @@ class ValueCovarianceTuple:
         return self._stack
 
     def distance(self, other: "ValueCovarianceTuple") -> float:
-        """Max over blocks of the Frobenius norm of the difference."""
-        return max(frobenius_norms(self._stack - other._stack).tolist())
+        """Max over blocks of the Frobenius norm of the difference; NaN
+        when any block's norm is NaN."""
+        return float(frobenius_norms(self._stack - other._stack).max())
 
     def max_norm(self) -> float:
-        return max(frobenius_norms(self._stack).tolist())
+        """Max over blocks of the Frobenius norm; NaN when any block's is."""
+        return float(frobenius_norms(self._stack).max())
 
 
 def build_augmented(problem: ProblemInstance, ctrl: Controller) -> AugmentedClosedLoop:
@@ -480,10 +484,10 @@ def _positive_operator_test(aug: AugmentedClosedLoop, X: np.ndarray) -> bool | N
     wX = la.eigvalsh(X)
     wR = la.eigvalsh(symmetrize(R).astype(np.float64))
     # ||X||_F + ||Psi(X)||_F <= gain * ||X||_F: the scale of the longdouble sum
-    gain = 1.0 + sum(s2 * float(la.norm(D)) ** 2 for s2, D in ((1.0, aug.Phi),) + aug.lifts())
+    gain = 1.0 + sum(s2 * frobenius_norm(D) ** 2 for s2, D in ((1.0, aug.Phi),) + aug.lifts())
     eps, eps_ld = np.finfo(np.float64).eps, float(np.finfo(np.longdouble).eps)
     slack_X = d * eps * max(-wX[0], wX[-1])
-    slack_R = d * eps * max(-wR[0], wR[-1]) + 4 * d * eps_ld * gain * float(la.norm(X))
+    slack_R = d * eps * max(-wR[0], wR[-1]) + 4 * d * eps_ld * gain * frobenius_norm(X)
     r = wR[0] - slack_R
     if not r > 0.0:
         return None

@@ -13,8 +13,10 @@ whose gain blocks (``q_operators``) give the gain updates
 
 and whose Schur complements, which reuse the gains as -G_ux^T K and
 L H_xy^T, give the fixed-point map; G and H are never assembled whole.  The
-residual R(X) stacks the four defining equations; X* solves R(X*) = 0 and
-the optimal compensator is (A + B K(X*) - L(X*) C, K(X*), L(X*)).
+residual R(X) stacks the four defining equations, one symmetric block per
+unknown, and lives in X's space: ``riccati_residual`` returns it as a
+``ValueCovarianceTuple``, and value iteration steps X <- X + R(X).  X* solves
+R(X*) = 0 and the optimal compensator is (A + B K(X*) - L(X*) C, K(X*), L(X*)).
 
 The Riccati step (``_RiccatiStep``) is built once per solve: A, B, C and
 their transposes, the Q/W blocks and each noise term's (sigma^2, D, D^T).
@@ -64,7 +66,7 @@ from .exceptions import (
     SingularBlock,
     SolverError,
 )
-from .matrixmath import condition_number, frobenius_norms, symmetrize
+from .matrixmath import condition_number, symmetrize
 from .model import Controller, ProblemInstance, SystemModel
 from .moments import ValueCovarianceTuple
 
@@ -73,7 +75,6 @@ __all__ = [
     "VI_MAX_ITER",
     "PI_MAX_ITER",
     "QFunctionPair",
-    "RiccatiResidual",
     "HistoryEntry",
     "SolveReport",
     "gain_operators",
@@ -106,25 +107,6 @@ class QFunctionPair:
     Guu: np.ndarray  # m x m
     Hxy: np.ndarray  # n x p
     Hyy: np.ndarray  # p x p
-
-
-@dataclass(frozen=True, eq=False)
-class RiccatiResidual:
-    """The four stacked equation residuals at some X, one block per unknown."""
-
-    P: np.ndarray
-    Phat: np.ndarray
-    S: np.ndarray
-    Shat: np.ndarray
-
-    def blocks(self):
-        return (self.P, self.Phat, self.S, self.Shat)
-
-    def block_norms(self):
-        return tuple(frobenius_norms(np.array(self.blocks())).tolist())
-
-    def max_norm(self) -> float:
-        return max(self.block_norms())
 
 
 @dataclass(frozen=True)
@@ -301,27 +283,27 @@ def gain_operators(X: ValueCovarianceTuple, problem: ProblemInstance):
     return step.gains(*step.gain_blocks(X)[:4])
 
 
-def riccati_residual(X: ValueCovarianceTuple, problem: ProblemInstance) -> RiccatiResidual:
-    """R(X): one symmetric n x n residual block per unknown
-    (``_RiccatiStep.residual``, symmetrized)."""
-    return RiccatiResidual(*symmetrize(_RiccatiStep(problem).residual(X)[2]))
+def riccati_residual(X: ValueCovarianceTuple, problem: ProblemInstance) -> ValueCovarianceTuple:
+    """R(X), in X's space: one symmetric n x n residual block per unknown
+    (``_RiccatiStep.residual``, symmetrized by the constructor)."""
+    return ValueCovarianceTuple(*_RiccatiStep(problem).residual(X)[2])
 
 
 def _finalize_report(problem, step, X_star, history, tuples, method, prior=None):
     """The report shared by both solvers.  One pass of the solve's ``step``
     at the converged X gives the controller's gains, as ``gain_operators``,
-    and the residual norm; the cost is the controller's evaluation (from
-    PI's last, ``prior``, where it serves), with the duality cross-check."""
+    and the residual norm, as ``riccati_residual(X).max_norm()``; the cost
+    is the controller's evaluation (from PI's last, ``prior``, where it
+    serves), with the duality cross-check."""
     K, L, R = step.residual(X_star)
     ctrl = Controller(step.A + step.B @ K - L @ step.C, K, L)
     cost = moments.evaluate(moments.build_augmented(problem, ctrl), prior).cost()
-    residual_norm = max(frobenius_norms(symmetrize(R)).tolist())
     return SolveReport(
         controller=ctrl,
         solution=X_star,
         cost=cost,
         iterations=len(tuples) - 1,
-        residual_norm=residual_norm,
+        residual_norm=ValueCovarianceTuple(*R).max_norm(),
         history=tuple(history),
         method=method,
         converged=True,

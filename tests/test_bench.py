@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -206,6 +207,16 @@ class TestConvergenceMetric:
     def test_empty_history(self):
         ref = ValueCovarianceTuple.zeros(2)
         assert convergence_metric([], ref) == []
+
+    @pytest.mark.parametrize("block", range(4), ids=["P", "Phat", "S", "Shat"])
+    def test_nan_in_any_block_reaches_e_k(self, block):
+        ref = ValueCovarianceTuple(*np.array([np.eye(2)] * 4))
+        stack = np.array([0.5 * np.eye(2)] * 4)
+        stack[block, 1, 1] = np.nan
+        e = convergence_metric([ValueCovarianceTuple.zeros(2), ValueCovarianceTuple(*stack), ref], ref)
+        assert e[0] == 1.0 and math.isnan(e[1]) and e[2] == 0.0
+        # a NaN initial error is not read as a zero one
+        assert all(map(math.isnan, convergence_metric([ValueCovarianceTuple(*stack), ref], ref)))
 
     @pytest.mark.parametrize(
         "make_problem",

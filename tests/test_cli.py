@@ -677,6 +677,7 @@ SWEEP_CASES = (
     + [("problem", field, "asymmetric") for field in ("Q", "W", "X0")]
     + [("problem", field, "not-psd") for field in ("W", "X0")]
     + [("controller", field, kind) for field in "FKL" for kind in ENTRY_MUTATIONS]
+    + [("problem", field, "square-overflows") for field in SWEEP_SIGMAS]
 )
 
 
@@ -710,6 +711,9 @@ def _mutate(doc, field, kind, rng):
         return field
     if kind == "negative":
         parent[key] = -rng.uniform(0.1, 1.0)
+        return field
+    if kind == "square-overflows":  # finite, but sigma**2 is not
+        parent[key] = 10.0 ** rng.uniform(155, 300)
         return field
     if kind == "mismatch":  # another positive dimension
         parent[key] = int(rng.choice([k for k in range(1, value + 4) if k != value]))

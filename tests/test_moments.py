@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.linalg as la
 import pytest
@@ -901,3 +903,12 @@ class TestValueCovarianceTuple:
     def test_four_non_square_blocks_name_the_first(self):
         with pytest.raises(ValueError, match=r"block P has shape \(2, 3\), not a square matrix's"):
             ValueCovarianceTuple(*(np.ones((2, 3)) for _ in range(4)))
+
+    @pytest.mark.parametrize("block", range(4), ids=["P", "Phat", "S", "Shat"])
+    def test_nan_in_any_block_reaches_both_norms(self, block):
+        stack = np.arange(16.0).reshape(4, 2, 2)
+        stack[block, 1, 1] = np.nan
+        X = ValueCovarianceTuple(*stack)
+        assert math.isnan(X.max_norm())
+        assert math.isnan(X.distance(ValueCovarianceTuple.zeros(2)))
+        assert math.isnan(ValueCovarianceTuple.zeros(2).distance(X))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.linalg as la
 import pytest
@@ -277,6 +279,18 @@ class TestRiccatiResidual:
         R = riccati_residual(report.solution, scalar_problem)
         assert R.max_norm() <= 1e-9
 
+    @pytest.mark.parametrize("block", range(4), ids=["P", "Phat", "S", "Shat"])
+    def test_nan_in_any_block_reaches_the_norm(self, block, scalar_problem, monkeypatch):
+        residual = riccati._RiccatiStep.residual
+
+        def nan_block(step, X):
+            K, L, R = residual(step, X)
+            R[block] = np.nan
+            return K, L, R
+
+        monkeypatch.setattr(riccati._RiccatiStep, "residual", nan_block)
+        assert math.isnan(riccati_residual(zero_tuple(1), scalar_problem).max_norm())
+
     def test_vanishes_at_scalar_closed_form(self, scalar_problem):
         # Phat*, Shat* follow from the closed-loop equations at (P*, S*).
         a, b, c = 0.5, 1.0, 1.0
@@ -371,6 +385,7 @@ class TestValueIterationMatchesReference:
                 assert not block.flags.writeable
         R = riccati_residual(report.solution, problem)
         assert report.residual_norm == max(float(la.norm(b)) for b in R.blocks())
+        assert report.residual_norm == R.max_norm()
 
 
 class TestPolicyIteration:
@@ -714,13 +729,17 @@ class TestDefaultStart:
         problem, _ = random_problem(seed)
         initial = stabilizing_initial_controller(problem)
         assert np.array_equal(initial.F, problem.system.A) and not initial.K.any()
-        assert_same_report(policy_iteration_solve(problem), policy_iteration_solve(problem, initial))
+        report = policy_iteration_solve(problem)
+        assert report.residual_norm == riccati_residual(report.solution, problem).max_norm()
+        assert_same_report(report, policy_iteration_solve(problem, initial))
 
     def test_noise_free_branch(self):
         problem = pendulum_problem(0.05)
         initial = stabilizing_initial_controller(problem)
         assert np.array_equal(initial.K, noise_free_controller(problem).K)
-        assert_same_report(policy_iteration_solve(problem), policy_iteration_solve(problem, initial))
+        report = policy_iteration_solve(problem)
+        assert report.residual_norm == riccati_residual(report.solution, problem).max_norm()
+        assert_same_report(report, policy_iteration_solve(problem, initial))
 
     @pytest.mark.parametrize(
         "make_problem",

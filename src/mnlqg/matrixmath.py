@@ -98,30 +98,29 @@ def psd_factor(M):
 
 
 def solve_linear_extended(inv, x, residual, tol, scale=None):
-    """Refine ``x`` toward the solution of A x = b against an approximate
-    inverse ``inv`` of A, until a correction is at most ``tol`` times
-    ``scale``, by default the largest entry of ``x``.
+    """Refine the float64 ``x`` toward the solution of A x = b against an
+    approximate inverse ``inv`` of A, until a correction is at most ``tol``
+    times ``scale``, by default the largest entry of ``x``.
 
-    ``residual(x)`` returns b - A x in the dtype of ``x``; each step adds
-    ``inv`` times it, rounded to float64, to ``x`` in place.  Iterative
-    refinement (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 12): the error after a step is (I - inv A) times the error before
-    it, up to the rounding of the residual, so successive corrections
-    shrink by about ||I - inv A||, which for the float64 inverse of A
-    itself is about cond(A) * eps.  One inverse serves any number of
-    right-hand sides and steps, where each LAPACK solve would factor A
-    again.  Returns None when a correction does not shrink to
-    REFINE_CONTRACTION times the one before it (for the first, times
-    ``scale``), or after REFINE_MAX_STEPS steps: the inverse is then too
-    far from A's to pay, or the rounding of the residual has stopped the
-    progress.  A ``scale`` lets ``x`` be a small correction to a larger
-    solution: refining the correction against a residual taken once in
-    ``np.longdouble`` gives the solution to extended precision
+    ``residual(x)`` returns b - A x in float64; each step adds ``inv``
+    times it to ``x`` in place.  Iterative refinement (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 12): the error after a step
+    is (I - inv A) times the error before it, up to the rounding of the
+    residual, so successive corrections shrink by about ||I - inv A||,
+    which for the float64 inverse of A itself is about cond(A) * eps.  One
+    inverse serves any number of right-hand sides and steps, where each
+    LAPACK solve would factor A again.  Returns None when a correction does
+    not shrink to REFINE_CONTRACTION times the one before it (for the
+    first, times ``scale``), or after REFINE_MAX_STEPS steps: the inverse
+    is then too far from A's to pay, or the rounding of the residual has
+    stopped the progress.  A ``scale`` lets ``x`` be a small correction to
+    a larger solution: refining the correction against a residual taken
+    once in extended precision gives the solution to that precision
     (``moments._refine_sides``).
     """
     previous = float(abs(x).max()) if scale is None else scale
     for _ in range(REFINE_MAX_STEPS):
-        dx = inv @ residual(x).astype(np.float64)
+        dx = inv @ residual(x)
         x += dx
         size = float(abs(dx).max())
         if size <= tol * (float(abs(x).max()) if scale is None else scale):

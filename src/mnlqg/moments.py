@@ -37,8 +37,8 @@ Kronecker product above: the sigma-free product of each term
 (``gather_second_moment``).  Each lift is zero outside one n x n block of
 the augmented state (the A-lifts at (x, x), the B-lifts at (x, xhat), the
 C-lifts at (xhat, x)), so its product is formed, and added, only over the
-half-vectorized rows and columns that block touches; the extended-precision
-residuals likewise apply each lift on its block only.  Psi_s loses no part
+half-vectorized rows and columns that block touches; the residuals in
+matrix form likewise apply each lift on its block only.  Psi_s loses no part
 of the spectral radius: rho(Psi) is attained at a positive semidefinite
 eigenvector (Krein-Rutman), which is symmetric.  Under the trace inner
 product <M, N> = hvec(M).T Omega hvec(N), with Omega = diag(1 on the
@@ -62,23 +62,28 @@ held one warm-starts from the prior's P' and S', which late in a solve are
 within rounding of the new ones (as in inexact Newton-Kleinman methods),
 and takes float64 residual steps first.  Then one longdouble residual at
 the float64 solution and float64 residuals of the small correction to it
-bring the side to extended-precision accuracy.  The held path also refines
-the certificate candidate from the prior's, with float64 residuals.  All
-residuals are formed in matrix form, so the held path forms neither Psi_s
-nor a new inverse.  Where the held inverse stops contracting, or the
-certificate does not certify the loop stable, the evaluation falls back to
-the fresh path, which also reports the exact radius of a loop that is not
-stable.  Below HELD_INVERSE_MIN_UNKNOWNS unknowns every evaluation is
-fresh.
+bring the side to extended-precision accuracy; that residual is the only
+computation in extended precision, and every residual of a side takes the
+loop's one float64 term list for it (``_terms``).  The held path also
+refines the certificate candidate from the prior's, with float64
+residuals.  All residuals are formed in matrix form, so the held path
+forms neither Psi_s nor a new inverse.  Where the held inverse stops
+contracting, or the certificate does not certify the loop stable, the
+evaluation falls back to the fresh path, which also reports the exact
+radius of a loop that is not stable.  Below HELD_INVERSE_MIN_UNKNOWNS
+unknowns every evaluation is fresh.
 
 Stability is decided without eigenvalues where possible.  Psi maps positive
 semidefinite matrices to positive semidefinite ones, so the positive-operator
 criterion (Damm, *Rational Matrix Equations in Stochastic Control*, 2004)
-applies: with X solving X - Psi(X) = I and R = X - Psi(X) recomputed for the
-rounded X, X > 0 and R >= r I with r > 0 give Psi(X) <= (1 - r / lmax(X)) X,
-hence rho(Psi) <= 1 - r / lmax(X); and R > 0 with X not positive
-semidefinite gives rho(Psi) > 1.  Only when this test cannot decide is the
-dense spectral radius computed.
+applies: with X solving X - Psi(X) = I and R = X - Psi(X) recomputed in
+float64 for the rounded X, X > 0 and R >= r I with r > 0 give
+Psi(X) <= (1 - r / lmax(X)) X, hence rho(Psi) <= 1 - r / lmax(X); and R > 0
+with X not positive semidefinite gives rho(Psi) > 1.  Only when this test
+cannot decide is the dense spectral radius computed.  A loop whose operator
+gain (``AugmentedClosedLoop._gain``) overflows float64 has a Psi_s that
+float64 cannot hold; it counts as not stable, with radius inf, and Psi_s is
+not built.
 """
 
 from __future__ import annotations
@@ -148,7 +153,7 @@ class AugmentedClosedLoop:
     lifts_a: tuple[tuple[float, np.ndarray], ...]
     lifts_b: tuple[tuple[float, np.ndarray], ...]
     lifts_c: tuple[tuple[float, np.ndarray], ...]
-    # operator terms per (side, dtype), each built on first use (``_terms``)
+    # the float64 operator terms of each side, built on first use (``_terms``)
     term_lists: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -157,6 +162,14 @@ class AugmentedClosedLoop:
 
     def lifts(self):
         return self.lifts_a + self.lifts_b + self.lifts_c
+
+    @functools.cached_property
+    def _gain(self) -> float:
+        """1 + the sum of s2 ||D||_F^2 over the terms (1, Phi) and the
+        lifts, a Python float that overflows to inf without a warning.
+        ||X||_F + ||Psi(X)||_F <= gain ||X||_F, and no entry of Psi_s or of
+        a partial sum of its terms exceeds gain in size."""
+        return 1.0 + sum(s2 * frobenius_norm(D) ** 2 for s2, D in ((1.0, self.Phi),) + self.lifts())
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,36 +432,36 @@ def spectral_radius(matrix: np.ndarray) -> float:
     return radius
 
 
-def _operator_blocks(aug: AugmentedClosedLoop, value: bool, dtype=np.longdouble):
-    """Terms (s2, r, c, D) in ``dtype`` with op(M) = sum s2 D.T M[r, r] D,
-    each added into the block (c, c) only.
+def _operator_blocks(aug: AugmentedClosedLoop, value: bool):
+    """Terms (s2, r, c, D) with op(M) = sum s2 D.T M[r, r] D, each added
+    into the block (c, c) only.
 
     Phi acts on the whole augmented state; each lift acts on its block
     (``_lift_blocks``).  On the covariance side the pairs are transposed
     and r and c swap, so an operator is applied in matrix form, without a
-    Kronecker product.  Extended-precision residuals take the default
-    longdouble terms; the float64 ones serve the cheap steps of a
-    refinement (``_refine_sides``, ``_evaluate_against``).
+    Kronecker product.  The terms are float64 views, one list per side of
+    a loop; ``_add_operator`` casts them exactly to the precision of a
+    longdouble operand.
     """
     full = slice(0, aug.dim)
     return [
-        (dtype(s2), r, c, D.astype(dtype)) if value else (dtype(s2), c, r, D.T.astype(dtype))
+        (s2, r, c, D) if value else (s2, c, r, D.T)
         for s2, r, c, D in [(1.0, full, full, aug.Phi), *_lift_blocks(aug)]
     ]
 
 
-def _terms(aug: AugmentedClosedLoop, value: bool, dtype=np.longdouble):
-    """``_operator_blocks(aug, value, dtype)``, built once per loop: the
-    certificate and both refinements of an evaluation share each list."""
-    key = (value, dtype)
-    terms = aug.term_lists.get(key)
+def _terms(aug: AugmentedClosedLoop, value: bool):
+    """``_operator_blocks(aug, value)``, built once per loop and side: the
+    certificate and every residual of an evaluation share each list."""
+    terms = aug.term_lists.get(value)
     if terms is None:
-        terms = aug.term_lists[key] = _operator_blocks(aug, value, dtype)
+        terms = aug.term_lists[value] = _operator_blocks(aug, value)
     return terms
 
 
 def _add_operator(R, M, terms, sign=1.0):
-    """R += sign op(M) in place, each term on its block (``_operator_blocks``).
+    """R += sign op(M) in place, each term on its block (``_operator_blocks``),
+    in the precision of M.
 
     Outside its block a lift's full-size product is +0.0, which changes no
     entry once Phi's term, over the whole state, has been added; so the
@@ -463,7 +476,7 @@ def _add_operator(R, M, terms, sign=1.0):
 def _positive_operator_test(aug: AugmentedClosedLoop, X: np.ndarray) -> bool | None:
     """Stability certificate from a candidate X for X - Psi(X) = I.
 
-    Recomputes R = X - Psi(X) in longdouble.  Psi is a positive operator,
+    Recomputes R = X - Psi(X) in float64.  Psi is a positive operator,
     so (Damm 2004):
 
     * X > 0 and R >= r I, r > 0: Psi(X) <= X - r I <= (1 - r / lmax(X)) X,
@@ -474,20 +487,21 @@ def _positive_operator_test(aug: AugmentedClosedLoop, X: np.ndarray) -> bool | N
 
     None otherwise (non-finite X, R not positive definite, X nearly
     singular, or a bound too close to 1).  Eigenvalues count only beyond an
-    allowance for the rounding of R and of ``eigvalsh``.
+    allowance for the rounding of ``eigvalsh`` and of R, whose float64 sum
+    is at most gain ||X||_F in size (``AugmentedClosedLoop._gain``), so that
+    its rounding error is at most 4 d eps gain ||X||_F in the Frobenius
+    norm, and by Weyl's inequality in each eigenvalue.  None also where
+    that scale overflows float64.
     """
-    d = aug.dim
-    if not np.all(np.isfinite(X)):
+    d, eps = aug.dim, np.finfo(np.float64).eps
+    scale = aug._gain * frobenius_norm(X)
+    if not scale < np.inf:
         return None
-    X_ld = X.astype(np.longdouble)
-    R = _add_operator(X_ld.copy(), X_ld, _terms(aug, True), -1.0)
+    R = _add_operator(X.copy(), X, _terms(aug, True), -1.0)
     wX = la.eigvalsh(X)
-    wR = la.eigvalsh(symmetrize(R).astype(np.float64))
-    # ||X||_F + ||Psi(X)||_F <= gain * ||X||_F: the scale of the longdouble sum
-    gain = 1.0 + sum(s2 * frobenius_norm(D) ** 2 for s2, D in ((1.0, aug.Phi),) + aug.lifts())
-    eps, eps_ld = np.finfo(np.float64).eps, float(np.finfo(np.longdouble).eps)
+    wR = la.eigvalsh(symmetrize(R))
     slack_X = d * eps * max(-wX[0], wX[-1])
-    slack_R = d * eps * max(-wR[0], wR[-1]) + 4 * d * eps_ld * gain * frobenius_norm(X)
+    slack_R = d * eps * max(-wR[0], wR[-1]) + 4 * d * eps * scale
     r = wR[0] - slack_R
     if not r > 0.0:
         return None
@@ -515,9 +529,10 @@ def _side_system(aug: AugmentedClosedLoop, side: str, rhs=None):
     are 1 and 2, so the scaling is exact, and the inverse of the
     transpose is the transpose of the inverse.  ``rhs`` replaces Q' or W'.
     ``residual(y)`` returns b - A y and ``minus_operator(y)`` returns -A y,
-    the residual with a zero right-hand side, in the dtype of ``y``,
-    float64 or longdouble, applying the operator in matrix form
-    (``_add_operator``) with the loop's terms in that dtype (``_terms``).
+    the residual with a zero right-hand side, in the precision of ``y``,
+    float64 or, for the one residual per side of ``_refine_sides``,
+    longdouble, applying the operator in matrix form (``_add_operator``)
+    with the side's float64 terms (``_terms``).
     """
     value = side == "value"
     if rhs is None:
@@ -527,8 +542,8 @@ def _side_system(aug: AugmentedClosedLoop, side: str, rhs=None):
 
     def apply(y, zero_rhs):
         M = _unhvec(y / omega, d)
-        R = (0.0 if zero_rhs else rhs.astype(y.dtype, copy=False)) - M
-        return omega * _hvec(_add_operator(R, M, _terms(aug, value, y.dtype.type)))
+        R = (0.0 if zero_rhs else rhs) - M
+        return omega * _hvec(_add_operator(R, M, _terms(aug, value)))
 
     return omega * _hvec(rhs), omega, lambda y: apply(y, False), lambda y: apply(y, True)
 
@@ -671,6 +686,8 @@ class Evaluation:
 def evaluate(aug: AugmentedClosedLoop, prior: Evaluation | None = None) -> Evaluation:
     """Evaluate the policy of a closed loop: its mean-square stability and,
     when it is stable, both sides (P', S').  Never raises NotMsStable.
+    A loop whose operator gain overflows float64 is not stable, with
+    ``exact_radius`` inf (module docstring).
 
     From HELD_INVERSE_MIN_UNKNOWNS unknowns on, the ``inv`` of ``prior``,
     an earlier evaluation of the same solve, is tried first, warm-started
@@ -686,6 +703,8 @@ def evaluate(aug: AugmentedClosedLoop, prior: Evaluation | None = None) -> Evalu
     stops contracting, raises ``LinAlgError``.
     """
     d = aug.dim
+    if not aug._gain < np.inf:  # Psi_s would overflow float64
+        return Evaluation(aug, False, exact_radius=np.inf)
     hold = d * (d + 1) // 2 >= HELD_INVERSE_MIN_UNKNOWNS
     if hold and prior is not None and prior.inv is not None:
         evaluation = _evaluate_against(aug, prior)

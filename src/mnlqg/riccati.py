@@ -321,26 +321,33 @@ def value_iteration_solve(
     Stops when the blockwise max Frobenius norm of the step drops to
     ``tol``, or to STEP_FLOOR_ULPS float64 ulps of the iterate's norm when
     that is larger (see ``_step_converged``).  Raises Diverged when any
-    block norm passes the overflow guard (the instance then admits no
-    mean-square stabilizing compensator) and MaxIterationsExceeded when the
-    cap is hit first.
+    block norm passes the overflow guard, or a step overflows float64
+    before it does, as a huge sigma^2 makes it (the instance then admits
+    no mean-square stabilizing compensator), and MaxIterationsExceeded
+    when the cap is hit first.
     """
     step = _RiccatiStep(problem)
     X = ValueCovarianceTuple.zeros(problem.n)
     tuples = [X]
     history = [HistoryEntry(delta=None, seconds=0.0)]
     start = time.perf_counter()
-    for k in range(1, max_iter + 1):
-        previous, X = X, ValueCovarianceTuple(*(symmetrize(step.residual(X)[2]) + X.blocks()))
-        delta = X.distance(previous)
-        history.append(HistoryEntry(delta, time.perf_counter() - start))
-        tuples.append(X)
-        norm = X.max_norm()
-        if not math.isfinite(delta) or norm > OVERFLOW_GUARD:
-            raise Diverged("value iteration", k)
-        if _step_converged(delta, norm, tol):
-            return _finalize_report(problem, step, X, history, tuples, "value_iteration")
-    raise MaxIterationsExceeded("value iteration", max_iter, history[-1].delta)
+    try:
+        with np.errstate(over="raise"):
+            for k in range(1, max_iter + 1):
+                previous, X = X, ValueCovarianceTuple(*(symmetrize(step.residual(X)[2]) + X.blocks()))
+                delta = X.distance(previous)
+                history.append(HistoryEntry(delta, time.perf_counter() - start))
+                tuples.append(X)
+                norm = X.max_norm()
+                if not math.isfinite(delta) or norm > OVERFLOW_GUARD:
+                    raise Diverged("value iteration", k)
+                if _step_converged(delta, norm, tol):
+                    break
+            else:
+                raise MaxIterationsExceeded("value iteration", max_iter, history[-1].delta)
+    except FloatingPointError:
+        raise Diverged("value iteration", k) from None
+    return _finalize_report(problem, step, X, history, tuples, "value_iteration")
 
 
 def policy_iteration_solve(

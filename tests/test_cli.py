@@ -307,6 +307,28 @@ class TestSolveCommand:
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["vi", "pi"])
+    @pytest.mark.parametrize("sigma", [1e120, 1.3e154])
+    def test_sigma_that_overflows_the_operators_is_a_named_solver_error(
+        self, tmp_path, capsys, sigma, method
+    ):
+        """sigma^2 is finite, but sigma^2 times the iterate, or Psi_s, is not:
+        one error line and no NumPy warning (an error under the tests'
+        warning filter).  VI diverges; PI finds neither initial policy
+        stabilizing, the noise-free design's loop at radius inf where Psi_s
+        overflows."""
+        doc = json.loads(save_problem(pendulum_problem(0.05)))
+        doc["noise"]["B"][0]["sigma"] = sigma
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code = main(["solve", str(path), "--method", method, "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 3 and len(errors) == 1, err
+        assert "unexpected error" not in err and "Warning" not in err
+        cause = "value iteration diverged" if method == "vi" else "initial policy is not mean-square"
+        assert errors[0].startswith(f"error: {cause}"), err
+
 
 class TestBenchPendulumCommand:
     def test_row_cardinality_with_failures_recorded(self, tmp_path, capsys):

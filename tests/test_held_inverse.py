@@ -277,21 +277,21 @@ class TestFallback:
 class TestWarmStart:
     def test_one_longdouble_residual_per_side(self, problem, held_report, previous_evaluation, monkeypatch):
         """A held evaluation of the converged loop, from the loop before it,
-        applies the operator to longdouble matrices 3 times: the
-        certificate's residual and one residual per side."""
+        applies the operator to longdouble matrices 2 times: one residual
+        per side; the certificate's residual is float64."""
         calls = count_longdouble_operators(monkeypatch)
         evaluation = evaluate(converged_loop(problem, held_report), previous_evaluation)
         assert evaluation.inv is previous_evaluation.inv
-        assert calls == {"longdouble": 3}
+        assert calls == {"longdouble": 2}
 
     def test_longdouble_operators_per_solve(self, problem, monkeypatch):
-        """A --init auto solve: 3 longdouble applications (the certificate
-        and one residual per side) for each of its 2 fresh evaluations
-        (``TestColdStart``) and each of its 10 held ones."""
+        """A --init auto solve: 2 longdouble applications (one residual per
+        side) for each of its 2 fresh evaluations (``TestColdStart``) and
+        each of its 10 held ones."""
         calls = count_longdouble_operators(monkeypatch)
         report = policy_iteration_solve(problem)
         assert report.iterations == PI_LARGE_ITERATIONS
-        assert calls["longdouble"] == 36
+        assert calls["longdouble"] == 24
 
     def test_prior_is_left_unchanged(self, problem, held_report, previous_evaluation):
         """The refinement adds in place, so it must start from copies of the
@@ -319,13 +319,13 @@ def open_loop():
 
 class TestColdStart:
     def test_one_longdouble_residual_per_side(self, open_loop, monkeypatch):
-        """A fresh evaluation applies the operator to longdouble matrices 3
-        times, as a held one does (``TestWarmStart``): the certificate's
-        residual and one residual per side."""
+        """A fresh evaluation applies the operator to longdouble matrices 2
+        times, as a held one does (``TestWarmStart``): one residual per
+        side."""
         calls = count_longdouble_operators(monkeypatch)
         evaluation = evaluate(open_loop)
         assert evaluation.stable and evaluation.exact_radius is None
-        assert calls == {"longdouble": 3}
+        assert calls == {"longdouble": 2}
 
     def test_refinement_that_stops_contracting_raises(self, open_loop, monkeypatch):
         """A negated inverse leaves the certificate undecided, so the radius
@@ -338,37 +338,33 @@ class TestColdStart:
 
 def count_term_builds(monkeypatch):
     """Counts the operator-term lists (``_operator_blocks``) built, per
-    (value side, dtype)."""
+    side (True for the value side)."""
     calls = collections.Counter()
     build = moments._operator_blocks
 
-    def counted(aug, value, dtype=np.longdouble):
-        calls[value, dtype] += 1
-        return build(aug, value, dtype)
+    def counted(aug, value):
+        calls[value] += 1
+        return build(aug, value)
 
     monkeypatch.setattr(moments, "_operator_blocks", counted)
     return calls
 
 
 class TestTermListsPerEvaluation:
-    """Each evaluation builds one operator-term list per side and dtype:
-    the certificate and the refinements of a side share it."""
+    """Each evaluation builds one float64 operator-term list per side: the
+    certificate and every residual of a side, float64 or longdouble, share
+    it."""
 
     def test_fresh_evaluation(self, open_loop, monkeypatch):
         calls = count_term_builds(monkeypatch)
         assert evaluate(open_loop).stable
-        assert calls == {(True, np.longdouble): 1, (False, np.longdouble): 1}
+        assert calls == {True: 1, False: 1}
 
     def test_held_evaluation(self, problem, held_report, previous_evaluation, monkeypatch):
         calls = count_term_builds(monkeypatch)
         evaluation = evaluate(converged_loop(problem, held_report), previous_evaluation)
         assert evaluation.inv is previous_evaluation.inv
-        assert calls == {
-            (True, np.float64): 1,
-            (True, np.longdouble): 1,
-            (False, np.float64): 1,
-            (False, np.longdouble): 1,
-        }
+        assert calls == {True: 1, False: 1}
 
     def test_solve(self, problem, monkeypatch):
         """Over a --init auto solve, no list is built twice for one loop."""
@@ -384,7 +380,7 @@ class TestTermListsPerEvaluation:
         report = policy_iteration_solve(problem)
         assert report.iterations == PI_LARGE_ITERATIONS
         assert len(evaluations) == 12
-        assert calls[True, np.longdouble] == calls[False, np.longdouble] == 12
+        assert calls[True] == calls[False] == 12
         assert max(calls.values()) == 12
 
 

@@ -642,11 +642,21 @@ class TestPositiveOperatorTest:
         assert excinfo.value.radius == radius
 
     def test_certified_verdicts_skip_the_radius(self):
+        """The float64 certificate decides without eigenvalues up to a
+        radius of 1 - 1e-8, a tenth of the margin away from it, and on the
+        converged loop of random_problem(477), where policy iteration
+        stalls on rounding noise."""
         stable = evaluate(scalar_open_loop_aug(sigma_a=0.3))
         unstable = evaluate(scalar_loop(1.2))
         assert stable.stable and stable.exact_radius is None
         assert not unstable.stable and unstable.exact_radius is None
         assert unstable.radius() == pytest.approx(1.44, rel=1e-12)
+        problem, _ = random_problem(477)
+        loops = [scalar_loop(np.sqrt(1.0 - 10.0**-k)) for k in range(2, 9)]
+        loops.append(build_augmented(problem, policy_iteration_solve(problem).controller))
+        for aug in loops:
+            evaluation = evaluate(aug)
+            assert evaluation.stable and evaluation.exact_radius is None
 
 
 class TestSolveLyapunov:

@@ -228,20 +228,22 @@ def random_problem(seed: int):
 
 
 def convergence_metric(
-    history, reference: ValueCovarianceTuple
+    history: np.ndarray, reference: ValueCovarianceTuple
 ) -> list[float]:
     """Relative errors e_k of an iterate trajectory against a fixed point.
 
-    Per block, delta_k = ||M_k - M*|| / ||M_0 - M*|| (Frobenius); blocks
-    whose initial error is zero contribute 0.  e_k is the max over the four
-    blocks, so e_0 = 1 whenever the trajectory does not start at the fixed
-    point, and NaN when any block's delta_k is: a NaN initial error is not
-    read as a zero one.  The norms of the whole stacked trajectory are
-    taken in one batched product (``frobenius_norms``).
+    ``history`` is a (k, 4, n, n) array of iterate stacks (P, Phat, S,
+    Shat), as ``SolveReport.solution_history``.  Per block,
+    delta_k = ||M_k - M*|| / ||M_0 - M*|| (Frobenius); blocks whose initial
+    error is zero contribute 0.  e_k is the max over the four blocks, so
+    e_0 = 1 whenever the trajectory does not start at the fixed point, and
+    NaN when any block's delta_k is: a NaN initial error is not read as a
+    zero one.  The norms of the whole trajectory are taken in one batched
+    product (``frobenius_norms``).
     """
-    if not history:
+    if not len(history):
         return []
-    norms = frobenius_norms(np.array([X.blocks() for X in history]) - reference.blocks())
+    norms = frobenius_norms(history - reference.blocks())
     base = norms[0]
     deltas = np.divide(norms, base, out=np.zeros_like(norms), where=~(base <= ZERO_ERROR_GUARD))
     return deltas.max(axis=1).tolist()
@@ -344,7 +346,8 @@ def monte_carlo_cost(
     scalars, x0 ~ N(0, X0), and xhat0 = 0; returns the mean over trials of
     the time-averaged cost and its standard error.  Raises UnstableRollout
     at the first step whose state x overflows (non-finite or above 1e100 in
-    magnitude).
+    magnitude), and ValueError naming K when the stage weight Q' is not
+    finite, as where a finite but huge K overflows K.T Q_uu K.
 
     The rollouts simulate the augmented loop z = [x; xhat] of
     ``moments.build_augmented``, trials along the last axis.  One step is
@@ -362,6 +365,8 @@ def monte_carlo_cost(
     if horizon < 1 or trials < 1:
         raise ValueError("horizon and trials must be >= 1")
     aug = moments.build_augmented(problem, ctrl)  # checks the controller's shapes
+    if not np.isfinite(aug.Qprime).all():
+        raise ValueError("K makes the stage weight Q' non-finite: its products with Q overflow float64")
     sys = problem.system
     n, p = sys.n, sys.p
     d = 2 * n

@@ -311,6 +311,8 @@ def cmd_bench_random(args) -> int:
         raise ValueError("--count must be >= 1")
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     methods = _parse_methods(args.methods)
     seeds = [args.seed + index for index in range(args.count)]
     run_instance = functools.partial(_run_instance, methods=methods)
@@ -343,6 +345,8 @@ def cmd_bench_random(args) -> int:
 
 
 def cmd_rollout(args) -> int:
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     problem, code = _load_problem_checked(args.problem)
     if code is not None:
         return code

@@ -36,13 +36,17 @@ Kronecker product above: the sigma-free product of each term
 (``term_product``), weighted by 1 or its sigma^2, summed and gathered
 (``gather_second_moment``).  Each lift is zero outside one n x n block of
 the augmented state (the A-lifts at (x, x), the B-lifts at (x, xhat), the
-C-lifts at (xhat, x)), so its product is formed, and added, only over the
-half-vectorized rows and columns that block touches; the residuals in
-matrix form likewise apply each lift on its block only.  Psi_s loses no part
-of the spectral radius: rho(Psi) is attained at a positive semidefinite
-eigenvector (Krein-Rutman), which is symmetric.  Under the trace inner
-product <M, N> = hvec(M).T Omega hvec(N), with Omega = diag(1 on the
-diagonal, 2 off it), Gamma is the adjoint of Psi, so
+C-lifts at (xhat, x)), and the loop stores only that block; ``lifts()``
+builds the zero-padded 2n x 2n matrices on call, for the Monte-Carlo
+rollout.  Each lift's product is formed, and added, only over the
+half-vectorized rows and columns its block touches, and the residuals in
+matrix form likewise apply each lift on its block only, from the loop's one
+term tuple per side (``AugmentedClosedLoop.terms`` and
+``covariance_terms``).  Psi_s loses no part of the spectral radius:
+rho(Psi) is attained at a positive semidefinite eigenvector
+(Krein-Rutman), which is symmetric.  Under the trace inner product
+<M, N> = hvec(M).T Omega hvec(N), with Omega = diag(1 on the diagonal, 2
+off it), Gamma is the adjoint of Psi, so
 
     Gamma_s = Omega^-1 Psi_s.T Omega,    I - Gamma_s = Omega^-1 (I - Psi_s).T Omega.
 
@@ -64,7 +68,7 @@ and takes float64 residual steps first.  Then one longdouble residual at
 the float64 solution and float64 residuals of the small correction to it
 bring the side to extended-precision accuracy; that residual is the only
 computation in extended precision, and every residual of a side takes the
-loop's one float64 term list for it (``_terms``).  The held path also
+loop's one float64 term tuple for it.  The held path also
 refines the certificate candidate from the prior's, with float64
 residuals.  All residuals are formed in matrix form, so the held path
 forms neither Psi_s nor a new inverse.  Where the held inverse stops
@@ -144,7 +148,11 @@ HELD_FLOAT64_TOL = 1e-11
 class AugmentedClosedLoop:
     """Augmented closed-loop data: mean transition, weights, noise lifts.
 
-    Each lift entry is a pair (sigma^2, 2n x 2n direction matrix).
+    Each lift entry is a pair (sigma^2, n x n block): the lift's direction
+    is zero outside that block of the augmented state, at (x, x) for the
+    A-lifts, (x, xhat) for the B-lifts and (xhat, x) for the C-lifts.
+    ``terms`` and ``covariance_terms`` are the operator's terms on each
+    side, built once per loop; ``lifts()`` gives the full-size directions.
     """
 
     Phi: np.ndarray
@@ -153,23 +161,47 @@ class AugmentedClosedLoop:
     lifts_a: tuple[tuple[float, np.ndarray], ...]
     lifts_b: tuple[tuple[float, np.ndarray], ...]
     lifts_c: tuple[tuple[float, np.ndarray], ...]
-    # the float64 operator terms of each side, built on first use (``_terms``)
-    term_lists: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.Phi.shape[0]
 
+    @functools.cached_property
+    def terms(self):
+        """(s2, r, c, D) with Psi(M) = sum s2 D.T M[r, r] D, each term added
+        into the block (c, c) only: (1, full, full, Phi), then each lift on
+        its block, in the order A, B, C."""
+        d = self.dim
+        full, x, xhat = slice(0, d), slice(0, d // 2), slice(d // 2, d)
+        families = ((self.lifts_a, x, x), (self.lifts_b, x, xhat), (self.lifts_c, xhat, x))
+        lifts = ((s2, r, c, D) for family, r, c in families for s2, D in family)
+        return ((1.0, full, full, self.Phi), *lifts)
+
+    @functools.cached_property
+    def covariance_terms(self):
+        """The terms of Gamma: each pair of ``terms`` transposed, with r
+        and c swapped."""
+        return tuple((s2, c, r, D.T) for s2, r, c, D in self.terms)
+
     def lifts(self):
-        return self.lifts_a + self.lifts_b + self.lifts_c
+        """Each lift as (sigma^2, 2n x 2n direction), zero outside its
+        block, in the order A, B, C; built on call."""
+        d = self.dim
+        full = []
+        for s2, r, c, D in self.terms[1:]:
+            lift = np.zeros((d, d))
+            lift[r, c] = D
+            full.append((s2, lift))
+        return tuple(full)
 
     @functools.cached_property
     def _gain(self) -> float:
-        """1 + the sum of s2 ||D||_F^2 over the terms (1, Phi) and the
-        lifts, a Python float that overflows to inf without a warning.
-        ||X||_F + ||Psi(X)||_F <= gain ||X||_F, and no entry of Psi_s or of
-        a partial sum of its terms exceeds gain in size."""
-        return 1.0 + sum(s2 * frobenius_norm(D) ** 2 for s2, D in ((1.0, self.Phi),) + self.lifts())
+        """1 + the sum of s2 ||D||_F^2 over ``terms``, a Python float that
+        overflows to inf without a warning.  ||X||_F + ||Psi(X)||_F <= gain
+        ||X||_F, and no entry of Psi_s or of a partial sum of its terms
+        exceeds gain in size."""
+        with np.errstate(over="ignore"):
+            return 1.0 + sum(s2 * frobenius_norm(D) ** 2 for s2, _, _, D in self.terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,10 +251,6 @@ class ValueCovarianceTuple:
             if shape != shapes[0]:
                 raise ValueError(f"block {name} has shape {shape}, but P has shape {shapes[0]}")
 
-    @classmethod
-    def zeros(cls, n: int) -> "ValueCovarianceTuple":
-        return cls(*np.zeros((4, n, n)))
-
     def blocks(self) -> np.ndarray:
         return self._stack
 
@@ -237,7 +265,14 @@ class ValueCovarianceTuple:
 
 
 def build_augmented(problem: ProblemInstance, ctrl: Controller) -> AugmentedClosedLoop:
-    """Assemble the augmented closed loop for a problem/controller pair."""
+    """Assemble the augmented closed loop for a problem/controller pair.
+
+    The lifts are stored as their n x n blocks: the A-lift's is the noise
+    pattern itself, the B-lift's pattern @ K and the C-lift's L @ pattern.
+    A product that overflows float64, as of a finite but huge gain, is inf
+    or NaN without a warning; the loop's gain is then inf, and ``evaluate``
+    counts it not stable.
+    """
     sys = problem.system
     n, m, p = sys.n, sys.m, sys.p
     if ctrl.F.shape != (n, n) or ctrl.K.shape != (m, n) or ctrl.L.shape != (n, p):
@@ -253,23 +288,16 @@ def build_augmented(problem: ProblemInstance, ctrl: Controller) -> AugmentedClos
         out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:] = xx, xz, zx, zz
         return out
 
-    Phi = blocks(A, B @ K, L @ C, ctrl.F)
-    Qxx, Qxu, Qux, Quu = problem.q_blocks()
-    Qprime = blocks(Qxx, Qxu @ K, K.T @ Qux, K.T @ Quu @ K)
-    Wxx, Wxy, Wyx, Wyy = problem.w_blocks()
-    Wprime = blocks(Wxx, Wxy @ L.T, L @ Wyx, L @ Wyy @ L.T)
-    lifts_a = tuple(
-        (t.sigma**2, blocks(t.pattern, 0.0, 0.0, 0.0)) for t in sys.noise_a
-    )
-    lifts_b = tuple(
-        (t.sigma**2, blocks(0.0, t.pattern @ K, 0.0, 0.0)) for t in sys.noise_b
-    )
-    lifts_c = tuple(
-        (t.sigma**2, blocks(0.0, 0.0, L @ t.pattern, 0.0)) for t in sys.noise_c
-    )
-    return AugmentedClosedLoop(
-        Phi, symmetrize(Qprime), symmetrize(Wprime), lifts_a, lifts_b, lifts_c
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        Phi = blocks(A, B @ K, L @ C, ctrl.F)
+        Qxx, Qxu, Qux, Quu = problem.q_blocks()
+        Qprime = symmetrize(blocks(Qxx, Qxu @ K, K.T @ Qux, K.T @ Quu @ K))
+        Wxx, Wxy, Wyx, Wyy = problem.w_blocks()
+        Wprime = symmetrize(blocks(Wxx, Wxy @ L.T, L @ Wyx, L @ Wyy @ L.T))
+        lifts_b = tuple((t.sigma**2, t.pattern @ K) for t in sys.noise_b)
+        lifts_c = tuple((t.sigma**2, L @ t.pattern) for t in sys.noise_c)
+    lifts_a = tuple((t.sigma**2, t.pattern) for t in sys.noise_a)
+    return AugmentedClosedLoop(Phi, Qprime, Wprime, lifts_a, lifts_b, lifts_c)
 
 
 class _HalfIndices(NamedTuple):
@@ -314,18 +342,6 @@ def _unhvec(x, d):
     return M
 
 
-def _lift_blocks(aug: AugmentedClosedLoop):
-    """(s2, r, c, D[r, c]) for each lift (s2, D), in the order of
-    ``aug.lifts()``, with r and c the slices of the n x n block outside
-    which D is zero: (x, x) for the A-lifts, (x, xhat) for the B-lifts and
-    (xhat, x) for the C-lifts."""
-    n = aug.dim // 2
-    x, xhat = slice(0, n), slice(n, 2 * n)
-    for family, r, c in ((aug.lifts_a, x, x), (aug.lifts_b, x, xhat), (aug.lifts_c, xhat, x)):
-        for s2, D in family:
-            yield s2, r, c, D[r, c]
-
-
 @functools.lru_cache(maxsize=None)
 def _block_positions(d: int, r: int, c: int) -> np.ndarray:
     """Where the ``term_product`` of the n x n block D[r:r+n, c:c+n] of a
@@ -352,18 +368,18 @@ def build_second_moment_matrix(aug: AugmentedClosedLoop, side: str) -> np.ndarra
     Of the matrix of Psi on column-major vec only the lower-triangle rows
     are formed: row (a, b) at column (c, e) is the sum over the terms
     (s2, D) of s2 D[c, a] D[e, b], in the order (1, Phi), then the lifts,
-    and the mirrored column (e, c) is added where c > e.  A lift that is
-    zero outside the rows R and columns C of its block (``_lift_blocks``)
-    adds non-zeros only at rows (a, b) in C x C and columns (c, e) in
-    R x R, so its product is formed from the block alone and added there in
-    place.  Everywhere else it would add a signed zero, which changes no
-    bit of a sum that starts from 0.0 + Phi's product: no entry of that is
-    -0.0.  Gamma_s is Omega^-1 Psi_s.T Omega; the factors of Omega are 1
+    and the mirrored column (e, c) is added where c > e.  A lift, stored
+    as its block on the rows R and columns C of the augmented state
+    (``AugmentedClosedLoop.terms``), adds non-zeros only at rows (a, b) in
+    C x C and columns (c, e) in R x R, so its product is formed from the
+    block alone and added there in place.  Everywhere else it would add a
+    signed zero, which changes no bit of a sum that starts from
+    0.0 + Phi's product: no entry of that is -0.0.  Gamma_s is Omega^-1 Psi_s.T Omega; the factors of Omega are 1
     and 2, so the scaling is exact.
     """
     if side not in ("value", "covariance"):
         raise ValueError(f"side must be 'value' or 'covariance', got {side!r}")
-    weights = [s2 for s2, _ in aug.lifts()]
+    weights = [s2 for s2, *_ in aug.terms[1:]]
     psi = _weighted_second_moment(term_product(aug.Phi), _lift_products(aug), weights)
     h = _half_indices(aug.dim)
     return psi if side == "value" else psi.T * h.omega / h.omega[:, None]
@@ -371,9 +387,8 @@ def build_second_moment_matrix(aug: AugmentedClosedLoop, side: str) -> np.ndarra
 
 def _lift_products(aug: AugmentedClosedLoop):
     """(``_block_positions``, sigma-free ``term_product``) of each lift's
-    block (``_lift_blocks``), in the order of ``aug.lifts()``."""
-    blocks = _lift_blocks(aug)
-    return [(_block_positions(aug.dim, r.start, c.start), term_product(D)) for _, r, c, D in blocks]
+    block, in the order of ``aug.terms``."""
+    return [(_block_positions(aug.dim, r.start, c.start), term_product(D)) for _, r, c, D in aug.terms[1:]]
 
 
 def _weighted_second_moment(rows, lifts, weights):
@@ -432,36 +447,11 @@ def spectral_radius(matrix: np.ndarray) -> float:
     return radius
 
 
-def _operator_blocks(aug: AugmentedClosedLoop, value: bool):
-    """Terms (s2, r, c, D) with op(M) = sum s2 D.T M[r, r] D, each added
-    into the block (c, c) only.
-
-    Phi acts on the whole augmented state; each lift acts on its block
-    (``_lift_blocks``).  On the covariance side the pairs are transposed
-    and r and c swap, so an operator is applied in matrix form, without a
-    Kronecker product.  The terms are float64 views, one list per side of
-    a loop; ``_add_operator`` casts them exactly to the precision of a
-    longdouble operand.
-    """
-    full = slice(0, aug.dim)
-    return [
-        (s2, r, c, D) if value else (s2, c, r, D.T)
-        for s2, r, c, D in [(1.0, full, full, aug.Phi), *_lift_blocks(aug)]
-    ]
-
-
-def _terms(aug: AugmentedClosedLoop, value: bool):
-    """``_operator_blocks(aug, value)``, built once per loop and side: the
-    certificate and every residual of an evaluation share each list."""
-    terms = aug.term_lists.get(value)
-    if terms is None:
-        terms = aug.term_lists[value] = _operator_blocks(aug, value)
-    return terms
-
-
 def _add_operator(R, M, terms, sign=1.0):
-    """R += sign op(M) in place, each term on its block (``_operator_blocks``),
-    in the precision of M.
+    """R += sign op(M) in place, for ``terms`` a side's tuple
+    (``AugmentedClosedLoop.terms`` or ``covariance_terms``): each term
+    s2 D.T M[r, r] D added into the block (c, c) only, in the precision of
+    M (a float64 D is cast exactly to a longdouble M's).
 
     Outside its block a lift's full-size product is +0.0, which changes no
     entry once Phi's term, over the whole state, has been added; so the
@@ -497,7 +487,7 @@ def _positive_operator_test(aug: AugmentedClosedLoop, X: np.ndarray) -> bool | N
     scale = aug._gain * frobenius_norm(X)
     if not scale < np.inf:
         return None
-    R = _add_operator(X.copy(), X, _terms(aug, True), -1.0)
+    R = _add_operator(X.copy(), X, aug.terms, -1.0)
     wX = la.eigvalsh(X)
     wR = la.eigvalsh(symmetrize(R))
     slack_X = d * eps * max(-wX[0], wX[-1])
@@ -532,18 +522,20 @@ def _side_system(aug: AugmentedClosedLoop, side: str, rhs=None):
     the residual with a zero right-hand side, in the precision of ``y``,
     float64 or, for the one residual per side of ``_refine_sides``,
     longdouble, applying the operator in matrix form (``_add_operator``)
-    with the side's float64 terms (``_terms``).
+    with the loop's float64 term tuple of the side (``aug.terms`` or
+    ``aug.covariance_terms``).
     """
     value = side == "value"
     if rhs is None:
         rhs = aug.Qprime if value else aug.Wprime
     d = rhs.shape[0]
     omega = 1.0 if value else _half_indices(d).omega
+    terms = aug.terms if value else aug.covariance_terms
 
     def apply(y, zero_rhs):
         M = _unhvec(y / omega, d)
         R = (0.0 if zero_rhs else rhs) - M
-        return omega * _hvec(_add_operator(R, M, _terms(aug, value)))
+        return omega * _hvec(_add_operator(R, M, terms))
 
     return omega * _hvec(rhs), omega, lambda y: apply(y, False), lambda y: apply(y, True)
 

@@ -20,9 +20,12 @@ R(X*) = 0 and the optimal compensator is (A + B K(X*) - L(X*) C, K(X*), L(X*)).
 
 The Riccati step (``_RiccatiStep``) is built once per solve: A, B, C and
 their transposes, the Q/W blocks and each noise term's (sigma^2, D, D^T).
-PI takes each gain update from its ``gain_blocks`` and ``gains``, VI each
-step from its ``residual``, and the report one ``residual`` pass at the
-converged X, for the controller's gains and the residual norm.  A pass
+It reads X as the (4, n, n) stack of (P, Phat, S, Shat).  PI takes each
+gain update from its ``gain_blocks`` and ``gains``, VI each step from its
+``residual``, and the report one ``residual`` pass at the converged X, for
+the controller's gains and the residual norm.  VI keeps its iterates as
+plain stacks, exactly symmetric by construction, and a solve keeps its
+whole trajectory as one (iterations + 1, 4, n, n) array.  A pass
 takes the products B^T P and A S once each, through ``ndarray.dot``: for
 2-d float64 operands it reaches the same BLAS routine as ``@`` with the
 same operands, without the ufunc dispatch (0.43 us against 0.95 us at
@@ -66,7 +69,7 @@ from .exceptions import (
     SingularBlock,
     SolverError,
 )
-from .matrixmath import condition_number, symmetrize
+from .matrixmath import condition_number, frobenius_norms, symmetrize
 from .model import Controller, ProblemInstance, SystemModel
 from .moments import ValueCovarianceTuple
 
@@ -122,9 +125,11 @@ class HistoryEntry:
 class SolveReport:
     """Outcome of a coupled-Riccati solve.
 
-    ``solution_history`` keeps the full iterate trajectory so convergence
-    metrics can be computed against a reference fixed point afterwards; it is
-    not part of the serialized report.
+    ``solution_history`` keeps the full iterate trajectory, one read-only
+    (iterations + 1, 4, n, n) array of the stacks (P, Phat, S, Shat), so
+    convergence metrics can be computed against a reference fixed point
+    afterwards; it is not part of the serialized report.  ``solution`` is
+    its last iterate.
     """
 
     controller: Controller
@@ -135,7 +140,7 @@ class SolveReport:
     history: tuple[HistoryEntry, ...]
     method: str  # "policy_iteration" or "value_iteration"
     converged: bool
-    solution_history: tuple[ValueCovarianceTuple, ...]
+    solution_history: np.ndarray
 
 
 def _step_converged(delta: float, norm: float, tol: float) -> bool:
@@ -175,11 +180,12 @@ class _RiccatiStep:
     """The Riccati step of one problem, built once per solve.
 
     Holds A, B, C and their transposes, the Q/W blocks and each noise
-    family's (sigma^2, D, D^T).  ``gain_blocks``, ``gains`` and ``residual``
-    evaluate every product left to right with ``ndarray.dot``, bitwise the
-    ``@`` form up to the sign of a zero at n=1 (module docstring); the
-    products that form shares are taken once: B^T P for G_uu and G_ux, A S
-    for H_xy and H_xx.
+    family's (sigma^2, D, D^T).  ``gain_blocks`` and ``residual`` take X as
+    the (4, n, n) stack of (P, Phat, S, Shat).  They and ``gains`` evaluate
+    every product left to right with ``ndarray.dot``, bitwise the ``@``
+    form up to the sign of a zero at n=1 (module docstring); the products
+    that form shares are taken once: B^T P for G_uu and G_ux, A S for H_xy
+    and H_xx.
     """
 
     __slots__ = (
@@ -199,18 +205,18 @@ class _RiccatiStep:
             for terms in (sys.noise_a, sys.noise_b, sys.noise_c)
         )
 
-    def gain_blocks(self, X: ValueCovarianceTuple):
+    def gain_blocks(self, X: np.ndarray):
         """(G_ux, G_uu, H_xy, H_yy), with the block sums P + Phat and
         S + Shat and the product A S that the corners reuse."""
-        P, S = X.P, X.S
-        P_sum = P + X.Phat
+        P, Phat, S, Shat = X
+        P_sum = P + Phat
         BtP = self.Bt.dot(P)
         Guu = self.Quu + BtP.dot(self.B)
         for s2, D, Dt in self.noise_b:
             Guu += s2 * Dt.dot(P_sum).dot(D)
         Gux = self.Qux + BtP.dot(self.A)
 
-        S_sum = S + X.Shat
+        S_sum = S + Shat
         Hyy = self.Wyy + self.C.dot(S).dot(self.Ct)
         for s2, D, Dt in self.noise_c:
             Hyy += s2 * D.dot(S_sum).dot(Dt)
@@ -227,7 +233,7 @@ class _RiccatiStep:
         L = _solve(Hyy.T, Hxy.T).T
         return K, L
 
-    def residual(self, X: ValueCovarianceTuple):
+    def residual(self, X: np.ndarray):
         """(K, L, R): the gains at X and the four blocks of R(X) before
         symmetrization, stacked in the order (P, Phat, S, Shat).
 
@@ -236,7 +242,7 @@ class _RiccatiStep:
         H_xy H_yy^{-1} H_yx = L H_xy^T reuse the gains.  -M + N is written
         N - M, the same IEEE operation."""
         A, At = self.A, self.At
-        P, Phat, S, Shat = X.P, X.Phat, X.S, X.Shat
+        P, Phat, S, Shat = X
         Gux, Guu, Hxy, Hyy, P_sum, S_sum, AS = self.gain_blocks(X)
         K, L = self.gains(Gux, Guu, Hxy, Hyy)
 
@@ -274,40 +280,43 @@ def q_operators(X: ValueCovarianceTuple, problem: ProblemInstance) -> QFunctionP
 
     None of them depends on the gains; G_xu = G_ux^T and H_yx = H_xy^T.
     """
-    return QFunctionPair(*_RiccatiStep(problem).gain_blocks(X)[:4])
+    return QFunctionPair(*_RiccatiStep(problem).gain_blocks(X.blocks())[:4])
 
 
 def gain_operators(X: ValueCovarianceTuple, problem: ProblemInstance):
     """Gains (K, L) at X; SingularBlock when G_uu or H_yy is singular."""
     step = _RiccatiStep(problem)
-    return step.gains(*step.gain_blocks(X)[:4])
+    return step.gains(*step.gain_blocks(X.blocks())[:4])
 
 
 def riccati_residual(X: ValueCovarianceTuple, problem: ProblemInstance) -> ValueCovarianceTuple:
     """R(X), in X's space: one symmetric n x n residual block per unknown
     (``_RiccatiStep.residual``, symmetrized by the constructor)."""
-    return ValueCovarianceTuple(*_RiccatiStep(problem).residual(X)[2])
+    return ValueCovarianceTuple(*_RiccatiStep(problem).residual(X.blocks())[2])
 
 
-def _finalize_report(problem, step, X_star, history, tuples, method, prior=None):
-    """The report shared by both solvers.  One pass of the solve's ``step``
-    at the converged X gives the controller's gains, as ``gain_operators``,
-    and the residual norm, as ``riccati_residual(X).max_norm()``; the cost
-    is the controller's evaluation (from PI's last, ``prior``, where it
-    serves), with the duality cross-check."""
-    K, L, R = step.residual(X_star)
+def _finalize_report(problem, step, trajectory, history, method, prior=None):
+    """The report shared by both solvers, from the list of iterate stacks
+    ``trajectory``.  One pass of the solve's ``step`` at the converged X,
+    the last, gives the controller's gains, as ``gain_operators``, and the
+    residual norm, as ``riccati_residual(X).max_norm()``; the cost is the
+    controller's evaluation (from PI's last, ``prior``, where it serves),
+    with the duality cross-check."""
+    solution_history = np.array(trajectory)
+    solution_history.setflags(write=False)
+    K, L, R = step.residual(solution_history[-1])
     ctrl = Controller(step.A + step.B @ K - L @ step.C, K, L)
     cost = moments.evaluate(moments.build_augmented(problem, ctrl), prior).cost()
     return SolveReport(
         controller=ctrl,
-        solution=X_star,
+        solution=ValueCovarianceTuple(*solution_history[-1]),
         cost=cost,
-        iterations=len(tuples) - 1,
+        iterations=len(trajectory) - 1,
         residual_norm=ValueCovarianceTuple(*R).max_norm(),
         history=tuple(history),
         method=method,
         converged=True,
-        solution_history=tuple(tuples),
+        solution_history=solution_history,
     )
 
 
@@ -327,18 +336,18 @@ def value_iteration_solve(
     when the cap is hit first.
     """
     step = _RiccatiStep(problem)
-    X = ValueCovarianceTuple.zeros(problem.n)
-    tuples = [X]
+    X = np.zeros((4, problem.n, problem.n))
+    trajectory = [X]
     history = [HistoryEntry(delta=None, seconds=0.0)]
     start = time.perf_counter()
     try:
         with np.errstate(over="raise"):
             for k in range(1, max_iter + 1):
-                previous, X = X, ValueCovarianceTuple(*(symmetrize(step.residual(X)[2]) + X.blocks()))
-                delta = X.distance(previous)
+                previous, X = X, symmetrize(step.residual(X)[2]) + X
+                delta = float(frobenius_norms(X - previous).max())
                 history.append(HistoryEntry(delta, time.perf_counter() - start))
-                tuples.append(X)
-                norm = X.max_norm()
+                trajectory.append(X)
+                norm = float(frobenius_norms(X).max())
                 if not math.isfinite(delta) or norm > OVERFLOW_GUARD:
                     raise Diverged("value iteration", k)
                 if _step_converged(delta, norm, tol):
@@ -347,7 +356,7 @@ def value_iteration_solve(
                 raise MaxIterationsExceeded("value iteration", max_iter, history[-1].delta)
     except FloatingPointError:
         raise Diverged("value iteration", k) from None
-    return _finalize_report(problem, step, X, history, tuples, "value_iteration")
+    return _finalize_report(problem, step, trajectory, history, "value_iteration")
 
 
 def policy_iteration_solve(
@@ -385,7 +394,7 @@ def policy_iteration_solve(
         evaluation = moments.evaluate(moments.build_augmented(problem, initial))
         if not evaluation.stable:
             raise InitialPolicyNotStabilizing(evaluation.radius())
-    tuples: list[ValueCovarianceTuple] = []
+    trajectory: list[np.ndarray] = []
     history: list[HistoryEntry] = []
     previous: ValueCovarianceTuple | None = None
     for k in range(max_iter + 1):
@@ -394,14 +403,14 @@ def policy_iteration_solve(
             if not evaluation.stable:
                 raise IterateNotStabilizing(k, evaluation.radius())
         X = moments.extract_tuple(evaluation.solution)
-        tuples.append(X)
+        trajectory.append(X.blocks())
         delta = None if previous is None else X.distance(previous)
         history.append(HistoryEntry(delta, time.perf_counter() - start))
         if delta is not None and _step_converged(delta, X.max_norm(), tol):
             return _finalize_report(
-                problem, step, X, history, tuples, "policy_iteration", evaluation
+                problem, step, trajectory, history, "policy_iteration", evaluation
             )
-        K, L = step.gains(*step.gain_blocks(X)[:4])
+        K, L = step.gains(*step.gain_blocks(X.blocks())[:4])
         ctrl = Controller(step.A + step.B @ K - L @ step.C, K, L)
         aug = moments.build_augmented(problem, ctrl)
         previous = X

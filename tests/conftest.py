@@ -83,8 +83,10 @@ def assert_same_report(got, want):
         assert np.array_equal(getattr(got.controller, name), getattr(want.controller, name))
     assert [entry.delta for entry in got.history] == [entry.delta for entry in want.history]
     assert len(got.solution_history) == len(want.solution_history)
-    for X, Y in zip((got.solution, *got.solution_history), (want.solution, *want.solution_history)):
-        assert all(np.array_equal(a, b) for a, b in zip(X.blocks(), Y.blocks()))
+    got_stacks = (got.solution.blocks(), *got.solution_history)
+    want_stacks = (want.solution.blocks(), *want.solution_history)
+    for X, Y in zip(got_stacks, want_stacks):
+        assert all(np.array_equal(a, b) for a, b in zip(X, Y))
 
 
 @pytest.fixture

@@ -534,7 +534,7 @@ def value_iteration_reference(problem, tol=DEFAULT_TOL, max_iter=VI_MAX_ITER):
     AssertionError when the cap is hit first.
     """
     eps = np.finfo(np.float64).eps
-    X = ValueCovarianceTuple.zeros(problem.n)
+    X = ValueCovarianceTuple(*np.zeros((4, problem.n, problem.n)))
     iterates, steps = [X], []
     for _ in range(max_iter):
         X_next = value_iteration_step(X, problem)
@@ -600,17 +600,15 @@ def critical_noise_scale_reference(A, B, C, patterns, variances, Q, W):
 
 def convergence_metric_reference(history, reference):
     """e_k = max over blocks of ||M_k - M*||_F / ||M_0 - M*||_F, a block
-    whose initial error is at most 1e-300 counting 0: one ``la.norm`` per
-    block and iterate."""
-    if not history:
+    whose initial error is at most 1e-300 counting 0, for ``history`` a
+    (k, 4, n, n) trajectory: one ``la.norm`` per block and iterate."""
+    if not len(history):
         return []
-    base = [
-        float(la.norm(b0 - br)) for b0, br in zip(history[0].blocks(), reference.blocks())
-    ]
+    base = [float(la.norm(b0 - br)) for b0, br in zip(history[0], reference.blocks())]
     return [
         max(
             0.0 if den <= 1e-300 else float(la.norm(bk - br)) / den
-            for bk, br, den in zip(X.blocks(), reference.blocks(), base)
+            for bk, br, den in zip(X, reference.blocks(), base)
         )
         for X in history
     ]

@@ -178,16 +178,21 @@ class TestRandomProblem:
             assert open_loop_radius(problem) < 1.0
 
 
+def trajectory(*iterates):
+    """The (k, 4, n, n) array of ``iterates``, as ``solution_history``."""
+    return np.array([X.blocks() for X in iterates])
+
+
 class TestConvergenceMetric:
     def test_zero_at_reference(self):
         X = ValueCovarianceTuple(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
-        assert convergence_metric([X], X) == [0.0]
+        assert convergence_metric(trajectory(X), X) == [0.0]
 
     def test_starts_at_one(self):
         ref = ValueCovarianceTuple(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
-        start = ValueCovarianceTuple.zeros(2)
+        start = ValueCovarianceTuple(*np.zeros((4, 2, 2)))
         mid = ValueCovarianceTuple(0.5 * np.eye(2), np.eye(2), np.eye(2), np.eye(2))
-        e = convergence_metric([start, mid, ref], ref)
+        e = convergence_metric(trajectory(start, mid, ref), ref)
         assert e[0] == 1.0
         assert e[1] == pytest.approx(0.5)
         assert e[2] == 0.0
@@ -198,25 +203,25 @@ class TestConvergenceMetric:
         drifted = ValueCovarianceTuple(
             0.5 * np.eye(2), 0.1 * np.eye(2), np.eye(2), np.zeros((2, 2))
         )
-        e = convergence_metric([start, drifted], ref)
+        e = convergence_metric(trajectory(start, drifted), ref)
         # Phat starts at its fixed point; its later drift must not poison e_k
         # through a zero denominator.
         assert np.isfinite(e[1])
         assert e[0] == 1.0
 
     def test_empty_history(self):
-        ref = ValueCovarianceTuple.zeros(2)
-        assert convergence_metric([], ref) == []
+        ref = ValueCovarianceTuple(*np.zeros((4, 2, 2)))
+        assert convergence_metric(np.empty((0, 4, 2, 2)), ref) == []
 
     @pytest.mark.parametrize("block", range(4), ids=["P", "Phat", "S", "Shat"])
     def test_nan_in_any_block_reaches_e_k(self, block):
         ref = ValueCovarianceTuple(*np.array([np.eye(2)] * 4))
         stack = np.array([0.5 * np.eye(2)] * 4)
         stack[block, 1, 1] = np.nan
-        e = convergence_metric([ValueCovarianceTuple.zeros(2), ValueCovarianceTuple(*stack), ref], ref)
+        e = convergence_metric(np.array([np.zeros((4, 2, 2)), stack, ref.blocks()]), ref)
         assert e[0] == 1.0 and math.isnan(e[1]) and e[2] == 0.0
         # a NaN initial error is not read as a zero one
-        assert all(map(math.isnan, convergence_metric([ValueCovarianceTuple(*stack), ref], ref)))
+        assert all(map(math.isnan, convergence_metric(np.array([stack, ref.blocks()]), ref)))
 
     @pytest.mark.parametrize(
         "make_problem",

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import select
@@ -12,7 +13,15 @@ import numpy as np
 import pytest
 
 import mnlqg
-from mnlqg import bench, cli, pendulum_problem, save_controller, save_problem, value_iteration_solve
+from mnlqg import (
+    bench,
+    cli,
+    open_loop_controller,
+    pendulum_problem,
+    save_controller,
+    save_problem,
+    value_iteration_solve,
+)
 from mnlqg.bench import SUMMARY_COLUMNS, TRACE_COLUMNS
 from mnlqg.cli import main
 from mnlqg.exceptions import RetryExhausted
@@ -36,6 +45,24 @@ def scalar_file(tmp_path):
     path = tmp_path / "scalar.json"
     path.write_text(save_problem(make_scalar_problem()))
     return str(path)
+
+
+# One finite but huge entry in each gain of the pendulum's open-loop
+# controller (F = A, K = 0, L = 0): each overflows float64 in the loop's
+# products or in its operator gain.
+HUGE_GAINS = {"K": [[1e160, 0.0]], "L": [[1e160], [0.0]], "F": [[1e160, 0.1], [1.0, 0.95]]}
+
+
+def huge_gain_files(tmp_path, field):
+    """Paths of the pendulum document at eta = 0.05 and of its open-loop
+    controller with ``field`` replaced by its entry of HUGE_GAINS."""
+    problem = pendulum_problem(0.05)
+    ctrl = json.loads(save_controller(open_loop_controller(problem)))
+    ctrl[field] = HUGE_GAINS[field]
+    problem_path, ctrl_path = tmp_path / "problem.json", tmp_path / "controller.json"
+    problem_path.write_text(save_problem(problem))
+    ctrl_path.write_text(json.dumps(ctrl))
+    return str(problem_path), str(ctrl_path)
 
 
 def read_rows(path):
@@ -328,6 +355,23 @@ class TestSolveCommand:
         assert "unexpected error" not in err and "Warning" not in err
         cause = "value iteration diverged" if method == "vi" else "initial policy is not mean-square"
         assert errors[0].startswith(f"error: {cause}"), err
+
+    @pytest.mark.parametrize("field", sorted(HUGE_GAINS))
+    def test_huge_gain_init_is_not_stabilizing(self, tmp_path, capsys, field):
+        """A finite but huge entry in F, K or L overflows the loop's
+        products or its operator gain: the initial loop is not stable, at
+        radius inf, with one error line and no NumPy warning (an error under
+        the tests' warning filter)."""
+        problem_path, ctrl_path = huge_gain_files(tmp_path, field)
+        code = main(["solve", problem_path, "--init", ctrl_path, "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 3 and len(errors) == 1, err
+        assert "unexpected error" not in err
+        assert errors[0] == (
+            "error: initial policy is not mean-square stabilizing "
+            "(second-moment spectral radius inf)"
+        ), err
 
 
 class TestBenchPendulumCommand:
@@ -662,6 +706,17 @@ class TestRolloutCommand:
         assert code == 3
         assert "overflow" in capsys.readouterr().err
 
+    def test_huge_estimator_gain_keeps_a_finite_estimate(self, tmp_path, capsys):
+        """A huge L overflows W' but not the rollout, which injects L v
+        itself: the estimate stays finite, without a NumPy warning."""
+        problem_path, ctrl_path = huge_gain_files(tmp_path, "L")
+        argv = ["rollout", problem_path, ctrl_path, "--horizon", "3", "--trials", "2", "--seed", "0"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert math.isfinite(float(re.search(r"^cost_mean: (.*)$", out, re.M).group(1))), out
+        assert "error" not in err and "Warning" not in err
+
 
 # Problem and controller documents with every field present: noise on A, B
 # and C, a nonzero X0.  Both are valid, and the open-loop controller's
@@ -686,6 +741,10 @@ SWEEP_MATRICES = ("A", "B", "C", "Q", "W", "X0") + tuple(
 )
 SWEEP_SIGMAS = tuple(f"noise.{key}[0].sigma" for key in "ABC")
 ENTRY_MUTATIONS = ("drop", "shape", "string", "bool", "nonfinite", "oversized")
+# A finite but huge K overflows the stage weight Q'.  Only rollout reads
+# the document as an input error; solve counts the loop not stable
+# (TestSolveCommand.test_huge_gain_init_is_not_stabilizing).
+ROLLOUT_ONLY = (("controller", "K", "overflows"),)
 SWEEP_CASES = (
     [("problem", field, kind) for field in "nmp" for kind in ENTRY_MUTATIONS + ("mismatch",)]
     + [
@@ -700,6 +759,7 @@ SWEEP_CASES = (
     + [("problem", field, "not-psd") for field in ("W", "X0")]
     + [("controller", field, kind) for field in "FKL" for kind in ENTRY_MUTATIONS]
     + [("problem", field, "square-overflows") for field in SWEEP_SIGMAS]
+    + list(ROLLOUT_ONLY)
 )
 
 
@@ -759,6 +819,7 @@ def _mutate(doc, field, kind, rng):
         "bool": lambda x: bool(rng.integers(2)),
         "nonfinite": lambda x: float(rng.choice([np.nan, np.inf, -np.inf])),
         "oversized": lambda x: int(rng.choice([-1, 1])) * 10 ** int(rng.integers(309, 500)),
+        "overflows": lambda x: float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(160, 300),
     }[kind]
     if isinstance(value, list):
         row = value[rng.integers(len(value))]
@@ -795,6 +856,8 @@ class TestInputContractSweep:
                  "--horizon", "5", "--trials", "2", "--seed", "0"],
             ],
         }[document]
+        if (document, field, kind) in ROLLOUT_ONLY:
+            commands = [argv for argv in commands if argv[0] == "rollout"]
         for seed in range(3):
             docs = json.loads(json.dumps({"problem": SWEEP_PROBLEM, "controller": SWEEP_CONTROLLER}))
             rng = np.random.default_rng([seed, SWEEP_CASES.index((document, field, kind))])
@@ -828,6 +891,21 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["bench-random", "rollout"])
+    def test_negative_seed_is_named(self, tmp_path, capsys, command):
+        if command == "bench-random":
+            argv = ["bench-random", "--count", "1", "--seed", "-5", "--out", str(tmp_path / "x")]
+        else:
+            problem = pendulum_problem(0.05)
+            problem_path, ctrl_path = tmp_path / "p.json", tmp_path / "c.json"
+            problem_path.write_text(save_problem(problem))
+            ctrl_path.write_text(save_controller(open_loop_controller(problem)))
+            argv = ["rollout", str(problem_path), str(ctrl_path)]
+            argv += ["--horizon", "3", "--trials", "2", "--seed", "-1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: --seed must be >= 0", err
 
     def test_missing_required_flag_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -10,7 +10,6 @@ PI's default start evaluates its first loop once, so a ``--init auto``
 solve inverts once per distinct loop.
 """
 
-import collections
 import importlib.util
 import json
 from pathlib import Path
@@ -35,7 +34,7 @@ from mnlqg import (
 )
 from mnlqg.cli import main
 from mnlqg.exceptions import NotMsStable
-from mnlqg.moments import evaluate
+from mnlqg.moments import ValueCovarianceTuple, evaluate
 from mnlqg.riccati import gain_operators
 
 from conftest import assert_same_report
@@ -110,7 +109,7 @@ def loop_of(problem, X):
 def previous_evaluation(problem, held_report):
     """The evaluation of the loop before the converged one: the loop whose
     (P', S') gave the solve's last iterate, and so the report's prior."""
-    return evaluate(loop_of(problem, held_report.solution_history[-2]))
+    return evaluate(loop_of(problem, ValueCovarianceTuple(*held_report.solution_history[-2])))
 
 
 def count_longdouble_operators(monkeypatch):
@@ -139,6 +138,7 @@ class TestSamePathAsFreshInverses:
     def test_every_iterate_within_rounding_of_the_fresh_one(self, fresh_report, held_report):
         pairs = zip(held_report.solution_history, fresh_report.solution_history)
         for held, fresh in pairs:
+            held, fresh = ValueCovarianceTuple(*held), ValueCovarianceTuple(*fresh)
             assert held.distance(fresh) <= 1e-14 * fresh.max_norm()
 
 
@@ -336,39 +336,49 @@ class TestColdStart:
             evaluate(open_loop)
 
 
-def count_term_builds(monkeypatch):
-    """Counts the operator-term lists (``_operator_blocks``) built, per
-    side (True for the value side)."""
-    calls = collections.Counter()
-    build = moments._operator_blocks
+def record_term_tuples(monkeypatch):
+    """Records the term tuple that each operator application
+    (``_add_operator``) takes.  The list keeps every tuple alive, so no two
+    of them share an id."""
+    seen = []
+    add_operator = moments._add_operator
 
-    def counted(aug, value):
-        calls[value] += 1
-        return build(aug, value)
+    def recorded(R, M, terms, sign=1.0):
+        seen.append(terms)
+        return add_operator(R, M, terms, sign)
 
-    monkeypatch.setattr(moments, "_operator_blocks", counted)
-    return calls
+    monkeypatch.setattr(moments, "_add_operator", recorded)
+    return seen
+
+
+def side_ids(aug):
+    """The ids of the loop's two term tuples, one per side."""
+    return {id(aug.terms), id(aug.covariance_terms)}
 
 
 class TestTermListsPerEvaluation:
-    """Each evaluation builds one float64 operator-term list per side: the
+    """Each loop keeps one float64 operator-term tuple per side: the
     certificate and every residual of a side, float64 or longdouble, share
     it."""
 
     def test_fresh_evaluation(self, open_loop, monkeypatch):
-        calls = count_term_builds(monkeypatch)
+        seen = record_term_tuples(monkeypatch)
         assert evaluate(open_loop).stable
-        assert calls == {True: 1, False: 1}
+        assert seen[0] is open_loop.terms  # the certificate's
+        assert {id(terms) for terms in seen} == side_ids(open_loop)
 
     def test_held_evaluation(self, problem, held_report, previous_evaluation, monkeypatch):
-        calls = count_term_builds(monkeypatch)
-        evaluation = evaluate(converged_loop(problem, held_report), previous_evaluation)
+        seen = record_term_tuples(monkeypatch)
+        aug = converged_loop(problem, held_report)
+        evaluation = evaluate(aug, previous_evaluation)
         assert evaluation.inv is previous_evaluation.inv
-        assert calls == {True: 1, False: 1}
+        assert seen[0] is aug.terms  # the certificate candidate's
+        assert {id(terms) for terms in seen} == side_ids(aug)
 
     def test_solve(self, problem, monkeypatch):
-        """Over a --init auto solve, no list is built twice for one loop."""
-        calls = count_term_builds(monkeypatch)
+        """Over a --init auto solve, each loop's residuals take its own two
+        tuples, and no other."""
+        seen = record_term_tuples(monkeypatch)
         evaluations = []
         evaluate_ = moments.evaluate
 
@@ -380,8 +390,9 @@ class TestTermListsPerEvaluation:
         report = policy_iteration_solve(problem)
         assert report.iterations == PI_LARGE_ITERATIONS
         assert len(evaluations) == 12
-        assert calls[True] == calls[False] == 12
-        assert max(calls.values()) == 12
+        ids = {id(terms) for terms in seen}
+        assert ids == set().union(*map(side_ids, evaluations))
+        assert len(ids) == 2 * 12
 
 
 @pytest.mark.skipif(
@@ -418,6 +429,7 @@ def test_held_and_fresh_paths_agree(seed, n, noise_fraction, iterations, monkeyp
     assert held.iterations == fresh.iterations == iterations
     assert abs(held.cost - fresh.cost) <= 4 * np.spacing(fresh.cost)
     for got, want in zip(held.solution_history, fresh.solution_history):
+        got, want = ValueCovarianceTuple(*got), ValueCovarianceTuple(*want)
         assert got.distance(want) <= 1e-14 * want.max_norm()
 
 

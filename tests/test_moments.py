@@ -80,10 +80,14 @@ class TestBuildAugmented:
         A = problem.system.A
         Z = np.zeros((2, 2))
         assert np.array_equal(aug.Phi, np.block([[A, Z], [Z, A]]))
-        # zero control gain annihilates the input-noise lift
-        (s2, lift) = aug.lifts_b[0]
+        # zero control gain annihilates the input-noise lift, stored as its
+        # n x n block; lifts() still gives it full-size, bitwise
+        (s2, block) = aug.lifts_b[0]
         assert s2 == 1.0
-        assert np.array_equal(lift, np.zeros((4, 4)))
+        assert block.shape == (2, 2) and np.array_equal(block, np.zeros((2, 2)))
+        ((s2, lift),) = aug.lifts()
+        assert s2 == 1.0
+        assert lift.tobytes() == np.zeros((4, 4)).tobytes()
 
     def test_scalar_qprime(self, scalar_problem):
         ctrl = Controller(F=[[0.5]], K=[[0.0]], L=[[0.0]])
@@ -390,24 +394,25 @@ class TestBlockLifts:
     @pytest.mark.parametrize("side", ["value", "covariance"])
     @pytest.mark.parametrize("name", sorted(BLOCK_LIFT_LOOPS))
     def test_lyapunov_residual(self, name, side):
-        from mnlqg.moments import _add_operator, _operator_blocks
+        from mnlqg.moments import _add_operator
 
         aug = BLOCK_LIFT_LOOPS[name]
         value = side == "value"
         rhs = (aug.Qprime if value else aug.Wprime).astype(np.longdouble)
+        terms = aug.terms if value else aug.covariance_terms
         for seed in range(3):
             M = self.symmetric_ld(aug, seed)
-            R = _add_operator(rhs - M, M, _operator_blocks(aug, value))
+            R = _add_operator(rhs - M, M, terms)
             assert value_bytes(R) == value_bytes(lyapunov_residual_full_terms(aug, side, M))
 
     @pytest.mark.parametrize("name", sorted(BLOCK_LIFT_LOOPS))
     def test_certificate_residual(self, name):
-        from mnlqg.moments import _add_operator, _operator_blocks
+        from mnlqg.moments import _add_operator
 
         aug = BLOCK_LIFT_LOOPS[name]
         for seed in range(3):
             X = self.symmetric_ld(aug, seed)
-            R = _add_operator(X.copy(), X, _operator_blocks(aug, True), -1.0)
+            R = _add_operator(X.copy(), X, aug.terms, -1.0)
             assert value_bytes(R) == value_bytes(certificate_residual_full_terms(aug, X))
 
 
@@ -577,7 +582,7 @@ class TestPositiveOperatorTest:
         A, B, C = problem.system.A, problem.system.B, problem.system.C
         report = policy_iteration_solve(problem, initial)
         for X in report.solution_history:
-            K, L = gain_operators(X, problem)
+            K, L = gain_operators(ValueCovarianceTuple(*X), problem)
             loops.append(build_augmented(problem, Controller(A + B @ K - L @ C, K, L)))
         for factor in (1.5, 3.0, 10.0):
             loops.append(build_augmented(scaled_noise(problem, factor), initial))
@@ -920,5 +925,6 @@ class TestValueCovarianceTuple:
         stack[block, 1, 1] = np.nan
         X = ValueCovarianceTuple(*stack)
         assert math.isnan(X.max_norm())
-        assert math.isnan(X.distance(ValueCovarianceTuple.zeros(2)))
-        assert math.isnan(ValueCovarianceTuple.zeros(2).distance(X))
+        zero = ValueCovarianceTuple(*np.zeros((4, 2, 2)))
+        assert math.isnan(X.distance(zero))
+        assert math.isnan(zero.distance(X))

@@ -57,7 +57,7 @@ P_STAR, S_STAR, K_STAR, L_STAR = scalar_noise_free_fixed_point()
 
 
 def zero_tuple(n):
-    return ValueCovarianceTuple.zeros(n)
+    return ValueCovarianceTuple(*np.zeros((4, n, n)))
 
 
 def tuple_from_scalars(p, phat, s, shat):
@@ -380,12 +380,43 @@ class TestValueIterationMatchesReference:
         assert [entry.delta for entry in report.history[1:]] == steps
         assert len(report.solution_history) == len(iterates)
         for X, X_ref in zip(report.solution_history, iterates):
-            for block, ref in zip(X.blocks(), X_ref.blocks()):
+            for block, ref in zip(X, X_ref.blocks()):
                 assert block.tobytes() == ref.tobytes()
                 assert not block.flags.writeable
         R = riccati_residual(report.solution, problem)
         assert report.residual_norm == max(float(la.norm(b)) for b in R.blocks())
         assert report.residual_norm == R.max_norm()
+
+
+class TestTrajectory:
+    """A solve keeps its iterates as one read-only stacked trajectory, and
+    value iteration steps plain stacks."""
+
+    @pytest.mark.parametrize("solve", [policy_iteration_solve, value_iteration_solve])
+    def test_one_read_only_array(self, solve):
+        problem, _ = random_problem(7000)
+        report = solve(problem)
+        history = report.solution_history
+        assert type(history) is np.ndarray and not history.flags.writeable
+        assert history.shape == (report.iterations + 1, 4, problem.n, problem.n)
+        assert history[-1].tobytes() == report.solution.blocks().tobytes()
+
+    def test_value_iteration_wraps_a_fixed_number_of_tuples(self, monkeypatch):
+        """The solution and the residual norm's, whatever the step count."""
+        calls = []
+        init = ValueCovarianceTuple.__init__
+
+        def counted(X, *blocks):
+            calls.append(X)
+            init(X, *blocks)
+
+        monkeypatch.setattr(ValueCovarianceTuple, "__init__", counted)
+        counts = {}
+        for eta in (0.0, 0.05):
+            calls.clear()
+            report = value_iteration_solve(pendulum_problem(eta))
+            counts[report.iterations] = len(calls)
+        assert len(counts) == 2 and set(counts.values()) == {2}, counts
 
 
 class TestPolicyIteration:
@@ -772,5 +803,5 @@ class TestSymmetryInvariant:
         )
         report = value_iteration_solve(problem, tol=1e-10)
         for X in report.solution_history[:: max(1, report.iterations // 10)]:
-            for block in X.blocks():
+            for block in X:
                 assert np.array_equal(block, block.T)

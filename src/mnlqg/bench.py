@@ -346,8 +346,10 @@ def monte_carlo_cost(
     scalars, x0 ~ N(0, X0), and xhat0 = 0; returns the mean over trials of
     the time-averaged cost and its standard error.  Raises UnstableRollout
     at the first step whose state x overflows (non-finite or above 1e100 in
-    magnitude), and ValueError naming K when the stage weight Q' is not
-    finite, as where a finite but huge K overflows K.T Q_uu K.
+    magnitude), ValueError naming F, K or L when the controller does not
+    fit the problem (``moments.build_augmented``), and ValueError naming K
+    when the stage weight Q' is not finite, as where a finite but huge K
+    overflows K.T Q_uu K.
 
     The rollouts simulate the augmented loop z = [x; xhat] of
     ``moments.build_augmented``, trials along the last axis.  One step is
@@ -413,7 +415,13 @@ def monte_carlo_cost(
             states[0] = states[k]
     per_trial = costs / horizon
     mean = float(per_trial.mean())
-    stderr = float(per_trial.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    stderr = 0.0
+    if trials > 1:
+        # std squares the deviations, which overflow for costs near 1e154.
+        # Costs scaled by 2^-e are at most 1 in magnitude, and a power of two
+        # scales exactly, so a stderr that is finite unscaled stays bitwise.
+        e = np.frexp(np.abs(per_trial).max())[1]
+        stderr = float(np.ldexp(np.ldexp(per_trial, -e).std(ddof=1) / np.sqrt(trials), e))
     return RolloutEstimate(horizon, trials, seed, mean, stderr)
 
 

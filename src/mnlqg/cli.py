@@ -15,7 +15,7 @@ import signal
 import sys
 
 from . import bench, riccati
-from .exceptions import MnlqgError, ProblemFormatError, SchemaError
+from .exceptions import MnlqgError, ProblemFormatError
 from .model import load_controller, load_problem, validate
 
 EXIT_OK = 0
@@ -67,17 +67,6 @@ def _parse_methods(value: str):
     return tuple(methods)
 
 
-def _load_controller_for(problem, path):
-    """A controller document whose gains have ``problem``'s dimensions."""
-    ctrl = load_controller(_read(path))
-    n, m, p = problem.n, problem.m, problem.p
-    for name, shape in (("F", (n, n)), ("K", (m, n)), ("L", (n, p))):
-        got = getattr(ctrl, name).shape
-        if got != shape:
-            raise SchemaError(f"{name} must have shape {shape[0]}x{shape[1]}, got {got}")
-    return ctrl
-
-
 def _resolve_initial(problem, init):
     if init == "auto":
         return None  # policy_iteration_solve's own default
@@ -85,7 +74,7 @@ def _resolve_initial(problem, init):
         return riccati.open_loop_controller(problem)
     if init == "lqg":
         return riccati.noise_free_controller(problem)
-    return _load_controller_for(problem, init)
+    return load_controller(_read(init))  # build_augmented rejects a misfit
 
 
 def _history_documents(report, e_k):
@@ -350,7 +339,7 @@ def cmd_rollout(args) -> int:
     problem, code = _load_problem_checked(args.problem)
     if code is not None:
         return code
-    ctrl = _load_controller_for(problem, args.controller)
+    ctrl = load_controller(_read(args.controller))
     estimate = bench.monte_carlo_cost(
         problem, ctrl, horizon=args.horizon, trials=args.trials, seed=args.seed
     )

@@ -472,14 +472,10 @@ def load_controller(text: str) -> Controller:
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
     F, K, L = (_matrix_value(doc[key], key, None) for key in ("F", "K", "L"))
-    if F.ndim != 2 or F.shape[0] != F.shape[1]:
-        raise SchemaError(f"F must be square, got shape {F.shape}")
-    n = F.shape[0]
-    if K.ndim != 2 or K.shape[1] != n:
-        raise SchemaError(f"K must have {n} columns, got shape {K.shape}")
-    if L.ndim != 2 or L.shape[0] != n:
-        raise SchemaError(f"L must have {n} rows, got shape {L.shape}")
-    return Controller(F, K, L)
+    try:
+        return Controller(F, K, L)
+    except ValueError as exc:  # the controller's own shape rules
+        raise SchemaError(str(exc)) from exc
 
 
 def save_controller(ctrl: Controller) -> str:

@@ -113,8 +113,6 @@ __all__ = [
     "ValueCovarianceTuple",
     "build_augmented",
     "build_second_moment_matrix",
-    "term_product",
-    "gather_second_moment",
     "spectral_radius",
     "evaluate",
     "solve_lyapunov",
@@ -267,6 +265,9 @@ class ValueCovarianceTuple:
 def build_augmented(problem: ProblemInstance, ctrl: Controller) -> AugmentedClosedLoop:
     """Assemble the augmented closed loop for a problem/controller pair.
 
+    The one check that a controller fits its problem: ValueError naming F,
+    K or L when its shape is not (n, n), (m, n) or (n, p).
+
     The lifts are stored as their n x n blocks: the A-lift's is the noise
     pattern itself, the B-lift's pattern @ K and the C-lift's L @ pattern.
     A product that overflows float64, as of a finite but huge gain, is inf
@@ -275,11 +276,13 @@ def build_augmented(problem: ProblemInstance, ctrl: Controller) -> AugmentedClos
     """
     sys = problem.system
     n, m, p = sys.n, sys.m, sys.p
-    if ctrl.F.shape != (n, n) or ctrl.K.shape != (m, n) or ctrl.L.shape != (n, p):
-        raise ValueError(
-            f"controller shapes {ctrl.F.shape}/{ctrl.K.shape}/{ctrl.L.shape} do not "
-            f"match problem dimensions n={n}, m={m}, p={p}"
-        )
+    for name, shape in (("F", (n, n)), ("K", (m, n)), ("L", (n, p))):
+        got = getattr(ctrl, name).shape
+        if got != shape:
+            raise ValueError(
+                f"{name} must have shape {shape[0]}x{shape[1]} for problem dimensions "
+                f"n={n}, m={m}, p={p}, got {got}"
+            )
     A, B, C = sys.A, sys.B, sys.C
     K, L = ctrl.K, ctrl.L
 

@@ -21,9 +21,10 @@ R(X*) = 0 and the optimal compensator is (A + B K(X*) - L(X*) C, K(X*), L(X*)).
 The Riccati step (``_RiccatiStep``) is built once per solve: A, B, C and
 their transposes, the Q/W blocks and each noise term's (sigma^2, D, D^T).
 It reads X as the (4, n, n) stack of (P, Phat, S, Shat).  PI takes each
-gain update from its ``gain_blocks`` and ``gains``, VI each step from its
-``residual``, and the report one ``residual`` pass at the converged X, for
-the controller's gains and the residual norm.  VI keeps its iterates as
+gain update from its ``gain_blocks`` and ``gains``, and each improved
+compensator from its ``controller``, VI each step from its ``residual``,
+and the report one ``residual`` pass at the converged X, for the
+controller's gains and the residual norm.  VI keeps its iterates as
 plain stacks, exactly symmetric by construction, and a solve keeps its
 whole trajectory as one (iterations + 1, 4, n, n) array.  A pass
 takes the products B^T P and A S once each, through ``ndarray.dot``: for
@@ -224,6 +225,10 @@ class _RiccatiStep:
         Hxy = self.Wxy + AS.dot(self.Ct)
         return Gux, Guu, Hxy, Hyy, P_sum, S_sum, AS
 
+    def controller(self, K, L) -> Controller:
+        """The compensator (A + B K - L C, K, L) of the gains (K, L)."""
+        return Controller(self.A + self.B @ K - L @ self.C, K, L)
+
     @staticmethod
     def gains(Gux, Guu, Hxy, Hyy):
         """(K, L) from the gain blocks, each solve after its condition check."""
@@ -305,7 +310,7 @@ def _finalize_report(problem, step, trajectory, history, method, prior=None):
     solution_history = np.array(trajectory)
     solution_history.setflags(write=False)
     K, L, R = step.residual(solution_history[-1])
-    ctrl = Controller(step.A + step.B @ K - L @ step.C, K, L)
+    ctrl = step.controller(K, L)
     cost = moments.evaluate(moments.build_augmented(problem, ctrl), prior).cost()
     return SolveReport(
         controller=ctrl,
@@ -367,11 +372,12 @@ def policy_iteration_solve(
 ) -> SolveReport:
     """Alternate exact policy evaluation and gain improvement.
 
-    Each iteration evaluates the current policy (``moments.evaluate``:
-    both generalized Lyapunov equations, then X extracted), then updates
-    the gains to (K(X), L(X)) with model matrix A + B K - L C.  Stops when
-    successive evaluated X differ by at most ``tol`` (blockwise max
-    Frobenius norm), or by at most STEP_FLOOR_ULPS float64 ulps of the
+    The initial policy is evaluated (``moments.evaluate``: both
+    generalized Lyapunov equations, then X extracted); each of at most
+    ``max_iter`` iterations then improves the policy to the compensator of
+    the gains (K(X), L(X)) (``_RiccatiStep.controller``) and evaluates it.
+    Stops when successive evaluated X differ by at most ``tol`` (blockwise
+    max Frobenius norm), or by at most STEP_FLOOR_ULPS float64 ulps of the
     iterate's norm when that is larger (see ``_step_converged``).
 
     With ``initial`` None the solve starts from the policy that
@@ -394,26 +400,23 @@ def policy_iteration_solve(
         evaluation = moments.evaluate(moments.build_augmented(problem, initial))
         if not evaluation.stable:
             raise InitialPolicyNotStabilizing(evaluation.radius())
-    trajectory: list[np.ndarray] = []
-    history: list[HistoryEntry] = []
-    previous: ValueCovarianceTuple | None = None
-    for k in range(max_iter + 1):
-        if k > 0:
-            evaluation = moments.evaluate(aug, evaluation)
-            if not evaluation.stable:
-                raise IterateNotStabilizing(k, evaluation.radius())
-        X = moments.extract_tuple(evaluation.solution)
+    X = moments.extract_tuple(evaluation.solution)
+    trajectory = [X.blocks()]
+    history = [HistoryEntry(delta=None, seconds=time.perf_counter() - start)]
+    for k in range(1, max_iter + 1):
+        K, L = step.gains(*step.gain_blocks(X.blocks())[:4])
+        aug = moments.build_augmented(problem, step.controller(K, L))
+        evaluation = moments.evaluate(aug, evaluation)
+        if not evaluation.stable:
+            raise IterateNotStabilizing(k, evaluation.radius())
+        previous, X = X, moments.extract_tuple(evaluation.solution)
+        delta = X.distance(previous)
         trajectory.append(X.blocks())
-        delta = None if previous is None else X.distance(previous)
         history.append(HistoryEntry(delta, time.perf_counter() - start))
-        if delta is not None and _step_converged(delta, X.max_norm(), tol):
+        if _step_converged(delta, X.max_norm(), tol):
             return _finalize_report(
                 problem, step, trajectory, history, "policy_iteration", evaluation
             )
-        K, L = step.gains(*step.gain_blocks(X.blocks())[:4])
-        ctrl = Controller(step.A + step.B @ K - L @ step.C, K, L)
-        aug = moments.build_augmented(problem, ctrl)
-        previous = X
     raise MaxIterationsExceeded("policy iteration", max_iter, history[-1].delta)
 
 

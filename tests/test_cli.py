@@ -718,6 +718,64 @@ class TestRolloutCommand:
         assert "error" not in err and "Warning" not in err
 
 
+    def test_overflowing_costs_keep_a_finite_stderr(self, tmp_path, capsys):
+        """The pendulum's open loop at eta = 0.05 grows to per-trial costs
+        near 1e171, whose squares overflow float64: the standard error is
+        still finite, without a NumPy warning (an error under the tests'
+        warning filter)."""
+        problem = pendulum_problem(0.05)
+        problem_path, ctrl_path = tmp_path / "problem.json", tmp_path / "controller.json"
+        problem_path.write_text(save_problem(problem))
+        ctrl_path.write_text(save_controller(open_loop_controller(problem)))
+        argv = ["rollout", str(problem_path), str(ctrl_path),
+                "--horizon", "800", "--trials", "2", "--seed", "0"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        mean = float(re.search(r"^cost_mean: (.*)$", out, re.M).group(1))
+        stderr = float(re.search(r"^cost_stderr: (.*)$", out, re.M).group(1))
+        assert mean > 1e160 and 0.0 < stderr < math.inf, out
+        assert "error" not in err and "Warning" not in err
+
+
+# Pendulum controllers (n = 2, m = 1, p = 1) with one matrix of a wrong
+# shape, keyed by the case, with the matrix the error names.  "F" is a
+# consistent 3-state compensator; "K-vs-F" does not fit its own F.
+MISFIT_CONTROLLERS = {
+    "F": ("F", {"F": np.eye(3).tolist(), "K": [[0.0, 0.0, 0.0]], "L": [[0.0], [0.0], [0.0]]}),
+    "K": ("K", {"F": np.eye(2).tolist(), "K": [[0.0, 0.0], [0.0, 0.0]], "L": [[0.0], [0.0]]}),
+    "L": ("L", {"F": np.eye(2).tolist(), "K": [[0.0, 0.0]], "L": [[0.0, 0.0], [0.0, 0.0]]}),
+    "K-vs-F": ("K", {"F": np.eye(2).tolist(), "K": [[0.0, 0.0, 0.0]], "L": [[0.0], [0.0]]}),
+}
+
+
+class TestControllerMisfit:
+    """A controller that does not fit the problem, or its own F, is one
+    input error that names the matrix; no report is written."""
+
+    @pytest.mark.parametrize("command", ["solve", "rollout"])
+    @pytest.mark.parametrize("case", sorted(MISFIT_CONTROLLERS))
+    def test_exits_two_naming_the_matrix(self, tmp_path, capsys, command, case):
+        name, ctrl = MISFIT_CONTROLLERS[case]
+        problem_path, ctrl_path = tmp_path / "problem.json", tmp_path / "controller.json"
+        problem_path.write_text(save_problem(pendulum_problem(0.05)))
+        ctrl_path.write_text(json.dumps(ctrl))
+        report = tmp_path / "report.json"
+        if command == "solve":
+            argv = ["solve", str(problem_path), "--init", str(ctrl_path), "--out", str(report)]
+        else:
+            argv = ["rollout", str(problem_path), str(ctrl_path),
+                    "--horizon", "5", "--trials", "2", "--seed", "0"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 2 and len(errors) == 1, err
+        assert errors[0].startswith(f"error: {name} must have "), err
+        if case != "K-vs-F":
+            assert "for problem dimensions n=2, m=1, p=1" in errors[0], err
+        assert out == "" and not report.exists()
+
+
 # Problem and controller documents with every field present: noise on A, B
 # and C, a nonzero X0.  Both are valid, and the open-loop controller's
 # rollout is finite.

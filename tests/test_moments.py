@@ -137,6 +137,18 @@ class TestBuildAugmented:
         with pytest.raises(ValueError, match="dimensions"):
             build_augmented(scalar_problem, bad)
 
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("F", dict(F=np.eye(2), K=[[0.0, 0.0]], L=[[0.0], [0.0]])),
+            ("K", dict(F=[[0.5]], K=[[0.0], [0.0]], L=[[0.0]])),
+            ("L", dict(F=[[0.5]], K=[[0.0]], L=[[0.0, 0.0]])),
+        ],
+    )
+    def test_misfit_names_the_matrix(self, scalar_problem, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must have shape 1x1 for problem dimensions"):
+            build_augmented(scalar_problem, Controller(**bad))
+
 
 class TestSecondMomentMatrix:
     def test_scalar_with_state_noise(self):

@@ -29,6 +29,7 @@ from mnlqg.exceptions import (
     DualityViolation,
     InitialPolicyNotStabilizing,
     IterateNotStabilizing,
+    MaxIterationsExceeded,
     SingularBlock,
     SolverError,
 )
@@ -577,6 +578,32 @@ class TestOneStepPerSolve:
         assert counts["steps"] == 1
         # one per gain update (PI) or step (VI), one for the report
         assert counts["gain_blocks"] == report.iterations + 1
+
+
+class TestPolicyIterationCap:
+    """``max_iter`` caps PI's gain updates: each one is evaluated, and none
+    follows the last allowed evaluation."""
+
+    @pytest.mark.parametrize("max_iter", [0, 5])
+    def test_one_gain_update_per_allowed_iteration(self, max_iter, monkeypatch):
+        problem = pendulum_problem(0.05)
+        initial = noise_free_controller(problem)
+        calls = []
+        gains = riccati._RiccatiStep.gains
+
+        def counted_gains(*blocks):
+            calls.append(1)
+            return gains(*blocks)
+
+        monkeypatch.setattr(riccati._RiccatiStep, "gains", staticmethod(counted_gains))
+        with pytest.raises(MaxIterationsExceeded) as info:
+            policy_iteration_solve(problem, initial, max_iter=max_iter)
+        assert len(calls) == max_iter
+        assert info.value.iterations == max_iter
+        if max_iter == 0:
+            assert info.value.last_delta is None
+        else:
+            assert info.value.last_delta > 0.0
 
 
 class TestEigvalsOffThePolicyPath:

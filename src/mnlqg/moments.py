@@ -84,20 +84,29 @@ applies: with X solving X - Psi(X) = I and R = X - Psi(X) recomputed in
 float64 for the rounded X, X > 0 and R >= r I with r > 0 give
 Psi(X) <= (1 - r / lmax(X)) X, hence rho(Psi) <= 1 - r / lmax(X); and R > 0
 with X not positive semidefinite gives rho(Psi) > 1.  Only when this test
-cannot decide is the dense spectral radius computed.  A loop whose operator
-gain (``AugmentedClosedLoop._gain``) overflows float64 has a Psi_s that
-float64 cannot hold; it counts as not stable, with radius inf, and Psi_s is
-not built.
+cannot decide is the dense spectral radius computed (``spectral_radius``).
+At K = 0 and L = 0, for any F, as at the open loop of every critical-noise
+bisection, Phi = diag(A, F) and the B- and C-lifts vanish, so Psi maps the
+(x, x), (xhat, x) and (xhat, xhat) blocks of M each into its own block:
+Psi_s splits into three diagonal blocks of the hvec coordinates, n(n+1)/2,
+n^2 and n(n+1)/2 square, and its radius is the largest of theirs.
+``spectral_radius`` reads the decoupling from the entries, so a Psi_s with
+any entry coupling two blocks takes one eigenvalue call on the whole.  A
+loop whose operator gain (``AugmentedClosedLoop._gain``) overflows float64
+has a Psi_s that float64 cannot hold; it counts as not stable, with radius
+inf, and Psi_s is not built.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 import numpy.linalg as la
+from numpy.linalg import _umath_linalg
 
 from .exceptions import DualityViolation, EigenvalueFailure, NotMsStable
 from .matrixmath import (
@@ -433,18 +442,77 @@ def gather_second_moment(rows: np.ndarray) -> np.ndarray:
     return psi
 
 
+@functools.lru_cache(maxsize=None)
+def _hvec_blocks(size: int) -> tuple[np.ndarray, tuple[tuple[slice, int], ...]] | None:
+    """The three hvec blocks of the symmetric 2n x 2n matrices, for a
+    size x size matrix acting on ``_hvec``; None when size is not n(2n+1)
+    for any n >= 1.
+
+    The blocks are the diagonal blocks of the rows and columns whose entry
+    (i, j) lies in (x, x), (xhat, x) and (xhat, xhat), in that order:
+    n(n+1)/2, n^2 and n(n+1)/2 square.  Returns the flat (C-order)
+    positions of their entries, block after block and each row by row, and
+    per block its slice of them and its size.
+    """
+    n = (math.isqrt(8 * size + 1) - 1) // 4  # 8 n(2n+1) + 1 = (4n + 1)^2
+    if n < 1 or n * (2 * n + 1) != size:
+        return None
+    h = _half_indices(2 * n)
+    block = (h.i >= n).astype(np.intp) + (h.j >= n)  # i >= j: no (x, xhat)
+    rows = [np.flatnonzero(block == b) for b in range(3)]
+    entries = np.concatenate([(k[:, None] * size + k).ravel() for k in rows])
+    entries.setflags(write=False)
+    sizes = [len(k) for k in rows]
+    ends = np.cumsum([k * k for k in sizes]).tolist()
+    return entries, tuple((slice(end - k * k, end), k) for end, k in zip(ends, sizes))
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """The complex eigenvalues of one square matrix with finite entries:
+    the LAPACK gufunc that ``la.eigvals`` calls, so they are bitwise its,
+    without its argument checks and error-state context, which
+    ``spectral_radius`` applies once per radius.  A LAPACK failure leaves
+    NaNs and sets the floating-point invalid flag."""
+    return _umath_linalg.eigvals(a, signature="D->D" if a.dtype.kind == "c" else "d->D")
+
+
 def spectral_radius(matrix: np.ndarray) -> float:
-    """Magnitude of the dominant eigenvalue of a square matrix (``eigvals``).
+    """Magnitude of the dominant eigenvalue of a square matrix.
 
     On Psi_s or Gamma_s this is the spectral radius of the second-moment
-    operator.  Raises EigenvalueFailure when ``eigvals`` fails or returns
-    non-finite values.
+    operator.  Where the matrix is n(2n+1) square and no non-zero entry
+    couples two of its hvec blocks (``_hvec_blocks``), its eigenvalues are
+    those of the three diagonal blocks, and the radius is the largest of
+    their radii.  Psi_s and Gamma_s decouple so at K = 0 and L = 0, for
+    any F: Phi = diag(A, F), the B- and C-lifts vanish, and Psi(M) maps
+    M[x, x], M[xhat, x] and M[xhat, xhat] each into its own block.  This is
+    the open loop of every critical-noise bisection, where eigenvalues of
+    matrices 55, 100 and 55 square stand in for one 210 square at n=10.
+    Every other matrix takes one call on the whole, bitwise the radius
+    ``la.eigvals`` gives.
+
+    ValueError naming the shape unless the matrix is square and not
+    empty.  EigenvalueFailure, with ``la.eigvals``'s message, when an entry
+    is not finite or LAPACK does not converge, and when an eigenvalue is
+    not finite.
     """
-    try:
-        eigs = la.eigvals(matrix)
-    except la.LinAlgError as exc:
-        raise EigenvalueFailure(f"eigenvalue computation failed: {exc}") from exc
-    radius = float(np.max(np.abs(eigs)))
+    a = np.asarray(matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"spectral_radius needs a non-empty square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise EigenvalueFailure("eigenvalue computation failed: Array must not contain infs or NaNs")
+    parts, blocks = [a], _hvec_blocks(a.shape[0])
+    if blocks is not None:
+        entries, spans = blocks
+        inside = a.take(entries)
+        if np.count_nonzero(inside) == np.count_nonzero(a):  # no coupling entry
+            parts = [inside[span].reshape(k, k) for span, k in spans]
+    with np.errstate(all="ignore", invalid="raise"):
+        try:
+            eigs = [_eigvals(part) for part in parts]
+        except FloatingPointError as exc:
+            raise EigenvalueFailure("eigenvalue computation failed: Eigenvalues did not converge") from exc
+    radius = float(abs(np.concatenate(eigs)).max())
     if not np.isfinite(radius):
         raise EigenvalueFailure("eigenvalue computation produced non-finite values")
     return radius

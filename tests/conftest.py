@@ -1,6 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mnlqg
 from mnlqg import (
     Controller,
     CostModel,
@@ -21,6 +25,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def synthetic_problem(seed, n, noise_fraction=0.5):
+    """The benchmark's synthetic instance (``perfbench/instances.py``, which
+    imports nothing from the program) with m = p = 2."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instances", path)
+    instances = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instances)
+    return instances.synthetic_problem(mnlqg, seed, n, 2, 2, noise_fraction)
 
 
 def make_scalar_problem(sigma_a=0.0, w_diag=(0.01, 0.01)):

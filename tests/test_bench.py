@@ -37,11 +37,12 @@ from mnlqg.cli import main
 from mnlqg.exceptions import RetryExhausted, UnstableRollout
 from mnlqg.moments import evaluate_policy
 
-from conftest import make_scalar_problem
+from conftest import make_scalar_problem, synthetic_problem
 from oracles import (
     convergence_metric_reference,
     critical_noise_scale_reference,
     monte_carlo_cost_reference,
+    specrad,
 )
 
 POOL_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "ensemble_pool.json"
@@ -160,6 +161,29 @@ class TestRandomProblem:
             assert save_problem(problem) == save_problem(ref_problem), seed
             assert repr(eta) == repr(ref_eta), seed
 
+    def test_bitwise_equal_to_full_matrix_bisection(self, monkeypatch):
+        """``spectral_radius`` takes the open loop's radius from its three
+        decoupled hvec blocks, which may differ from a full-matrix
+        ``eigvals`` in the last bits.  No bisection step flips: the
+        instances are byte for byte those of bisections on the full-matrix
+        radius, here (seeds 7000-7199 and the seeds the benchmark's pool
+        excludes) and in the benchmark's generator at n = 4 and 10."""
+        excluded = json.loads(POOL_FILE.read_text())["excluded"]
+        seeds = list(range(7000, 7200)) + sorted(int(seed) for seed in excluded)
+
+        def generate():
+            randoms = [random_problem(seed) for seed in seeds]
+            synthetic = [synthetic_problem(11, n) for n in (4, 10)]
+            return [(save_problem(p), repr(eta)) for p, eta in randoms], [save_problem(p) for p in synthetic]
+
+        blocks = generate()
+        monkeypatch.setattr(mnlqg.moments, "spectral_radius", specrad)
+        monkeypatch.setattr(mnlqg, "spectral_radius", specrad)  # the generator's name
+        full = generate()
+        assert blocks[1] == full[1]
+        for seed, got, want in zip(seeds, blocks[0], full[0]):
+            assert got == want, seed
+
     def test_generation_builds_no_kronecker_product(self, monkeypatch):
         """The critical-noise bisections, here and in the benchmark's
         generator (which calls the package API by name), work on Psi_s."""
@@ -168,12 +192,8 @@ class TestRandomProblem:
             raise AssertionError("np.kron called while generating an instance")
 
         monkeypatch.setattr(np, "kron", no_kron)
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
-        spec = importlib.util.spec_from_file_location("perfbench_instances", path)
-        instances = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(instances)
         problems = [random_problem(seed)[0] for seed in range(7000, 7005)]
-        problems.append(instances.synthetic_problem(mnlqg, 11, 4, 2, 2, 0.5))
+        problems.append(synthetic_problem(11, 4))
         for problem in problems:
             assert open_loop_radius(problem) < 1.0
 

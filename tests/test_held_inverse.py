@@ -10,9 +10,7 @@ PI's default start evaluates its first loop once, so a ``--init auto``
 solve inverts once per distinct loop.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import numpy.linalg as la
@@ -37,7 +35,7 @@ from mnlqg.exceptions import NotMsStable
 from mnlqg.moments import ValueCovarianceTuple, evaluate
 from mnlqg.riccati import gain_operators
 
-from conftest import assert_same_report
+from conftest import assert_same_report, synthetic_problem
 from oracles import lyapunov_extended
 
 # cost of the benchmark's pi-large solve on the fresh path
@@ -45,17 +43,9 @@ PI_LARGE_COST = 0.3215663851692543
 PI_LARGE_ITERATIONS = 10
 
 
-def _synthetic_problem(seed, n, noise_fraction):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
-    spec = importlib.util.spec_from_file_location("perfbench_instances", path)
-    instances = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(instances)
-    return instances.synthetic_problem(mnlqg, seed, n, 2, 2, noise_fraction)
-
-
 @pytest.fixture(scope="module")
 def problem():
-    problem = _synthetic_problem(11, 10, 0.5)
+    problem = synthetic_problem(11, 10, 0.5)
     assert 10 * 21 >= moments.HELD_INVERSE_MIN_UNKNOWNS
     return problem
 
@@ -421,7 +411,7 @@ def test_held_path_within_one_ulp_of_the_largest_entry(problem, held_report, pre
     ],
 )
 def test_held_and_fresh_paths_agree(seed, n, noise_fraction, iterations, monkeypatch):
-    problem = _synthetic_problem(seed, n, noise_fraction)
+    problem = synthetic_problem(seed, n, noise_fraction)
     assert n * (2 * n + 1) >= moments.HELD_INVERSE_MIN_UNKNOWNS
     held = policy_iteration_solve(problem)
     monkeypatch.setattr(moments, "HELD_INVERSE_MIN_UNKNOWNS", np.inf)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.linalg as la
@@ -16,7 +17,8 @@ from mnlqg import (
     spectral_radius,
     stabilizing_initial_controller,
 )
-from mnlqg.exceptions import DualityViolation, NotMsStable
+from mnlqg import moments
+from mnlqg.exceptions import DualityViolation, EigenvalueFailure, NotMsStable
 from mnlqg.moments import (
     STABILITY_MARGIN,
     AugmentedSolution,
@@ -28,7 +30,7 @@ from mnlqg.moments import (
 )
 from mnlqg.riccati import gain_operators
 
-from conftest import make_random_controller, make_scalar_problem
+from conftest import make_random_controller, make_scalar_problem, synthetic_problem
 from oracles import (
     apply_covariance_operator,
     apply_value_operator,
@@ -212,6 +214,97 @@ class TestSpectralRadius:
         aug = scalar_open_loop_aug(sigma_a=0.3)
         psi = build_second_moment_matrix(aug, "value")
         assert spectral_radius(psi) == pytest.approx(0.34, rel=1e-10)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,), (2, 2, 2)])
+    def test_not_a_square_matrix_is_a_value_error(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            spectral_radius(np.ones(shape))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, entry):
+        for size in (3, 4, 10):  # with and without the hvec blocks
+            M = np.eye(size)
+            M[0, 0] = entry
+            with pytest.raises(EigenvalueFailure, match="^eigenvalue computation failed: Array must not contain infs or NaNs$"):
+                spectral_radius(M)
+
+    def test_non_finite_eigenvalue(self):
+        with pytest.raises(EigenvalueFailure, match="^eigenvalue computation produced non-finite values$"):
+            spectral_radius(np.full((3, 3), 1e308))
+
+    def test_non_convergence(self, monkeypatch):
+        def failing(a):
+            np.sqrt(np.float64(-1.0))  # sets the invalid flag, as a LAPACK failure does
+            return np.full(a.shape[0], np.nan, dtype=complex)
+
+        monkeypatch.setattr(moments, "_eigvals", failing)
+        for matrix in (np.eye(4), np.eye(10), 2.0 * np.ones((10, 10))):
+            with pytest.raises(EigenvalueFailure, match="^eigenvalue computation failed: Eigenvalues did not converge$"):
+                spectral_radius(matrix)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_decoupled_blocks(self, n):
+        """An n(2n+1)-square matrix with no entry between its hvec blocks
+        has the largest radius of its three diagonal blocks, from a matrix
+        with any other non-zero entry one eigvals call on the whole."""
+        rng = np.random.default_rng(n)
+        i, j = np.tril_indices(2 * n)
+        i, j = i[np.argsort(j, kind="stable")], np.sort(j)  # _hvec order
+        block = (i >= n).astype(int) + (j >= n)
+        M = rng.standard_normal((len(i), len(i))) * (block[:, None] == block)
+        radii = [specrad(M[np.ix_(block == b, block == b)]) for b in range(3)]
+        assert spectral_radius(M) == max(radii)
+        assert spectral_radius(M) == pytest.approx(specrad(M), rel=1e-13)
+        M[np.argmax(block == 0), np.argmax(block == 2)] = 1e-300
+        assert spectral_radius(M) == specrad(M)
+        assert spectral_radius(M.astype(complex)) == specrad(M.astype(complex))
+
+
+@pytest.fixture
+def eigvals_shapes(monkeypatch):
+    """The shapes of the matrices passed to the LAPACK eigenvalue seam."""
+    shapes, seam = [], moments._eigvals
+
+    def recording(a):
+        shapes.append(a.shape)
+        return seam(a)
+
+    monkeypatch.setattr(moments, "_eigvals", recording)
+    return shapes
+
+
+class TestEigenvalueWork:
+    """The open loop decouples into three hvec blocks (K = 0, L = 0, any
+    F), whose radii stand in for the full matrix's; any other loop takes
+    one call on the whole."""
+
+    @pytest.mark.parametrize("side", ["value", "covariance"])
+    def test_random_open_loop(self, side, eigvals_shapes):
+        problem, _ = random_problem(7000)
+        aug = build_augmented(problem, open_loop_controller(problem))
+        eigvals_shapes.clear()
+        spectral_radius(build_second_moment_matrix(aug, side))
+        assert eigvals_shapes == [(3, 3), (4, 4), (3, 3)]
+
+    def test_benchmark_instance_open_loops(self, eigvals_shapes):
+        problem = synthetic_problem(11, 10)
+        blocks = [(55, 55), (100, 100), (55, 55)]
+        assert len(eigvals_shapes) > 3
+        assert eigvals_shapes == blocks * (len(eigvals_shapes) // 3)
+        eigvals_shapes.clear()
+        aug = build_augmented(problem, open_loop_controller(problem))
+        spectral_radius(build_second_moment_matrix(aug, "value"))
+        assert eigvals_shapes == blocks
+
+    def test_converged_loop_is_one_call(self, eigvals_shapes):
+        problem, _ = random_problem(7000)
+        report = policy_iteration_solve(problem)
+        aug = build_augmented(problem, report.controller)
+        eigvals_shapes.clear()
+        radius = evaluate(aug).radius()
+        assert eigvals_shapes == [(10, 10)]
+        psi = build_second_moment_matrix(aug, "value")
+        assert radius == float(np.max(np.abs(la.eigvals(psi))))
 
 
 def six_state_loop(sigma):

@@ -47,6 +47,12 @@ class EigenvalueFailure(SolverError):
     """The dense eigenvalue computation failed or produced non-finite values."""
 
 
+class LyapunovSolveFailure(SolverError):
+    """The Lyapunov equations of a loop decided mean-square stable could
+    not be solved: I - Psi_s could not be inverted, or refinement against
+    its inverse stopped contracting."""
+
+
 class SingularBlock(SolverError):
     """A gain computation hit a numerically singular G_uu or H_yy block."""
 

@@ -91,7 +91,11 @@ bisection, Phi = diag(A, F) and the B- and C-lifts vanish, so Psi maps the
 Psi_s splits into three diagonal blocks of the hvec coordinates, n(n+1)/2,
 n^2 and n(n+1)/2 square, and its radius is the largest of theirs.
 ``spectral_radius`` reads the decoupling from the entries, so a Psi_s with
-any entry coupling two blocks takes one eigenvalue call on the whole.  A
+any entry coupling two blocks takes one eigenvalue call on the whole.  Of
+the blocks from POWER_BOUND_MIN_SIZE rows on, a block that a certified
+bound by repeated squaring (Gelfand's formula, ``_power_bounds``) places
+below the largest radius found so far takes no eigenvalues; at F = A these
+are the (xhat, x) and (xhat, xhat) blocks, of radius rho(A)^2.  A
 loop whose operator gain (``AugmentedClosedLoop._gain``) overflows float64
 has a Psi_s that float64 cannot hold; it counts as not stable, with radius
 inf, and Psi_s is not built.
@@ -100,6 +104,7 @@ inf, and Psi_s is not built.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -108,7 +113,7 @@ import numpy as np
 import numpy.linalg as la
 from numpy.linalg import _umath_linalg
 
-from .exceptions import DualityViolation, EigenvalueFailure, NotMsStable
+from .exceptions import DualityViolation, EigenvalueFailure, LyapunovSolveFailure, NotMsStable
 from .matrixmath import (
     frobenius, frobenius_norm, frobenius_norms, solve_linear_extended, symmetrize,
 )
@@ -149,6 +154,23 @@ HELD_INVERSE_MIN_UNKNOWNS = 136
 # of each side stop above their rounding floor, about cond(I - Psi_s) eps.
 HELD_CANDIDATE_TOL = 1e-6
 HELD_FLOAT64_TOL = 1e-11
+# Decoupled blocks (``spectral_radius``) at least this many rows square
+# are bounded by repeated squaring (``_power_bounds``) before their
+# eigenvalues are taken, and skipped where the bound shows they cannot hold
+# the radius; smaller blocks take ``eigvals`` at once.  The block that holds
+# the radius pays for both.  Measured crossover, one BLAS thread: the first
+# bound (two squarings with their norms) takes about 9 us from 10 to 21
+# rows, ``eigvals`` 18 us at 10, 41 us at 16 and 70 us at 21 (timeit, best
+# of 5); generating the benchmark's instances for seeds 11-20 (mean, best
+# of 10 passes) took 6.6 ms at n = 4 (blocks of 10, 16 and 10 rows) with
+# every block bounded and 6.2 ms with none, and 10.2 ms at n = 6 (21, 36
+# and 21) with every block bounded and 11.3 ms with none.  So every block
+# at n <= 4, as of the paper's n = 2 experiment, keeps one ``eigvals`` call.
+POWER_BOUND_MIN_SIZE = 17
+# A block is skipped where its bound lies below the largest radius found so
+# far by this relative margin, after at most POWER_BOUND_SQUARINGS squarings.
+POWER_BOUND_MARGIN = 1e-6
+POWER_BOUND_SQUARINGS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,6 +513,24 @@ def spectral_radius(matrix: np.ndarray) -> float:
     Every other matrix takes one call on the whole, bitwise the radius
     ``la.eigvals`` gives.
 
+    Not every block needs its eigenvalues (``_largest_radius``).  Blocks
+    below POWER_BOUND_MIN_SIZE rows take them at once; the larger ones are
+    bounded by repeated squaring (``_power_bounds``) and taken in
+    decreasing order of their first bound, and a block whose bound,
+    refined while it is not, lies below the largest radius found so far
+    by the relative POWER_BOUND_MARGIN is skipped.  At the open loop with
+    F = A the (xhat, x) and (xhat, xhat) blocks have radius rho(A)^2,
+    below the (x, x) block's, which holds the A-noise besides A^T (x) A^T:
+    they are skipped so, and a radius at n=10 takes the eigenvalues of one
+    block 55 square.  The radius stays bitwise the largest of all blocks'
+    computed radii: a skipped block's bound exceeds the radius of every
+    perturbation of it within the backward error of ``eigvals``, so the
+    eigenvalues it would have computed are no larger than the bound, up
+    to the rounding of their magnitudes (a few units of u), and the
+    margin, 1e-6, is ten orders of magnitude above that rounding and
+    leaves room for a backward error beyond the bound's allowance: the
+    skipped block's computed radius would have stayed below the largest.
+
     ValueError naming the shape unless the matrix is square and not
     empty.  EigenvalueFailure, with ``la.eigvals``'s message, when an entry
     is not finite or LAPACK does not converge, and when an eigenvalue is
@@ -509,13 +549,94 @@ def spectral_radius(matrix: np.ndarray) -> float:
             parts = [inside[span].reshape(k, k) for span, k in spans]
     with np.errstate(all="ignore", invalid="raise"):
         try:
-            eigs = [_eigvals(part) for part in parts]
+            radius = _largest_radius(parts)
         except FloatingPointError as exc:
             raise EigenvalueFailure("eigenvalue computation failed: Eigenvalues did not converge") from exc
-    radius = float(abs(np.concatenate(eigs)).max())
     if not np.isfinite(radius):
         raise EigenvalueFailure("eigenvalue computation produced non-finite values")
     return radius
+
+
+def _largest_radius(parts) -> float:
+    """The largest of the computed radii of ``parts`` (``spectral_radius``):
+    the eigenvalues of each part below POWER_BOUND_MIN_SIZE rows, or of the
+    only part, in one concatenation as for one matrix; then each larger
+    block in decreasing order of its first ``_power_bounds``, which is
+    skipped where one of its bounds lies below (1 - POWER_BOUND_MARGIN)
+    times the largest radius so far.  Its further bounds are computed only
+    while none does, and not at all against a largest radius of 0, which
+    no bound lies below.  An inf or NaN bound skips no block; a NaN first
+    bound, of squares that overflowed, orders as inf."""
+    if len(parts) == 1:
+        small, large = parts, []
+    else:
+        small = [part for part in parts if part.shape[0] < POWER_BOUND_MIN_SIZE]
+        large = [part for part in parts if part.shape[0] >= POWER_BOUND_MIN_SIZE]
+    radius = float(abs(np.concatenate([_eigvals(part) for part in small])).max()) if small else 0.0
+    bounded = []
+    for part in large:
+        bounds = _power_bounds(part)
+        first = next(bounds)
+        bounded.append((math.inf if math.isnan(first) else first, bounds, part))  # NaN: squares overflowed
+    for bound, bounds, part in sorted(bounded, key=lambda item: item[0], reverse=True):
+        limit = radius * (1.0 - POWER_BOUND_MARGIN)
+        if not (radius > 0.0 and any(b < limit for b in itertools.chain((bound,), bounds))):
+            radius = max(radius, float(abs(_eigvals(part)).max()))
+    return radius
+
+
+def _power_bounds(block: np.ndarray):
+    """Successive upper bounds on the spectral radius of a k x k ``block``,
+    by Gelfand's formula rho(B) <= ||B^m||^(1/m), one per squaring from the
+    second on.
+
+    C_0 = B and C_j = fl(C_{j-1}^2) for j = 1 .. POWER_BOUND_SQUARINGS;
+    c_j >= ||C_j||_F and e_j >= ||C_j - B^(2^j)||_F, so
+    rho(B) <= (c_j + e_j)^(1 / 2^j), the j-th bound, yielded for j >= 2.
+    The first orders the blocks in ``_largest_radius``, and the bound of
+    one squaring orders them wrongly too often: at n = 10, at 28 of the 316
+    radii of the benchmark's bisections for seeds 11-20, against 1 for two
+    squarings, each a needless ``eigvals`` call on a block 100 square.
+
+    A computed product of real k x k matrices is off by at most
+    gamma |X| |Y| entrywise, gamma = k u / (1 - k u) (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, sec. 3.5), so
+    e_j = (2 c_{j-1} + e_{j-1}) e_{j-1} + gamma c_{j-1}^2.  An entry of a
+    complex product sums 2k real products in each part, whose errors bound
+    its own by sqrt(2) times theirs.  Every scalar is rounded up by the
+    factor 1 + 2 t^2 u, t the real products per entry, above the relative
+    error of a norm's sum of squares and of each scalar operation.
+    Underflow, which the relative bounds leave out, adds at most t^2 times
+    the smallest normal float64 to a squared norm and to an e_j, and that
+    is added to both.  e_0 is not 0 but gamma c_0, an allowance for the
+    backward error of ``eigvals`` (LAPACK's QR algorithm finds the
+    eigenvalues of some B + E with ||E|| a small multiple of u ||B||):
+    each bound then holds for the radius of every such B + E, the radius
+    ``eigvals`` would report, up to the rounding of its magnitudes.  The
+    block is squared in the float64 or complex128 cast that ``eigvals``
+    takes.  Squarings that overflow give an inf or NaN bound, without a
+    warning.
+    """
+    complex_ = block.dtype.kind == "c"
+    C = block.astype(np.complex128 if complex_ else np.float64, copy=False)
+    t, u = C.shape[0] * (2 if complex_ else 1), np.finfo(np.float64).eps / 2
+    gamma, up = (math.sqrt(2.0) if complex_ else 1.0) * t * u / (1.0 - t * u), 1.0 + 2.0 * t * t * u
+    tiny = t * t * np.finfo(np.float64).tiny
+
+    def norm(X):
+        x = X.ravel()
+        return math.sqrt(np.vdot(x, x).real + tiny) * up
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = norm(C)
+    e = gamma * c * up
+    for j in range(1, POWER_BOUND_SQUARINGS + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            C = C @ C
+            e = ((2.0 * c + e) * e + gamma * c * c + tiny) * up
+            c = norm(C)
+        if j > 1:
+            yield (c + e) ** (0.5**j) * up
 
 
 def _add_operator(R, M, terms, sign=1.0):
@@ -763,7 +884,7 @@ def evaluate(aug: AugmentedClosedLoop, prior: Evaluation | None = None) -> Evalu
     with that inverse from the cold start (``_refine_sides``), and the
     evaluation holds it from the cut-over on.  A loop decided stable by
     its radius whose I - Psi_s LAPACK cannot invert, or whose refinement
-    stops contracting, raises ``LinAlgError``.
+    stops contracting, raises ``LyapunovSolveFailure``, a ``SolverError``.
     """
     d = aug.dim
     if not aug._gain < np.inf:  # Psi_s would overflow float64
@@ -786,10 +907,10 @@ def evaluate(aug: AugmentedClosedLoop, prior: Evaluation | None = None) -> Evalu
         return Evaluation(aug, False, psi=psi, exact_radius=radius)
     del psi  # a stable evaluation keeps no Psi_s, and the solves need none
     if inv is None:
-        raise la.LinAlgError("I - Psi_s of a loop inside the stability margin is singular")
+        raise LyapunovSolveFailure("I - Psi_s of a loop inside the stability margin is singular")
     sol = _refine_sides(aug, inv)
     if sol is None:
-        raise la.LinAlgError("refinement against the inverse of I - Psi_s stopped contracting")
+        raise LyapunovSolveFailure("refinement against the inverse of I - Psi_s stopped contracting")
     return Evaluation(aug, True, sol, inv if hold else None, candidate, exact_radius=radius)
 
 

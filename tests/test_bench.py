@@ -167,13 +167,15 @@ class TestRandomProblem:
         ``eigvals`` in the last bits.  No bisection step flips: the
         instances are byte for byte those of bisections on the full-matrix
         radius, here (seeds 7000-7199 and the seeds the benchmark's pool
-        excludes) and in the benchmark's generator at n = 4 and 10."""
+        excludes) and in the benchmark's generator at n = 4, 6, 8 and 10,
+        where blocks from ``moments.POWER_BOUND_MIN_SIZE`` rows on are
+        skipped where their bounds place them below the largest radius."""
         excluded = json.loads(POOL_FILE.read_text())["excluded"]
         seeds = list(range(7000, 7200)) + sorted(int(seed) for seed in excluded)
 
         def generate():
             randoms = [random_problem(seed) for seed in seeds]
-            synthetic = [synthetic_problem(11, n) for n in (4, 10)]
+            synthetic = [synthetic_problem(11, n) for n in (4, 6, 8, 10)]
             return [(save_problem(p), repr(eta)) for p, eta in randoms], [save_problem(p) for p in synthetic]
 
         blocks = generate()

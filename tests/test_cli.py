@@ -16,6 +16,7 @@ import mnlqg
 from mnlqg import (
     bench,
     cli,
+    moments,
     open_loop_controller,
     pendulum_problem,
     save_controller,
@@ -316,6 +317,20 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "noise-free fallback failed: H_yy block is numerically singular" in err
 
+    def test_lyapunov_solve_failure_exits_three(self, pendulum_file, tmp_path, capsys, monkeypatch):
+        """A negated inverse of I - Psi_s leaves the certificate undecided,
+        the radius decides the noise-free design's loop stable, and
+        refining against the inverse stops contracting: a solver error
+        (exit 3), not an input error."""
+        monkeypatch.setattr(moments, "_inverse", lambda M: -np.linalg.inv(M))
+        out = tmp_path / "report.json"
+        code = main(["solve", pendulum_file, "--method", "pi", "--out", str(out)])
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 3 and len(errors) == 1, err
+        assert errors[0].endswith("refinement against the inverse of I - Psi_s stopped contracting"), err
+        assert not out.exists()
+
     def test_diverged_noise_free_design_exits_three(self, tmp_path, capsys):
         path = tmp_path / "unstabilizable.json"
         path.write_text(save_problem(make_unstabilizable_problem()))
@@ -436,6 +451,20 @@ class TestBenchRandomCommand:
         assert {row["method"] for row in traces} == {"policy_iteration", "value_iteration"}
         first = [r for r in traces if r["method"] == "policy_iteration" and r["seed"] == "42"]
         assert first[0]["e_k"] == "1.0"
+
+    def test_lyapunov_solve_failure_is_recorded_in_the_row(self, tmp_path, capsys, monkeypatch):
+        """Refinement that stops contracting fails each method of each
+        instance; the run goes on and records the cause in the rows."""
+        monkeypatch.setattr(moments, "_inverse", lambda M: -np.linalg.inv(M))
+        prefix = str(tmp_path / "rand")
+        code = main(["bench-random", "--count", "2", "--seed", "7000", "--out", prefix])
+        assert code == 0, capsys.readouterr().err
+        rows = read_rows(f"{prefix}_summary.csv")
+        assert [(row["seed"], row["converged"]) for row in rows] == [
+            ("7000", "false"), ("7000", "false"), ("7001", "false"), ("7001", "false")
+        ]
+        cause = "refinement against the inverse of I - Psi_s stopped contracting"
+        assert all(row["error"] == cause for row in rows), rows
 
     def test_deterministic_across_runs(self, tmp_path):
         prefix_a = str(tmp_path / "a")

@@ -31,7 +31,7 @@ from mnlqg import (
     stabilizing_initial_controller,
 )
 from mnlqg.cli import main
-from mnlqg.exceptions import NotMsStable
+from mnlqg.exceptions import LyapunovSolveFailure, NotMsStable
 from mnlqg.moments import ValueCovarianceTuple, evaluate
 from mnlqg.riccati import gain_operators
 
@@ -322,7 +322,7 @@ class TestColdStart:
         decides the loop stable; refining against it then diverges, which
         raises like a singular I - Psi_s."""
         monkeypatch.setattr(moments, "_inverse", lambda M: -la.inv(M))
-        with pytest.raises(la.LinAlgError, match="stopped contracting"):
+        with pytest.raises(LyapunovSolveFailure, match="stopped contracting"):
             evaluate(open_loop)
 
 

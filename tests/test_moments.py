@@ -5,6 +5,7 @@ import numpy as np
 import numpy.linalg as la
 import pytest
 
+import mnlqg
 from mnlqg import (
     Controller,
     build_augmented,
@@ -18,7 +19,7 @@ from mnlqg import (
     stabilizing_initial_controller,
 )
 from mnlqg import moments
-from mnlqg.exceptions import DualityViolation, EigenvalueFailure, NotMsStable
+from mnlqg.exceptions import DualityViolation, EigenvalueFailure, LyapunovSolveFailure, NotMsStable
 from mnlqg.moments import (
     STABILITY_MARGIN,
     AugmentedSolution,
@@ -286,15 +287,25 @@ class TestEigenvalueWork:
         spectral_radius(build_second_moment_matrix(aug, side))
         assert eigvals_shapes == [(3, 3), (4, 4), (3, 3)]
 
-    def test_benchmark_instance_open_loops(self, eigvals_shapes):
+    def test_benchmark_instance_open_loops(self, eigvals_shapes, monkeypatch):
+        """At F = A the (xhat, x) and (xhat, xhat) blocks have radius
+        rho(A)^2, below the (x, x) block's: each radius of the bisection
+        takes the eigenvalues of one 55 x 55 block, and those of the
+        100 x 100 block never."""
+        radii = []
+
+        def counting(matrix):
+            radii.append(matrix.shape)
+            return spectral_radius(matrix)
+
+        monkeypatch.setattr(mnlqg, "spectral_radius", counting)  # the generator's name
         problem = synthetic_problem(11, 10)
-        blocks = [(55, 55), (100, 100), (55, 55)]
-        assert len(eigvals_shapes) > 3
-        assert eigvals_shapes == blocks * (len(eigvals_shapes) // 3)
+        assert len(radii) > 3 and set(radii) == {(210, 210)}
+        assert eigvals_shapes == [(55, 55)] * len(radii)
         eigvals_shapes.clear()
         aug = build_augmented(problem, open_loop_controller(problem))
         spectral_radius(build_second_moment_matrix(aug, "value"))
-        assert eigvals_shapes == blocks
+        assert eigvals_shapes == [(55, 55)]
 
     def test_converged_loop_is_one_call(self, eigvals_shapes):
         problem, _ = random_problem(7000)
@@ -305,6 +316,122 @@ class TestEigenvalueWork:
         assert eigvals_shapes == [(10, 10)]
         psi = build_second_moment_matrix(aug, "value")
         assert radius == float(np.max(np.abs(la.eigvals(psi))))
+
+
+def decoupled(blocks):
+    """The n(2n+1)-square matrix with ``blocks`` (n(n+1)/2, n^2 and
+    n(n+1)/2 square) as its (x, x), (xhat, x) and (xhat, xhat) hvec blocks
+    and zeros elsewhere."""
+    n = math.isqrt(len(blocks[1]))
+    i, j = np.tril_indices(2 * n)
+    i, j = i[np.argsort(j, kind="stable")], np.sort(j)  # _hvec order
+    label = (i >= n).astype(int) + (j >= n)
+    M = np.zeros((len(label),) * 2, dtype=np.result_type(*blocks))
+    for b, block in enumerate(blocks):
+        M[np.ix_(label == b, label == b)] = block
+    return M
+
+
+def scaled_to_radius(rng, k, radius):
+    block = rng.standard_normal((k, k))
+    return block * (radius / specrad(block))
+
+
+class TestPowerBounds:
+    """The certified bounds by repeated squaring (``_power_bounds``) that
+    let ``spectral_radius`` skip a decoupled block's eigenvalues."""
+
+    @staticmethod
+    def blocks(rng, k):
+        Q, _ = la.qr(rng.standard_normal((k, k)))
+        shift = np.eye(k, k=1)
+        return {
+            "random": rng.standard_normal((k, k)) / math.sqrt(k),
+            "scaled Jordan": 0.9 * np.eye(k) + 1e3 * shift,
+            # eigvals scatters the eigenvalues of a rotated Jordan block by
+            # about u^(1/k); the bounds hold for what it computes
+            "rotated Jordan": Q @ (0.5 * np.eye(k) + shift) @ Q.T,
+            "triangular": 10.0 * np.triu(rng.standard_normal((k, k)), 1) + np.diag(rng.uniform(-0.5, 0.5, k)),
+            # the squared norm of B^16, near 1e-384, underflows
+            "tiny nilpotent": Q @ (1e-12 * shift) @ Q.T,
+            "complex": (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / math.sqrt(2 * k),
+            "complex triangular": np.triu(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))),
+        }
+
+    @pytest.mark.parametrize("k", [moments.POWER_BOUND_MIN_SIZE, 36, 55])
+    def test_every_bound_is_at_least_the_radius(self, k):
+        for name, block in self.blocks(np.random.default_rng(k), k).items():
+            bounds = list(moments._power_bounds(block))
+            assert len(bounds) == moments.POWER_BOUND_SQUARINGS - 1, name
+            assert min(bounds) >= specrad(block), name
+
+    @pytest.mark.parametrize(
+        "radii, calls",
+        [
+            ((1.0, 1.0, 1.0), 3),
+            ((1.0, 1.0 - 1e-9, 1.0 - 1e-7), 3),
+            ((1.0 - 1e-12, 1.0, 1.0 - 1e-6), 3),
+            ((0.5, 1.0, 0.999999), 2),
+            ((1.0, 0.5, 0.25), 1),
+        ],
+    )
+    def test_radius_is_bitwise_the_largest_block_radius(self, radii, calls, eigvals_shapes):
+        """Tied and nearly tied blocks (n = 6: 21, 36 and 21 rows, all
+        above the crossover) take their eigenvalues; only a block well
+        below the largest radius is skipped."""
+        rng = np.random.default_rng(6)
+        blocks = [scaled_to_radius(rng, k, r) for k, r in zip((21, 36, 21), radii)]
+        M = decoupled(blocks)
+        expected = max(specrad(block) for block in blocks)
+        eigvals_shapes.clear()
+        assert spectral_radius(M) == expected
+        assert len(eigvals_shapes) == calls
+        assert spectral_radius(M.T) == max(specrad(block.T) for block in blocks)
+
+    def test_identical_blocks(self, eigvals_shapes):
+        rng = np.random.default_rng(8)
+        block = scaled_to_radius(rng, 21, 0.9)
+        M = decoupled([block, scaled_to_radius(rng, 36, 0.3), block])
+        assert spectral_radius(M) == specrad(block)
+        assert eigvals_shapes == [(21, 21), (21, 21)]
+
+    def test_complex_blocks(self):
+        rng = np.random.default_rng(9)
+        blocks = [scaled_to_radius(rng, k, r) * np.exp(1j * r) for k, r in zip((21, 36, 21), (0.7, 1.0, 1.0 - 1e-8))]
+        assert spectral_radius(decoupled(blocks)) == max(specrad(block) for block in blocks)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_squares_are_not_skipped(self, sign, eigvals_shapes):
+        """A nilpotent block with entries near 1e150: the norm of its
+        square overflows, and the next square, to inf (one sign) or to
+        inf - inf = NaN (mixed signs), without a warning (the tests' filter
+        makes one an error).  The block, of radius 0, takes its eigenvalues
+        first."""
+        rng = np.random.default_rng(10)
+        nilpotent = 1e150 * np.triu(rng.uniform(1.0, 2.0, (36, 36)), 1)
+        nilpotent[::2] *= sign
+        bounds = list(moments._power_bounds(nilpotent))
+        assert not any(math.isfinite(b) for b in bounds)
+        assert math.isnan(bounds[0]) == (sign < 0)
+        blocks = [0.5 * np.eye(21), nilpotent, np.eye(21)]
+        eigvals_shapes.clear()
+        assert spectral_radius(decoupled(blocks)) == 1.0
+        assert eigvals_shapes == [(36, 36), (21, 21)]
+
+    def test_failures_keep_their_messages(self, monkeypatch):
+        blocks = [0.5 * np.eye(21), np.full((36, 36), 1e308), np.eye(21)]
+        with pytest.raises(EigenvalueFailure, match="^eigenvalue computation produced non-finite values$"):
+            spectral_radius(decoupled(blocks))
+
+        def failing(a):
+            np.sqrt(np.float64(-1.0))  # sets the invalid flag, as a LAPACK failure does
+            return np.full(a.shape[0], np.nan, dtype=complex)
+
+        monkeypatch.setattr(moments, "_eigvals", failing)
+        rng = np.random.default_rng(11)
+        blocks = [scaled_to_radius(rng, k, r) for k, r in zip((21, 36, 21), (1.0, 0.5, 0.25))]
+        with pytest.raises(EigenvalueFailure, match="^eigenvalue computation failed: Eigenvalues did not converge$"):
+            spectral_radius(decoupled(blocks))
 
 
 def six_state_loop(sigma):
@@ -592,7 +719,7 @@ class TestOneInversePerEvaluation:
         monkeypatch.setattr(la, "inv", lambda a: np.full(np.shape(a), np.nan))
         aug = scalar_open_loop_aug(sigma_a=0.3)
         assert spectral_radius(build_second_moment_matrix(aug, "value")) < 1.0 - STABILITY_MARGIN
-        with pytest.raises(la.LinAlgError):
+        with pytest.raises(LyapunovSolveFailure, match="singular"):
             evaluate(aug)
 
 

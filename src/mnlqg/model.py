@@ -318,15 +318,26 @@ def _parse_document(text):
     return doc
 
 
+def _shown(value):
+    """repr of ``value``, cut short past 40 characters."""
+    shown = repr(value)
+    return shown if len(shown) <= 40 else f"{shown[:30]}... ({len(shown)} characters)"
+
+
+def _check_keys(doc, keys, prefix=""):
+    """SchemaError naming the first key of ``doc`` that is not in ``keys``:
+    a misspelled field would otherwise be dropped and its default used."""
+    for key in doc:
+        if key not in keys:
+            raise SchemaError(f"unknown field {_shown(prefix + key)}")
+
+
 def _int_field(doc, key):
     if key not in doc:
         raise SchemaError(f"missing field {key!r}")
     value = doc[key]
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        shown = repr(value)
-        if len(shown) > 40:
-            shown = f"{shown[:30]}... ({len(shown)} characters)"
-        raise SchemaError(f"{key} must be a positive integer, got {shown}")
+        raise SchemaError(f"{key} must be a positive integer, got {_shown(value)}")
     return value
 
 
@@ -401,6 +412,7 @@ def _noise_terms(noise_doc, key, shape):
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "sigma" not in entry or "pattern" not in entry:
             raise SchemaError(f"noise.{key}[{i}] must be an object with sigma and pattern")
+        _check_keys(entry, ("sigma", "pattern"), f"noise.{key}[{i}].")
         sigma = entry["sigma"]
         # a Python int compares exactly with a Python float, so an int beyond
         # float64 fails here as NaN and inf do
@@ -415,9 +427,11 @@ def load_problem(text: str) -> ProblemInstance:
     """Parse a problem document.
 
     Raises ParseError for malformed JSON and SchemaError for structural
-    problems (missing fields, wrong types, dimension mismatches).
+    problems (missing or unknown fields, wrong types, dimension
+    mismatches).
     """
     doc = _parse_document(text)
+    _check_keys(doc, ("n", "m", "p", "A", "B", "C", "Q", "W", "X0", "noise"))
     n, m, p = (_int_field(doc, key) for key in "nmp")
     A, B, C, Q, W = (_matrix_field(doc, key, None) for key in ("A", "B", "C", "Q", "W"))
     _check_dimensions(n, m, p, A, B, C, Q, W)
@@ -429,6 +443,7 @@ def load_problem(text: str) -> ProblemInstance:
     noise_doc = doc.get("noise", {})
     if not isinstance(noise_doc, dict):
         raise SchemaError("noise must be an object")
+    _check_keys(noise_doc, ("A", "B", "C"), "noise.")
     noise_a = _noise_terms(noise_doc, "A", (n, n))
     noise_b = _noise_terms(noise_doc, "B", (n, m))
     noise_c = _noise_terms(noise_doc, "C", (p, n))
@@ -466,8 +481,10 @@ def save_problem(problem: ProblemInstance) -> str:
 
 
 def load_controller(text: str) -> Controller:
-    """Parse a controller document ({"F": ..., "K": ..., "L": ...})."""
+    """Parse a controller document ({"F": ..., "K": ..., "L": ...}); a
+    SchemaError names a missing or unknown field."""
     doc = _parse_document(text)
+    _check_keys(doc, ("F", "K", "L"))
     for key in ("F", "K", "L"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")

@@ -85,17 +85,22 @@ float64 for the rounded X, X > 0 and R >= r I with r > 0 give
 Psi(X) <= (1 - r / lmax(X)) X, hence rho(Psi) <= 1 - r / lmax(X); and R > 0
 with X not positive semidefinite gives rho(Psi) > 1.  Only when this test
 cannot decide is the dense spectral radius computed (``spectral_radius``).
-At K = 0 and L = 0, for any F, as at the open loop of every critical-noise
+At K = 0 and L = 0, for any F, as at the open loop of a critical-noise
 bisection, Phi = diag(A, F) and the B- and C-lifts vanish, so Psi maps the
 (x, x), (xhat, x) and (xhat, xhat) blocks of M each into its own block:
 Psi_s splits into three diagonal blocks of the hvec coordinates, n(n+1)/2,
 n^2 and n(n+1)/2 square, and its radius is the largest of theirs.
 ``spectral_radius`` reads the decoupling from the entries, so a Psi_s with
 any entry coupling two blocks takes one eigenvalue call on the whole.  Of
-the blocks from POWER_BOUND_MIN_SIZE rows on, a block that a certified
-bound by repeated squaring (Gelfand's formula, ``_power_bounds``) places
-below the largest radius found so far takes no eigenvalues; at F = A these
-are the (xhat, x) and (xhat, xhat) blocks, of radius rho(A)^2.  A
+the blocks from POWER_BOUND_MIN_SIZE rows on, taken in hvec order, a block
+that a certified bound by repeated squaring (Gelfand's formula,
+``_power_bounds``) places below the largest radius found before it takes
+no eigenvalues.  At F = A the (x, x) block holds the radius: the other two
+carry no noise and have radius rho(A)^2, that of M -> A.T M A, and the
+(x, x) block adds to that map the positive A-noise terms, which cannot
+lower its radius (Damm 2004).  So from n = 6 on, where every block has
+21 rows or more, the (x, x) block, first, takes its eigenvalues, and the
+bounds skip the two after it.  A
 loop whose operator gain (``AugmentedClosedLoop._gain``) overflows float64
 has a Psi_s that float64 cannot hold; it counts as not stable, with radius
 inf, and Psi_s is not built.
@@ -104,7 +109,6 @@ inf, and Psi_s is not built.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -155,10 +159,10 @@ HELD_INVERSE_MIN_UNKNOWNS = 136
 HELD_CANDIDATE_TOL = 1e-6
 HELD_FLOAT64_TOL = 1e-11
 # Decoupled blocks (``spectral_radius``) at least this many rows square
-# are bounded by repeated squaring (``_power_bounds``) before their
-# eigenvalues are taken, and skipped where the bound shows they cannot hold
-# the radius; smaller blocks take ``eigvals`` at once.  The block that holds
-# the radius pays for both.  Measured crossover, one BLAS thread: the first
+# are bounded by repeated squaring (``_power_bounds``) once a radius is
+# known, and skipped where the bound shows they cannot hold the radius;
+# smaller blocks take ``eigvals`` at once.  A bounded block that holds the
+# radius pays for both.  Measured crossover, one BLAS thread: the first
 # bound (two squarings with their norms) takes about 9 us from 10 to 21
 # rows, ``eigvals`` 18 us at 10, 41 us at 16 and 70 us at 21 (timeit, best
 # of 5); generating the benchmark's instances for seeds 11-20 (mean, best
@@ -413,28 +417,14 @@ def build_second_moment_matrix(aug: AugmentedClosedLoop, side: str) -> np.ndarra
     """
     if side not in ("value", "covariance"):
         raise ValueError(f"side must be 'value' or 'covariance', got {side!r}")
-    weights = [s2 for s2, *_ in aug.terms[1:]]
-    psi = _weighted_second_moment(term_product(aug.Phi), _lift_products(aug), weights)
-    h = _half_indices(aug.dim)
+    d = aug.dim
+    rows = term_product(aug.Phi) + 0.0  # -0.0 becomes +0.0
+    flat = rows.reshape(-1)  # a view: rows is C-contiguous
+    for s2, r, c, D in aug.terms[1:]:
+        flat[_block_positions(d, r.start, c.start)] += (s2 * term_product(D)).reshape(-1)
+    psi = gather_second_moment(rows)
+    h = _half_indices(d)
     return psi if side == "value" else psi.T * h.omega / h.omega[:, None]
-
-
-def _lift_products(aug: AugmentedClosedLoop):
-    """(``_block_positions``, sigma-free ``term_product``) of each lift's
-    block, in the order of ``aug.terms``."""
-    return [(_block_positions(aug.dim, r.start, c.start), term_product(D)) for _, r, c, D in aug.terms[1:]]
-
-
-def _weighted_second_moment(rows, lifts, weights):
-    """Psi_s from ``rows``, Phi's sigma-free product, updated in place: each
-    of ``lifts`` (``_lift_products``) weighted by its entry of ``weights``
-    and added at its positions (``build_second_moment_matrix``), then the
-    sum gathered."""
-    rows += 0.0  # as 0.0 + rows: -0.0 becomes +0.0
-    flat = rows.reshape(-1)  # a view: term_product returns a C-contiguous array
-    for s2, (positions, T) in zip(weights, lifts):
-        flat[positions] += (s2 * T).reshape(-1)
-    return gather_second_moment(rows)
 
 
 def term_product(D: np.ndarray) -> np.ndarray:
@@ -508,21 +498,23 @@ def spectral_radius(matrix: np.ndarray) -> float:
     their radii.  Psi_s and Gamma_s decouple so at K = 0 and L = 0, for
     any F: Phi = diag(A, F), the B- and C-lifts vanish, and Psi(M) maps
     M[x, x], M[xhat, x] and M[xhat, xhat] each into its own block.  This is
-    the open loop of every critical-noise bisection, where eigenvalues of
-    matrices 55, 100 and 55 square stand in for one 210 square at n=10.
-    Every other matrix takes one call on the whole, bitwise the radius
-    ``la.eigvals`` gives.
+    the open loop of the benchmark generator's critical-noise bisection,
+    where eigenvalues of matrices 55, 100 and 55 square stand in for one
+    210 square at n=10.  Every other matrix takes one call on the whole,
+    bitwise the radius ``la.eigvals`` gives.
 
     Not every block needs its eigenvalues (``_largest_radius``).  Blocks
-    below POWER_BOUND_MIN_SIZE rows take them at once; the larger ones are
-    bounded by repeated squaring (``_power_bounds``) and taken in
-    decreasing order of their first bound, and a block whose bound,
+    below POWER_BOUND_MIN_SIZE rows take them at once; the larger ones
+    follow in hvec order, and once a radius is known each is bounded by
+    repeated squaring (``_power_bounds``) and skipped where a bound,
     refined while it is not, lies below the largest radius found so far
-    by the relative POWER_BOUND_MARGIN is skipped.  At the open loop with
-    F = A the (xhat, x) and (xhat, xhat) blocks have radius rho(A)^2,
-    below the (x, x) block's, which holds the A-noise besides A^T (x) A^T:
-    they are skipped so, and a radius at n=10 takes the eigenvalues of one
-    block 55 square.  The radius stays bitwise the largest of all blocks'
+    by the relative POWER_BOUND_MARGIN.  At the open loop with F = A the
+    (x, x) block holds the radius (module docstring), so from n = 6 on it
+    takes its eigenvalues first and without a bound, the other two are
+    skipped, and a radius at n=10 takes the eigenvalues of one block 55
+    square.  On the benchmark generator's bisections at n = 6, 8, 10 and
+    12 (1,012 radii) the (x, x) block's computed radius was the largest
+    every time.  The radius stays bitwise the largest of all blocks'
     computed radii: a skipped block's bound exceeds the radius of every
     perturbation of it within the backward error of ``eigvals``, so the
     eigenvalues it would have computed are no larger than the bound, up
@@ -561,26 +553,20 @@ def _largest_radius(parts) -> float:
     """The largest of the computed radii of ``parts`` (``spectral_radius``):
     the eigenvalues of each part below POWER_BOUND_MIN_SIZE rows, or of the
     only part, in one concatenation as for one matrix; then each larger
-    block in decreasing order of its first ``_power_bounds``, which is
-    skipped where one of its bounds lies below (1 - POWER_BOUND_MARGIN)
-    times the largest radius so far.  Its further bounds are computed only
-    while none does, and not at all against a largest radius of 0, which
-    no bound lies below.  An inf or NaN bound skips no block; a NaN first
-    bound, of squares that overflowed, orders as inf."""
+    block in the order of ``parts``, which is skipped where one of its
+    ``_power_bounds`` lies below (1 - POWER_BOUND_MARGIN) times the largest
+    radius so far.  Its further bounds are computed only while none does,
+    and none at all against a largest radius of 0, which no bound lies
+    below.  An inf or NaN bound skips no block."""
     if len(parts) == 1:
         small, large = parts, []
     else:
         small = [part for part in parts if part.shape[0] < POWER_BOUND_MIN_SIZE]
         large = [part for part in parts if part.shape[0] >= POWER_BOUND_MIN_SIZE]
     radius = float(abs(np.concatenate([_eigvals(part) for part in small])).max()) if small else 0.0
-    bounded = []
     for part in large:
-        bounds = _power_bounds(part)
-        first = next(bounds)
-        bounded.append((math.inf if math.isnan(first) else first, bounds, part))  # NaN: squares overflowed
-    for bound, bounds, part in sorted(bounded, key=lambda item: item[0], reverse=True):
         limit = radius * (1.0 - POWER_BOUND_MARGIN)
-        if not (radius > 0.0 and any(b < limit for b in itertools.chain((bound,), bounds))):
+        if not (radius > 0.0 and any(b < limit for b in _power_bounds(part))):
             radius = max(radius, float(abs(_eigvals(part)).max()))
     return radius
 
@@ -593,10 +579,6 @@ def _power_bounds(block: np.ndarray):
     C_0 = B and C_j = fl(C_{j-1}^2) for j = 1 .. POWER_BOUND_SQUARINGS;
     c_j >= ||C_j||_F and e_j >= ||C_j - B^(2^j)||_F, so
     rho(B) <= (c_j + e_j)^(1 / 2^j), the j-th bound, yielded for j >= 2.
-    The first orders the blocks in ``_largest_radius``, and the bound of
-    one squaring orders them wrongly too often: at n = 10, at 28 of the 316
-    radii of the benchmark's bisections for seeds 11-20, against 1 for two
-    squarings, each a needless ``eigvals`` call on a block 100 square.
 
     A computed product of real k x k matrices is off by at most
     gamma |X| |Y| entrywise, gamma = k u / (1 - k u) (Higham, *Accuracy and

@@ -29,8 +29,9 @@ the symmetrizing constructor, with ``la.norm`` step sizes.
 norm by ``la.norm``, the reference for the package's one batched product
 over the stacked trajectory.
 ``critical_noise_scale_reference`` is the instance generator's
-critical-noise bisection with a whole problem, its open loop and its Psi_s
-assembled at every midpoint.
+critical-noise bisection with a whole problem, its open loop and its whole
+Psi_s assembled at every midpoint, where the generator forms only the
+(x, x) hvec block.
 """
 
 import math
@@ -548,31 +549,29 @@ def value_iteration_reference(problem, tol=DEFAULT_TOL, max_iter=VI_MAX_ITER):
     raise AssertionError(f"value iteration did not converge in {max_iter} steps")
 
 
-def _random_instance(A, B, C, patterns, sigmas, Q, W):
-    """The random family's instance: one noise term per matrix."""
-    Ad, Bd, Cd = patterns
-    system = SystemModel(
-        A,
-        B,
-        C,
-        noise_a=(NoiseTerm(sigmas[0], Ad),),
-        noise_b=(NoiseTerm(sigmas[1], Bd),),
-        noise_c=(NoiseTerm(sigmas[2], Cd),),
-    )
-    n = A.shape[0]
-    return ProblemInstance(system, CostModel(Q), NoiseModel(W=W, X0=np.zeros((n, n))))
-
-
-def critical_noise_scale_reference(A, B, C, patterns, variances, Q, W):
+def critical_noise_scale_reference(A, Ad, variance):
     """The critical-noise bisection, assembling the instance at each midpoint.
 
-    Same bracket, bisection and stopping rules as the instance generator's
-    ``bench._critical_noise_scale``; every radius evaluation builds the
-    problem with sigmas sqrt(c * variances), its open loop and Psi_s.
+    Same arguments, bracket, bisection and stopping rules as the instance
+    generator's ``bench._critical_noise_scale``; every radius evaluation
+    builds a problem with A-noise sigma sqrt(c * variance), its open loop
+    and the whole Psi_s.  At the open loop (K = 0, L = 0) the B- and
+    C-lifts vanish whatever B, C and their patterns, so these are all ones,
+    with B- and C-noise of sigma 1, one input and one output.
     """
+    n = A.shape[0]
+    ones_b, ones_c = np.ones((n, 1)), np.ones((1, n))
 
     def radius(c):
-        problem = _random_instance(A, B, C, patterns, np.sqrt(c * variances), Q, W)
+        system = SystemModel(
+            A,
+            ones_b,
+            ones_c,
+            noise_a=(NoiseTerm(np.sqrt(c * variance), Ad),),
+            noise_b=(NoiseTerm(1.0, ones_b),),
+            noise_c=(NoiseTerm(1.0, ones_c),),
+        )
+        problem = ProblemInstance(system, CostModel(np.eye(n + 1)), NoiseModel(W=np.eye(n + 1), X0=np.zeros((n, n))))
         aug = moments.build_augmented(problem, open_loop_controller(problem))
         return moments.spectral_radius(moments.build_second_moment_matrix(aug, "value"))
 

@@ -76,6 +76,30 @@ class TestPendulumProblem:
             pendulum_problem(1.5)
 
 
+def xx_block(psi):
+    """The (x, x) hvec block of an n(2n+1)-square Psi_s: its rows and
+    columns at the entries (i, j), i >= j, of the symmetric 2n x 2n
+    matrices with i < n."""
+    n = math.isqrt(8 * psi.shape[0] + 1) // 4
+    j, i = np.triu_indices(2 * n)  # _hvec order: column by column
+    x = np.flatnonzero(i < n)
+    return psi[np.ix_(x, x)]
+
+
+def generate_recording_radii(monkeypatch, seeds):
+    """``random_problem`` of each seed, and each matrix passed to
+    ``moments.spectral_radius`` meanwhile."""
+    seen = []
+
+    def recording_radius(matrix):
+        seen.append(np.array(matrix))
+        return spectral_radius(matrix)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mnlqg.moments, "spectral_radius", recording_radius)
+        return [random_problem(seed) for seed in seeds], seen
+
+
 class TestRandomProblem:
     @pytest.mark.parametrize("seed", range(12))
     def test_open_loop_ms_stable(self, seed):
@@ -134,42 +158,52 @@ class TestRandomProblem:
         assert len(draws) == MAX_REDRAWS
 
     def test_bitwise_equal_to_per_midpoint_assembly(self, monkeypatch):
-        """The bisection on precomputed term products gives the same
-        instances, byte for byte, as assembling each midpoint's problem:
-        seeds 7000-7199 and the seeds the benchmark's pool excludes.  Every
-        matrix whose radius the bisection takes is bitwise the same too."""
+        """The bisection on the (x, x) block from precomputed term products
+        gives the same instances, byte for byte, as assembling each
+        midpoint's problem and its whole Psi_s: seeds 7000-7199 and the
+        seeds the benchmark's pool excludes.  Every matrix whose radius the
+        bisection takes is bitwise the (x, x) block of the whole Psi_s at
+        its midpoint."""
         excluded = json.loads(POOL_FILE.read_text())["excluded"]
         seeds = list(range(7000, 7200)) + sorted(int(seed) for seed in excluded)
         assert len(seeds) == 219
-
-        def generate():
-            seen = []
-
-            def recording_radius(matrix):
-                seen.append(matrix.tobytes())
-                return spectral_radius(matrix)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(mnlqg.moments, "spectral_radius", recording_radius)
-                return [random_problem(seed) for seed in seeds], seen
-
-        fast, fast_radii = generate()
+        fast, fast_radii = generate_recording_radii(monkeypatch, seeds)
         monkeypatch.setattr(mnlqg.bench, "_critical_noise_scale", critical_noise_scale_reference)
-        reference, reference_radii = generate()
-        assert fast_radii == reference_radii
+        reference, reference_radii = generate_recording_radii(monkeypatch, seeds)
+        reference_radii = [M if M.shape == (2, 2) else xx_block(M) for M in reference_radii]  # A's own
+        assert [M.tobytes() for M in fast_radii] == [M.tobytes() for M in reference_radii]
         for seed, (problem, eta), (ref_problem, ref_eta) in zip(seeds, fast, reference):
             assert save_problem(problem) == save_problem(ref_problem), seed
             assert repr(eta) == repr(ref_eta), seed
 
+    def test_bisection_takes_the_radius_of_the_xx_block_only(self, monkeypatch):
+        """Each draw takes the radius of A's own 2 x 2, then only those of
+        3 x 3 matrices, each bitwise the (x, x) hvec block of the whole
+        Psi_s that the reference assembles at that midpoint; no augmented
+        loop is built."""
+        seeds = range(100)
+        built = []
+        with monkeypatch.context() as patch:
+            patch.setattr(mnlqg.moments, "build_augmented", lambda *args: built.append(args))
+            _, fast_radii = generate_recording_radii(monkeypatch, seeds)
+        assert built == []
+        assert {M.shape for M in fast_radii} == {(2, 2), (3, 3)}
+        monkeypatch.setattr(mnlqg.bench, "_critical_noise_scale", critical_noise_scale_reference)
+        _, reference_radii = generate_recording_radii(monkeypatch, seeds)
+        assert {M.shape for M in reference_radii} == {(2, 2), (10, 10)}
+        reference_radii = [M if M.shape == (2, 2) else xx_block(M) for M in reference_radii]
+        assert [M.tobytes() for M in fast_radii] == [M.tobytes() for M in reference_radii]
+
     def test_bitwise_equal_to_full_matrix_bisection(self, monkeypatch):
-        """``spectral_radius`` takes the open loop's radius from its three
-        decoupled hvec blocks, which may differ from a full-matrix
-        ``eigvals`` in the last bits.  No bisection step flips: the
-        instances are byte for byte those of bisections on the full-matrix
-        radius, here (seeds 7000-7199 and the seeds the benchmark's pool
-        excludes) and in the benchmark's generator at n = 4, 6, 8 and 10,
-        where blocks from ``moments.POWER_BOUND_MIN_SIZE`` rows on are
-        skipped where their bounds place them below the largest radius."""
+        """``random_problem`` bisects on the radius of the open loop's
+        (x, x) hvec block, and ``spectral_radius`` takes a decoupled open
+        loop's radius from its blocks, skipping those that a certified
+        bound places below the largest radius; either may differ from a
+        full-matrix ``eigvals`` in the last bits.  No bisection step
+        flips: the instances are byte for byte those of bisections on the
+        full-matrix radius of the whole Psi_s, here (seeds 7000-7199 and
+        the seeds the benchmark's pool excludes) and in the benchmark's
+        generator at n = 4, 6, 8 and 10."""
         excluded = json.loads(POOL_FILE.read_text())["excluded"]
         seeds = list(range(7000, 7200)) + sorted(int(seed) for seed in excluded)
 
@@ -179,6 +213,7 @@ class TestRandomProblem:
             return [(save_problem(p), repr(eta)) for p, eta in randoms], [save_problem(p) for p in synthetic]
 
         blocks = generate()
+        monkeypatch.setattr(mnlqg.bench, "_critical_noise_scale", critical_noise_scale_reference)
         monkeypatch.setattr(mnlqg.moments, "spectral_radius", specrad)
         monkeypatch.setattr(mnlqg, "spectral_radius", specrad)  # the generator's name
         full = generate()

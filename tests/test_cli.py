@@ -210,6 +210,43 @@ class TestValidateCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {field} ")
 
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            (command, field)
+            for field in ("noise.b", "Qx", "noise.A[0].sgima", "k")
+            for command in ("validate", "solve", "rollout")
+            if not (command == "validate" and field == "k")  # validate reads no controller
+        ],
+    )
+    def test_unknown_field_is_input_error(self, tmp_path, capsys, command, field):
+        """A misspelled field exits 2 with its name, where it would be
+        dropped and its default used: "noise": {"b": ...} would solve a
+        noise-free problem."""
+        doc = json.loads(save_problem(make_scalar_problem(sigma_a=0.3)))
+        ctrl = {"F": [[0.5]], "K": [[0.0]], "L": [[0.0]]}
+        if field == "noise.b":
+            doc["noise"]["b"] = doc["noise"].pop("A")
+        elif field == "Qx":
+            doc["Qx"] = doc["Q"]
+        elif field == "k":
+            ctrl["k"] = [[1.0]]
+        else:
+            doc["noise"]["A"][0]["sgima"] = 2.0
+        path, ctrl_path = tmp_path / "problem.json", tmp_path / "ctrl.json"
+        path.write_text(json.dumps(doc))
+        ctrl_path.write_text(json.dumps(ctrl))
+        argv = {
+            "validate": [command, str(path)],
+            "solve": [command, str(path), "--init", str(ctrl_path), "--out", str(tmp_path / "report.json")],
+            "rollout": [command, str(path), str(ctrl_path)]
+            + ["--horizon", "5", "--trials", "2", "--seed", "0"],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown field '{field}'\n"
+
 
 class TestModuleEntryPoint:
     @pytest.mark.parametrize("module", ["mnlqg", "mnlqg.cli"])

@@ -269,6 +269,31 @@ class TestSerialization:
         assert np.array_equal(again.K, ctrl.K)
         assert np.array_equal(again.L, ctrl.L)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"noise": {"B"', '"noise": {"b"', r"^unknown field 'noise\.b'$"),
+            ('"Q":', '"Qx": [[1]], "Q":', r"^unknown field 'Qx'$"),
+            ('"sigma": 1.0,', '"sigma": 1.0, "sgima": 2.0,', r"^unknown field 'noise\.B\[0\]\.sgima'$"),
+            ('"Q":', '"' + "Q" * 300 + '": 1, "Q":', r"^unknown field 'Q{29}\.\.\. \(302 characters\)$"),
+        ],
+        ids=["lower-case-noise-key", "top-level", "noise-entry", "long-key"],
+    )
+    def test_unknown_field_is_schema_error(self, old, new, message):
+        """A misspelled field is named, not dropped: ``{"b": ...}`` under
+        noise would otherwise load as a noise-free problem."""
+        assert old in PENDULUM_DOC
+        with pytest.raises(SchemaError, match=message):
+            load_problem(PENDULUM_DOC.replace(old, new, 1))
+
+    def test_unknown_controller_field_is_schema_error(self):
+        """A misspelled "k" next to a zero "K" would otherwise be dropped;
+        without a "K" the unknown field is named before the missing one."""
+        with pytest.raises(SchemaError, match=r"^unknown field 'k'$"):
+            load_controller('{"F": [[1.0]], "K": [[0.0]], "k": [[1.0]], "L": [[0.5]]}')
+        with pytest.raises(SchemaError, match=r"^unknown field 'k'$"):
+            load_controller('{"F": [[1.0]], "k": [[1.0]], "L": [[0.5]]}')
+
     def test_controller_dimension_mismatch(self):
         with pytest.raises(SchemaError, match="K"):
             load_controller('{"F": [[1.0]], "K": [[1.0, 2.0]], "L": [[1.0]]}')

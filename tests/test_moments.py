@@ -307,6 +307,32 @@ class TestEigenvalueWork:
         spectral_radius(build_second_moment_matrix(aug, "value"))
         assert eigvals_shapes == [(55, 55)]
 
+    def test_benchmark_open_loop_bounds_no_xx_block(self, eigvals_shapes, monkeypatch):
+        """The (x, x) block comes first and takes its eigenvalues at once:
+        no bound is computed on it, only on the two noise-free blocks,
+        which the bounds skip, at every radius of the generator's
+        bisection and at the instance's open loop."""
+        bounded, power_bounds = [], moments._power_bounds
+
+        def recording(block):
+            bounded.append(block.copy())
+            return power_bounds(block)
+
+        monkeypatch.setattr(moments, "_power_bounds", recording)
+        problem = synthetic_problem(11, 10)
+        radii = len(eigvals_shapes)
+        assert radii > 3 and eigvals_shapes == [(55, 55)] * radii
+        assert [block.shape for block in bounded] == [(100, 100), (55, 55)] * radii
+        aug = build_augmented(problem, open_loop_controller(problem))
+        psi = build_second_moment_matrix(aug, "value")
+        label = hvec_block_labels(10)
+        xx, xhat_x, xhat_xhat = (psi[np.ix_(label == b, label == b)] for b in range(3))
+        bounded.clear()
+        eigvals_shapes.clear()
+        assert spectral_radius(psi) == specrad(xx)
+        assert eigvals_shapes == [(55, 55)]
+        assert [block.tobytes() for block in bounded] == [xhat_x.tobytes(), xhat_xhat.tobytes()]
+
     def test_converged_loop_is_one_call(self, eigvals_shapes):
         problem, _ = random_problem(7000)
         report = policy_iteration_solve(problem)
@@ -318,14 +344,19 @@ class TestEigenvalueWork:
         assert radius == float(np.max(np.abs(la.eigvals(psi))))
 
 
+def hvec_block_labels(n):
+    """0, 1 or 2 for each ``_hvec`` entry (i, j) of the symmetric 2n x 2n
+    matrices in the (x, x), (xhat, x) or (xhat, xhat) block."""
+    i, j = np.tril_indices(2 * n)
+    i, j = i[np.argsort(j, kind="stable")], np.sort(j)  # _hvec order
+    return (i >= n).astype(int) + (j >= n)
+
+
 def decoupled(blocks):
     """The n(2n+1)-square matrix with ``blocks`` (n(n+1)/2, n^2 and
     n(n+1)/2 square) as its (x, x), (xhat, x) and (xhat, xhat) hvec blocks
     and zeros elsewhere."""
-    n = math.isqrt(len(blocks[1]))
-    i, j = np.tril_indices(2 * n)
-    i, j = i[np.argsort(j, kind="stable")], np.sort(j)  # _hvec order
-    label = (i >= n).astype(int) + (j >= n)
+    label = hvec_block_labels(math.isqrt(len(blocks[1])))
     M = np.zeros((len(label),) * 2, dtype=np.result_type(*blocks))
     for b, block in enumerate(blocks):
         M[np.ix_(label == b, label == b)] = block
@@ -366,26 +397,27 @@ class TestPowerBounds:
             assert min(bounds) >= specrad(block), name
 
     @pytest.mark.parametrize(
-        "radii, calls",
+        "radii, shapes",
         [
-            ((1.0, 1.0, 1.0), 3),
-            ((1.0, 1.0 - 1e-9, 1.0 - 1e-7), 3),
-            ((1.0 - 1e-12, 1.0, 1.0 - 1e-6), 3),
-            ((0.5, 1.0, 0.999999), 2),
-            ((1.0, 0.5, 0.25), 1),
+            ((1.0, 1.0, 1.0), [(21, 21), (36, 36), (21, 21)]),
+            ((1.0, 1.0 - 1e-9, 1.0 - 1e-7), [(21, 21), (36, 36), (21, 21)]),
+            ((1.0 - 1e-12, 1.0, 1.0 - 1e-6), [(21, 21), (36, 36), (21, 21)]),
+            ((0.5, 1.0, 0.999999), [(21, 21), (36, 36), (21, 21)]),
+            ((1.0, 0.5, 0.25), [(21, 21)]),
         ],
     )
-    def test_radius_is_bitwise_the_largest_block_radius(self, radii, calls, eigvals_shapes):
+    def test_radius_is_bitwise_the_largest_block_radius(self, radii, shapes, eigvals_shapes):
         """Tied and nearly tied blocks (n = 6: 21, 36 and 21 rows, all
         above the crossover) take their eigenvalues; only a block well
-        below the largest radius is skipped."""
+        below the largest radius found before it, in hvec order, is
+        skipped: a block of radius 0.5 first is no bound on the others."""
         rng = np.random.default_rng(6)
         blocks = [scaled_to_radius(rng, k, r) for k, r in zip((21, 36, 21), radii)]
         M = decoupled(blocks)
         expected = max(specrad(block) for block in blocks)
         eigvals_shapes.clear()
         assert spectral_radius(M) == expected
-        assert len(eigvals_shapes) == calls
+        assert eigvals_shapes == shapes
         assert spectral_radius(M.T) == max(specrad(block.T) for block in blocks)
 
     def test_identical_blocks(self, eigvals_shapes):
@@ -405,8 +437,8 @@ class TestPowerBounds:
         """A nilpotent block with entries near 1e150: the norm of its
         square overflows, and the next square, to inf (one sign) or to
         inf - inf = NaN (mixed signs), without a warning (the tests' filter
-        makes one an error).  The block, of radius 0, takes its eigenvalues
-        first."""
+        makes one an error).  The block, of radius 0, is not skipped after
+        the block of radius 0.5, and the identity after it is not either."""
         rng = np.random.default_rng(10)
         nilpotent = 1e150 * np.triu(rng.uniform(1.0, 2.0, (36, 36)), 1)
         nilpotent[::2] *= sign
@@ -416,7 +448,7 @@ class TestPowerBounds:
         blocks = [0.5 * np.eye(21), nilpotent, np.eye(21)]
         eigvals_shapes.clear()
         assert spectral_radius(decoupled(blocks)) == 1.0
-        assert eigvals_shapes == [(36, 36), (21, 21)]
+        assert eigvals_shapes == [(21, 21), (36, 36), (21, 21)]
 
     def test_failures_keep_their_messages(self, monkeypatch):
         blocks = [0.5 * np.eye(21), np.full((36, 36), 1e308), np.eye(21)]

@@ -89,9 +89,14 @@ At K = 0 and L = 0, for any F, as at the open loop of a critical-noise
 bisection, Phi = diag(A, F) and the B- and C-lifts vanish, so Psi maps the
 (x, x), (xhat, x) and (xhat, xhat) blocks of M each into its own block:
 Psi_s splits into three diagonal blocks of the hvec coordinates, n(n+1)/2,
-n^2 and n(n+1)/2 square, and its radius is the largest of theirs.
-``spectral_radius`` reads the decoupling from the entries, so a Psi_s with
-any entry coupling two blocks takes one eigenvalue call on the whole.  Of
+n^2 and n(n+1)/2 square, and its radius is the largest of theirs.  Both
+``spectral_radius`` and the inverse of I - Psi_s (``_inverse``) read the
+decoupling from the entries (``_decoupled_blocks``), so a Psi_s with any
+entry coupling two blocks takes one eigenvalue call, or one inverse, on
+the whole.  From HELD_INVERSE_MIN_UNKNOWNS unknowns on, a decoupled
+I - Psi_s, as at the open loop that policy iteration's default start
+evaluates first, is inverted block by block: its inverse is the
+block-diagonal matrix of the three blocks' inverses.  Of
 the blocks from POWER_BOUND_MIN_SIZE rows on, taken in hvec order, a block
 that a certified bound by repeated squaring (Gelfand's formula,
 ``_power_bounds``) places below the largest radius found before it takes
@@ -162,14 +167,16 @@ HELD_FLOAT64_TOL = 1e-11
 # are bounded by repeated squaring (``_power_bounds``) once a radius is
 # known, and skipped where the bound shows they cannot hold the radius;
 # smaller blocks take ``eigvals`` at once.  A bounded block that holds the
-# radius pays for both.  Measured crossover, one BLAS thread: the first
-# bound (two squarings with their norms) takes about 9 us from 10 to 21
-# rows, ``eigvals`` 18 us at 10, 41 us at 16 and 70 us at 21 (timeit, best
-# of 5); generating the benchmark's instances for seeds 11-20 (mean, best
-# of 10 passes) took 6.6 ms at n = 4 (blocks of 10, 16 and 10 rows) with
-# every block bounded and 6.2 ms with none, and 10.2 ms at n = 6 (21, 36
-# and 21) with every block bounded and 11.3 ms with none.  So every block
-# at n <= 4, as of the paper's n = 2 experiment, keeps one ``eigvals`` call.
+# radius pays for both.  Measured crossover, one BLAS thread, when the
+# first bound took two squarings with their norms: about 9 us from 10 to
+# 21 rows, ``eigvals`` 18 us at 10, 41 us at 16 and 70 us at 21 (timeit,
+# best of 5; the first bound now takes one squaring, 9-10 us, and the
+# second 13-15 us, from 10 to 17 rows); generating the benchmark's
+# instances for seeds 11-20 (mean, best of 10 passes) took 6.6 ms at
+# n = 4 (blocks of 10, 16 and 10 rows) with every block bounded and 6.2 ms
+# with none, and 10.2 ms at n = 6 (21, 36 and 21) with every block bounded
+# and 11.3 ms with none.  So every block at n <= 4, as of the paper's
+# n = 2 experiment, keeps one ``eigvals`` call.
 POWER_BOUND_MIN_SIZE = 17
 # A block is skipped where its bound lies below the largest radius found so
 # far by this relative margin, after at most POWER_BOUND_SQUARINGS squarings.
@@ -365,19 +372,20 @@ def _half_indices(d: int) -> _HalfIndices:
 
 
 def _hvec(M):
-    """The lower-triangle entries of M, column by column."""
-    h = _half_indices(M.shape[0])
-    return M[h.i, h.j]
+    """The lower-triangle entries of M, column by column: M[i, j] sits at
+    the C-order flat position ``up`` = i d + j."""
+    return M.take(_half_indices(M.shape[0]).up)
 
 
 def _unhvec(x, d):
     """The symmetric d x d matrix with lower triangle ``x`` (inverse of
-    ``_hvec``)."""
+    ``_hvec``), written at the C-order flat positions of (i, j) and
+    (j, i)."""
     h = _half_indices(d)
-    M = np.empty((d, d), dtype=x.dtype)
-    M[h.i, h.j] = x
-    M[h.j, h.i] = x
-    return M
+    M = np.empty(d * d, dtype=x.dtype)
+    M[h.up] = x
+    M[h.lo] = x
+    return M.reshape(d, d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -479,6 +487,21 @@ def _hvec_blocks(size: int) -> tuple[np.ndarray, tuple[tuple[slice, int], ...]] 
     return entries, tuple((slice(end - k * k, end), k) for end, k in zip(ends, sizes))
 
 
+def _decoupled_blocks(a: np.ndarray) -> list[np.ndarray] | None:
+    """The three diagonal hvec blocks (``_hvec_blocks``) of a square matrix
+    ``a`` that no non-zero entry couples, in hvec order; None where ``a`` is
+    not n(2n+1) square or an entry outside the blocks is not zero (a NaN
+    counts as non-zero)."""
+    blocks = _hvec_blocks(a.shape[0])
+    if blocks is None:
+        return None
+    entries, spans = blocks
+    inside = a.take(entries)
+    if np.count_nonzero(inside) != np.count_nonzero(a):  # a coupling entry
+        return None
+    return [inside[span].reshape(k, k) for span, k in spans]
+
+
 def _eigvals(a: np.ndarray) -> np.ndarray:
     """The complex eigenvalues of one square matrix with finite entries:
     the LAPACK gufunc that ``la.eigvals`` calls, so they are bitwise its,
@@ -533,12 +556,7 @@ def spectral_radius(matrix: np.ndarray) -> float:
         raise ValueError(f"spectral_radius needs a non-empty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise EigenvalueFailure("eigenvalue computation failed: Array must not contain infs or NaNs")
-    parts, blocks = [a], _hvec_blocks(a.shape[0])
-    if blocks is not None:
-        entries, spans = blocks
-        inside = a.take(entries)
-        if np.count_nonzero(inside) == np.count_nonzero(a):  # no coupling entry
-            parts = [inside[span].reshape(k, k) for span, k in spans]
+    parts = _decoupled_blocks(a) or [a]
     with np.errstate(all="ignore", invalid="raise"):
         try:
             radius = _largest_radius(parts)
@@ -573,12 +591,12 @@ def _largest_radius(parts) -> float:
 
 def _power_bounds(block: np.ndarray):
     """Successive upper bounds on the spectral radius of a k x k ``block``,
-    by Gelfand's formula rho(B) <= ||B^m||^(1/m), one per squaring from the
-    second on.
+    by Gelfand's formula rho(B) <= ||B^m||^(1/m), one per squaring.
 
     C_0 = B and C_j = fl(C_{j-1}^2) for j = 1 .. POWER_BOUND_SQUARINGS;
     c_j >= ||C_j||_F and e_j >= ||C_j - B^(2^j)||_F, so
-    rho(B) <= (c_j + e_j)^(1 / 2^j), the j-th bound, yielded for j >= 2.
+    rho(B) <= (c_j + e_j)^(1 / 2^j), the j-th bound, yielded after the
+    j-th squaring, so that a block the first square decides takes one.
 
     A computed product of real k x k matrices is off by at most
     gamma |X| |Y| entrywise, gamma = k u / (1 - k u) (Higham, *Accuracy and
@@ -617,8 +635,7 @@ def _power_bounds(block: np.ndarray):
             C = C @ C
             e = ((2.0 * c + e) * e + gamma * c * c + tiny) * up
             c = norm(C)
-        if j > 1:
-            yield (c + e) ** (0.5**j) * up
+        yield (c + e) ** (0.5**j) * up
 
 
 def _add_operator(R, M, terms, sign=1.0):
@@ -675,9 +692,25 @@ def _positive_operator_test(aug: AugmentedClosedLoop, X: np.ndarray) -> bool | N
 
 
 def _inverse(M: np.ndarray) -> np.ndarray | None:
-    """M^-1, or None when ``la.inv`` fails or returns non-finite entries."""
+    """M^-1 for M = I - Psi_s, or None when an ``la.inv`` fails or returns
+    non-finite entries.
+
+    From HELD_INVERSE_MIN_UNKNOWNS rows on, an M whose hvec blocks no
+    non-zero entry couples (``_decoupled_blocks``), as at the open loop
+    that PI's default start evaluates, is inverted block by block: the
+    inverse of a block-diagonal matrix is block-diagonal, so each of the
+    three diagonal blocks is inverted alone and scattered back to its
+    positions, with exact zeros elsewhere.  At n=10 that is three
+    inverses 55, 100 and 55 square for one 210 square.  Every other M,
+    and every M below the cut-over, takes one ``la.inv`` on the whole.
+    """
+    parts = _decoupled_blocks(M) if M.shape[0] >= HELD_INVERSE_MIN_UNKNOWNS else None
     try:
-        inv = la.inv(M)
+        if parts is None:
+            inv = la.inv(M)
+        else:
+            inv = np.zeros_like(M)
+            inv.put(_hvec_blocks(M.shape[0])[0], np.concatenate([la.inv(part).ravel() for part in parts]))
     except la.LinAlgError:
         return None
     return inv if np.isfinite(inv).all() else None
@@ -859,7 +892,9 @@ def evaluate(aug: AugmentedClosedLoop, prior: Evaluation | None = None) -> Evalu
     an earlier evaluation of the same solve, is tried first, warm-started
     from ``prior`` (``_evaluate_against``), and held again where it
     serves; ``prior`` is left unchanged.  Otherwise Psi_s is built and
-    I - Psi_s inverted once.  The positive-operator test's
+    I - Psi_s inverted once (``_inverse``), block by block where it
+    decouples from the cut-over on, as at the open loop.  The
+    positive-operator test's
     candidate is X = (I - Psi_s)^-1 hvec(I); when the inverse fails or the
     test cannot decide, the loop is stable iff its exact spectral radius
     is below 1 - STABILITY_MARGIN.  A stable loop is solved on both sides

@@ -68,18 +68,20 @@ def held_report(problem, initial):
 
 
 def count_inversions(monkeypatch):
+    """Counts the loops whose I - Psi_s is inverted (``moments._inverse``,
+    which inverts a decoupled one block by block) and the Psi_s builds."""
     calls = {"inv": 0, "build": 0}
-    inv, build = la.inv, moments.build_second_moment_matrix
+    inverse, build = moments._inverse, moments.build_second_moment_matrix
 
     def counted_inv(a):
         calls["inv"] += 1
-        return inv(a)
+        return inverse(a)
 
     def counted_build(aug, side):
         calls["build"] += 1
         return build(aug, side)
 
-    monkeypatch.setattr(la, "inv", counted_inv)
+    monkeypatch.setattr(moments, "_inverse", counted_inv)
     monkeypatch.setattr(moments, "build_second_moment_matrix", counted_build)
     return calls
 

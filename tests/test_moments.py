@@ -393,7 +393,7 @@ class TestPowerBounds:
     def test_every_bound_is_at_least_the_radius(self, k):
         for name, block in self.blocks(np.random.default_rng(k), k).items():
             bounds = list(moments._power_bounds(block))
-            assert len(bounds) == moments.POWER_BOUND_SQUARINGS - 1, name
+            assert len(bounds) == moments.POWER_BOUND_SQUARINGS, name
             assert min(bounds) >= specrad(block), name
 
     @pytest.mark.parametrize(
@@ -435,20 +435,47 @@ class TestPowerBounds:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflowing_squares_are_not_skipped(self, sign, eigvals_shapes):
         """A nilpotent block with entries near 1e150: the norm of its
-        square overflows, and the next square, to inf (one sign) or to
-        inf - inf = NaN (mixed signs), without a warning (the tests' filter
-        makes one an error).  The block, of radius 0, is not skipped after
-        the block of radius 0.5, and the identity after it is not either."""
+        square overflows, so the first bound is inf, and the next square,
+        to inf (one sign) or to inf - inf = NaN (mixed signs), without a
+        warning (the tests' filter makes one an error).  The block, of
+        radius 0, is not skipped after the block of radius 0.5, and the
+        identity after it is not either."""
         rng = np.random.default_rng(10)
         nilpotent = 1e150 * np.triu(rng.uniform(1.0, 2.0, (36, 36)), 1)
         nilpotent[::2] *= sign
         bounds = list(moments._power_bounds(nilpotent))
         assert not any(math.isfinite(b) for b in bounds)
-        assert math.isnan(bounds[0]) == (sign < 0)
+        assert bounds[0] == math.inf
+        assert math.isnan(bounds[1]) == (sign < 0)
         blocks = [0.5 * np.eye(21), nilpotent, np.eye(21)]
         eigvals_shapes.clear()
         assert spectral_radius(decoupled(blocks)) == 1.0
         assert eigvals_shapes == [(21, 21), (36, 36), (21, 21)]
+
+    def test_block_the_first_square_decides_takes_one_squaring(self, eigvals_shapes, monkeypatch):
+        """Each block whose first bound, after one squaring, lies below the
+        largest radius is skipped after that one matrix product."""
+        products = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                products[-1] += 1
+                return (np.asarray(self) @ np.asarray(other)).view(Counted)
+
+        power_bounds = moments._power_bounds
+
+        def counted(block):
+            products.append(0)
+            return power_bounds(block.view(Counted))
+
+        monkeypatch.setattr(moments, "_power_bounds", counted)
+        rng = np.random.default_rng(12)
+        blocks = [scaled_to_radius(rng, k, r) for k, r in zip((21, 36, 21), (1.0, 0.1, 0.1))]
+        assert next(power_bounds(blocks[1])) < 1.0 - moments.POWER_BOUND_MARGIN
+        eigvals_shapes.clear()
+        assert spectral_radius(decoupled(blocks)) == specrad(blocks[0])
+        assert eigvals_shapes == [(21, 21)]
+        assert products == [1, 1]
 
     def test_failures_keep_their_messages(self, monkeypatch):
         blocks = [0.5 * np.eye(21), np.full((36, 36), 1e308), np.eye(21)]
@@ -753,6 +780,99 @@ class TestOneInversePerEvaluation:
         assert spectral_radius(build_second_moment_matrix(aug, "value")) < 1.0 - STABILITY_MARGIN
         with pytest.raises(LyapunovSolveFailure, match="singular"):
             evaluate(aug)
+
+
+def count_la_inv(monkeypatch):
+    """The shapes of the matrices passed to ``la.inv``."""
+    shapes, inv = [], la.inv
+
+    def counted(a):
+        shapes.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(la, "inv", counted)
+    return shapes
+
+
+def open_loop_operator(n):
+    """I - Psi_s of the open loop of the benchmark's instance with n states."""
+    problem = synthetic_problem(11, n)
+    psi = build_second_moment_matrix(build_augmented(problem, open_loop_controller(problem)), "value")
+    return np.eye(len(psi)) - psi
+
+
+class TestBlockInverse:
+    """``moments._inverse`` inverts a decoupled I - Psi_s from
+    HELD_INVERSE_MIN_UNKNOWNS rows on by its three hvec blocks."""
+
+    @pytest.mark.parametrize("n", [8, 10, 16])
+    def test_open_loop_is_inverted_by_block(self, n, monkeypatch):
+        M = open_loop_operator(n)
+        assert len(M) >= moments.HELD_INVERSE_MIN_UNKNOWNS
+        expected = la.inv(M)
+        shapes = count_la_inv(monkeypatch)
+        inv = moments._inverse(M)
+        k, m = n * (n + 1) // 2, n * n
+        assert shapes == [(k, k), (m, m), (k, k)]
+        assert la.norm(inv - expected) <= 1e-15 * la.norm(expected)
+        label = hvec_block_labels(n)
+        assert not inv[label[:, None] != label].any()
+        for b in range(3):
+            block = np.ix_(label == b, label == b)
+            assert np.array_equal(inv[block], la.inv(M[block]))
+
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    @pytest.mark.parametrize("entry", [0.0, 1e-310, np.nan])
+    def test_singular_or_non_finite_block_gives_none(self, b, entry):
+        """A zero pivot fails ``la.inv``; a subnormal one overflows its
+        inverse to inf; a NaN entry inside the block keeps the matrix
+        decoupled and its inverse NaN."""
+        label = hvec_block_labels(8)
+        M = np.eye(len(label))
+        i = np.flatnonzero(label == b)[-1]
+        M[i, i] = entry
+        assert moments._decoupled_blocks(M) is not None
+        assert moments._inverse(M) is None
+
+    def test_coupled_matrix_takes_one_inverse(self, monkeypatch):
+        M = open_loop_operator(8)
+        label = hvec_block_labels(8)
+        M[np.argmax(label == 0), np.argmax(label == 2)] = 1e-300
+        assert moments._decoupled_blocks(M) is None
+        expected = la.inv(M)
+        shapes = count_la_inv(monkeypatch)
+        assert moments._inverse(M).tobytes() == expected.tobytes()
+        assert shapes == [(136, 136)]
+
+    def test_below_the_cut_over_takes_one_inverse(self, monkeypatch):
+        M = open_loop_operator(7)
+        assert len(M) < moments.HELD_INVERSE_MIN_UNKNOWNS
+        assert moments._decoupled_blocks(M) is not None
+        expected = la.inv(M)
+        shapes = count_la_inv(monkeypatch)
+        assert moments._inverse(M).tobytes() == expected.tobytes()
+        assert shapes == [(105, 105)]
+
+
+class TestHalfVectorization:
+    """``_hvec`` and ``_unhvec`` read and write flat C-order positions;
+    their arrays are bitwise those of the 2-D indexing M[i, j]."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("d", [1, 2, 5, 20])
+    def test_bitwise_the_two_dimensional_indexing(self, d, dtype):
+        h = moments._half_indices(d)
+        M = np.random.default_rng(d).standard_normal((d, d)).astype(dtype) / 3
+        for matrix in (M, M.T):  # a transposed view is read in its own order
+            got = moments._hvec(matrix)
+            assert got.dtype == dtype and got.tobytes() == matrix[h.i, h.j].tobytes()
+        x = M[h.i, h.j]
+        expected = np.empty((d, d), dtype=dtype)
+        expected[h.i, h.j] = x
+        expected[h.j, h.i] = x
+        got = moments._unhvec(x, d)
+        assert got.dtype == dtype and got.shape == (d, d) and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestMsStable:

@@ -120,7 +120,7 @@ def solve_linear_extended(inv, x, residual, tol, scale=None):
     """
     previous = float(abs(x).max()) if scale is None else scale
     for _ in range(REFINE_MAX_STEPS):
-        dx = inv @ residual(x)
+        dx = inv.dot(residual(x))
         x += dx
         size = float(abs(dx).max())
         if size <= tol * (float(abs(x).max()) if scale is None else scale):

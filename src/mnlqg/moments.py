@@ -648,9 +648,21 @@ def _add_operator(R, M, terms, sign=1.0):
     entry once Phi's term, over the whole state, has been added; so the
     sums are bitwise those of full-size terms.  Subtracting is adding the
     negation, so ``sign`` -1 is bitwise ``R -= op(M)``.
+
+    Each product is D.T.dot(M[r, r]).dot(D), bitwise D.T @ M[r, r] @ D
+    but for the sign of a zero: ``ndarray.dot`` skips the ufunc dispatch
+    of ``@``, and for longdouble, where neither has a BLAS path, sums in
+    the same order about three times as fast (23 us against 70 us for a
+    20 x 20 triple product).  At n=1 a 1 x 1 lift block takes ``dot``'s
+    scalar path, whose zero product can be -0.0 where ``@`` sums to +0.0
+    (``riccati`` module docstring); adding +0.0 restores that sign and
+    changes no other value.
     """
+    cast = M.dtype != np.float64
     for s2, r, c, D in terms:
-        R[c, c] += (sign * s2) * (D.T @ M[r, r] @ D)
+        if cast:
+            D = D.astype(M.dtype)
+        R[c, c] += (sign * s2) * (D.T.dot(M[r, r]).dot(D) + 0.0)
     return R
 
 
@@ -740,9 +752,9 @@ def _side_system(aug: AugmentedClosedLoop, side: str, rhs=None):
     terms = aug.terms if value else aug.covariance_terms
 
     def apply(y, zero_rhs):
-        M = _unhvec(y / omega, d)
-        R = (0.0 if zero_rhs else rhs) - M
-        return omega * _hvec(_add_operator(R, M, terms))
+        M = _unhvec(y if value else y / omega, d)
+        R = _hvec(_add_operator((0.0 if zero_rhs else rhs) - M, M, terms))
+        return R if value else omega * R
 
     return omega * _hvec(rhs), omega, lambda y: apply(y, False), lambda y: apply(y, True)
 
@@ -788,14 +800,14 @@ def _refine_sides(
     for side, side_inv, M in zip(("value", "covariance"), (inv, inv.T), starts):
         b, omega, residual, minus_operator = _side_system(aug, side)
         if M is None:
-            y = side_inv @ b
+            y = side_inv.dot(b)
         else:
             y = solve_linear_extended(side_inv, omega * _hvec(M), residual, HELD_FLOAT64_TOL)
             if y is None:
                 return None
         y_ld = y.astype(np.longdouble)
         r0 = residual(y_ld).astype(np.float64)
-        delta, scale = side_inv @ r0, float(abs(y).max())
+        delta, scale = side_inv.dot(r0), float(abs(y).max())
         if abs(delta).max() > eps * scale:
             delta = solve_linear_extended(
                 side_inv, delta, lambda dy: r0 + minus_operator(dy), eps, scale

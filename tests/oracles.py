@@ -203,25 +203,26 @@ def second_moment_matrix_full_terms(aug, side):
 
 
 def lyapunov_residual_full_terms(aug, side, M):
-    """rhs - M + op(M) in longdouble for a longdouble M, with rhs = Q'
-    (value side) or W' (covariance side) and each term s2 D.T M D (D
-    transposed on the covariance side) formed over the full augmented
-    state, in the order Phi, then the lifts."""
+    """rhs - M + op(M) in the precision of M, float64 or longdouble, with
+    rhs = Q' (value side) or W' (covariance side) and each term s2 D.T M D
+    (D transposed on the covariance side) formed with ``@`` over the full
+    augmented state, in the order Phi, then the lifts."""
     value = side == "value"
-    R = (aug.Qprime if value else aug.Wprime).astype(np.longdouble) - M
+    R = (aug.Qprime if value else aug.Wprime).astype(M.dtype) - M
     for s2, D in _terms(aug):
-        D = (D if value else D.T).astype(np.longdouble)
-        R += np.longdouble(s2) * (D.T @ M @ D)
+        D = (D if value else D.T).astype(M.dtype)
+        R += M.dtype.type(s2) * (D.T @ M @ D)
     return R
 
 
 def certificate_residual_full_terms(aug, X):
-    """X - Psi(X) in longdouble for a longdouble X, each term subtracted over
-    the full augmented state, in the order Phi, then the lifts."""
+    """X - Psi(X) in the precision of X, float64 or longdouble, each term
+    formed with ``@`` and subtracted over the full augmented state, in the
+    order Phi, then the lifts."""
     R = X.copy()
     for s2, D in _terms(aug):
-        D = D.astype(np.longdouble)
-        R -= np.longdouble(s2) * (D.T @ X @ D)
+        D = D.astype(X.dtype)
+        R -= X.dtype.type(s2) * (D.T @ X @ D)
     return R
 
 

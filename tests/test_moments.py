@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -628,12 +629,15 @@ def two_term_loop(with_b=True):
 def block_lift_loops():
     """Loops whose lifts cover every family layout: one term per family with
     non-zero gains, two terms in a family, no B-noise, and open loops, whose
-    B- and C-lifts are zero."""
+    B- and C-lifts are zero: at n=1 they are 1 x 1 zero blocks, whose
+    products take ``ndarray.dot``'s scalar path (``moments._add_operator``)."""
     rng = np.random.default_rng(23)
     loops = {}
     for n in (1, 2, 3):
         problem = random_problem_any(rng, n=n, m=2, p=2)
         loops[f"one-term-n{n}"] = build_augmented(problem, make_random_controller(problem, rng))
+    problem = random_problem_any(rng, n=1, m=2, p=2)
+    loops["open-loop-n1"] = build_augmented(problem, open_loop_controller(problem))
     loops["two-terms"] = two_term_loop(with_b=True)
     loops["no-b-noise"] = two_term_loop(with_b=False)
     problem, _ = random_problem(7003)
@@ -673,13 +677,16 @@ class TestBlockLifts:
         assert psi.tobytes() == second_moment_matrix_full_terms(aug, side).tobytes()
 
     @staticmethod
-    def symmetric_ld(aug, seed):
-        """A symmetric longdouble matrix with +0.0 and -0.0 entries."""
+    def symmetric(aug, seed, dtype):
+        """A symmetric float64 or longdouble matrix with -0.0 and +0.0
+        entries: its first row and column -0.0, then its last +0.0.  At
+        n=1 (2 x 2) that leaves -0.0 at (0, 0) alone, where the C-lift's
+        zero product by ``dot`` is -0.0 in the certificate's residual."""
         rng = np.random.default_rng(seed)
         M = rng.standard_normal((aug.dim, aug.dim))
-        M = (M + M.T).astype(np.longdouble)
-        M[0, :] = M[:, 0] = 0.0
-        M[-1, :] = M[:, -1] = -0.0
+        M = (M + M.T).astype(dtype)
+        M[0, :] = M[:, 0] = -0.0
+        M[-1, :] = M[:, -1] = 0.0
         return M
 
     @pytest.mark.parametrize("side", ["value", "covariance"])
@@ -689,11 +696,11 @@ class TestBlockLifts:
 
         aug = BLOCK_LIFT_LOOPS[name]
         value = side == "value"
-        rhs = (aug.Qprime if value else aug.Wprime).astype(np.longdouble)
+        rhs = aug.Qprime if value else aug.Wprime
         terms = aug.terms if value else aug.covariance_terms
-        for seed in range(3):
-            M = self.symmetric_ld(aug, seed)
-            R = _add_operator(rhs - M, M, terms)
+        for dtype, seed in itertools.product((np.float64, np.longdouble), range(3)):
+            M = self.symmetric(aug, seed, dtype)
+            R = _add_operator(rhs.astype(dtype) - M, M, terms)
             assert value_bytes(R) == value_bytes(lyapunov_residual_full_terms(aug, side, M))
 
     @pytest.mark.parametrize("name", sorted(BLOCK_LIFT_LOOPS))
@@ -701,8 +708,8 @@ class TestBlockLifts:
         from mnlqg.moments import _add_operator
 
         aug = BLOCK_LIFT_LOOPS[name]
-        for seed in range(3):
-            X = self.symmetric_ld(aug, seed)
+        for dtype, seed in itertools.product((np.float64, np.longdouble), range(3)):
+            X = self.symmetric(aug, seed, dtype)
             R = _add_operator(X.copy(), X, aug.terms, -1.0)
             assert value_bytes(R) == value_bytes(certificate_residual_full_terms(aug, X))
 

@@ -80,7 +80,7 @@ def _resolve_initial(problem, init):
 def _history_documents(report, e_k):
     rows = []
     for k, entry in enumerate(report.history):
-        row = {"k": k, "delta": entry.delta, "seconds": entry.seconds}
+        row = {"k": k, "delta": entry.delta, "tolerance": entry.tolerance, "seconds": entry.seconds}
         if e_k is not None:
             row["e_k"] = e_k[k]
         rows.append(row)

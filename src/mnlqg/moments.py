@@ -63,15 +63,21 @@ policy hardly moves, is far below one.  Both paths solve the two sides
 with one refinement (``_refine_sides``) that differs only in its start: a
 fresh evaluation starts cold from inv @ b, already at float64 accuracy; a
 held one warm-starts from the prior's P' and S', which late in a solve are
-within rounding of the new ones (as in inexact Newton-Kleinman methods),
-and takes float64 residual steps first.  Then one longdouble residual at
-the float64 solution and float64 residuals of the small correction to it
-bring the side to extended-precision accuracy; that residual is the only
+within rounding of the new ones, and takes float64 residual steps first.
+An exact evaluation then takes one longdouble residual at the float64
+solution, and float64 residuals of the small correction to it bring the
+side to extended-precision accuracy; that residual is the only
 computation in extended precision, and every residual of a side takes the
-loop's one float64 term tuple for it.  The held path also
-refines the certificate candidate from the prior's, with float64
-residuals.  All residuals are formed in matrix form, so the held path
-forms neither Psi_s nor a new inverse.  Where the held inverse stops
+loop's one float64 term tuple for it.  A loose evaluation, which policy
+iteration asks for while its steps are large (``evaluate``'s
+``tolerance``), refines in float64 to that relative tolerance only and
+takes no longdouble residual: as in inexact Newton-Kleinman methods
+(Feitzinger, Hylla and Sachs, SIAM J. Matrix Anal. Appl. 31, 2009), an
+iterate that serves one gain update need not be accurate beyond the
+step it is part of.  The held path also refines the certificate
+candidate from the prior's, with float64 residuals, loose or exact alike.
+All residuals are formed in matrix form, so the held path forms neither
+Psi_s nor a new inverse.  Where the held inverse stops
 contracting, or the certificate does not certify the loop stable, the
 evaluation falls back to the fresh path, which also reports the exact
 radius of a loop that is not stable.  Below HELD_INVERSE_MIN_UNKNOWNS
@@ -652,8 +658,9 @@ def _add_operator(R, M, terms, sign=1.0):
     Each product is D.T.dot(M[r, r]).dot(D), bitwise D.T @ M[r, r] @ D
     but for the sign of a zero: ``ndarray.dot`` skips the ufunc dispatch
     of ``@``, and for longdouble, where neither has a BLAS path, sums in
-    the same order about three times as fast (23 us against 70 us for a
-    20 x 20 triple product).  At n=1 a 1 x 1 lift block takes ``dot``'s
+    the same order about three times as fast (20 us against 59 us for a
+    20 x 20 triple product, 1.8 us against 2.9 us in float64; timeit, best
+    of 7, one BLAS thread, Xeon).  At n=1 a 1 x 1 lift block takes ``dot``'s
     scalar path, whose zero product can be -0.0 where ``@`` sums to +0.0
     (``riccati`` module docstring); adding +0.0 restores that sign and
     changes no other value.
@@ -760,7 +767,10 @@ def _side_system(aug: AugmentedClosedLoop, side: str, rhs=None):
 
 
 def _refine_sides(
-    aug: AugmentedClosedLoop, inv: np.ndarray, start: AugmentedSolution | None = None
+    aug: AugmentedClosedLoop,
+    inv: np.ndarray,
+    start: AugmentedSolution | None = None,
+    tolerance: float | None = None,
 ) -> AugmentedSolution | None:
     """(P', S'), each side (``_side_system``) refined against ``inv``, an
     approximate inverse of I - Psi_s (its transpose on the covariance side);
@@ -768,9 +778,11 @@ def _refine_sides(
 
     Each side reaches a float64 solution y: from the warm ``start``, an
     earlier loop's solution (left unchanged), by float64 residual steps to
-    HELD_FLOAT64_TOL; cold, without a ``start``, as inv @ b, already at
-    float64 accuracy when ``inv`` is I - Psi_s's own inverse.  Then
-    r0 = b - A y is computed once, in longdouble.  The correction delta
+    HELD_FLOAT64_TOL, or to ``tolerance`` where one is given; cold, without
+    a ``start``, as inv @ b, already at float64 accuracy when ``inv`` is
+    I - Psi_s's own inverse.  With a ``tolerance`` (a loose evaluation,
+    ``evaluate``) y is the side's solution.  Without one, r0 = b - A y is
+    computed once, in longdouble.  The correction delta
     solving A delta = r0 starts at inv @ r0, the first correction of a
     refinement from zero; unless that is within a float64 ulp of the
     largest entry of y, it is refined with float64 residuals r0 - A delta
@@ -797,29 +809,33 @@ def _refine_sides(
     """
     eps, sides = np.finfo(np.float64).eps, []
     starts = (None, None) if start is None else (start.Pprime, start.Sprime)
+    float64_tol = HELD_FLOAT64_TOL if tolerance is None else tolerance
     for side, side_inv, M in zip(("value", "covariance"), (inv, inv.T), starts):
         b, omega, residual, minus_operator = _side_system(aug, side)
         if M is None:
             y = side_inv.dot(b)
         else:
-            y = solve_linear_extended(side_inv, omega * _hvec(M), residual, HELD_FLOAT64_TOL)
+            y = solve_linear_extended(side_inv, omega * _hvec(M), residual, float64_tol)
             if y is None:
                 return None
-        y_ld = y.astype(np.longdouble)
-        r0 = residual(y_ld).astype(np.float64)
-        delta, scale = side_inv.dot(r0), float(abs(y).max())
-        if abs(delta).max() > eps * scale:
-            delta = solve_linear_extended(
-                side_inv, delta, lambda dy: r0 + minus_operator(dy), eps, scale
-            )
-            if delta is None:
-                return None
-        x = (y_ld + delta) / omega
-        sides.append(_unhvec(x, aug.dim).astype(np.float64))
+        if tolerance is None:
+            y_ld = y.astype(np.longdouble)
+            r0 = residual(y_ld).astype(np.float64)
+            delta, scale = side_inv.dot(r0), float(abs(y).max())
+            if abs(delta).max() > eps * scale:
+                delta = solve_linear_extended(
+                    side_inv, delta, lambda dy: r0 + minus_operator(dy), eps, scale
+                )
+                if delta is None:
+                    return None
+            y = y_ld + delta
+        sides.append(_unhvec(y / omega, aug.dim).astype(np.float64, copy=False))
     return AugmentedSolution(*sides)
 
 
-def _evaluate_against(aug: AugmentedClosedLoop, prior: "Evaluation") -> "Evaluation | None":
+def _evaluate_against(
+    aug: AugmentedClosedLoop, prior: "Evaluation", tolerance: float | None
+) -> "Evaluation | None":
     """The evaluation of a loop refined against the held inverse of
     ``prior``, an earlier evaluation of the same solve, and warm-started
     from its candidate, P' and S'; None when the held inverse does not
@@ -829,18 +845,24 @@ def _evaluate_against(aug: AugmentedClosedLoop, prior: "Evaluation") -> "Evaluat
     with float64 residuals to HELD_CANDIDATE_TOL;
     ``_positive_operator_test`` is sound for any candidate, so the loop
     counts as stable only where it returns True.  Both sides are then
-    refined from ``prior.solution`` (``_refine_sides``).  None when the
+    refined from ``prior.solution`` (``_refine_sides``), to ``tolerance``
+    where it is not None.  None when the
     test does not return True, or when a refinement stops contracting
     (``solve_linear_extended``).  ``prior`` is left unchanged: every start
     is a copy.
+
+    Loose evaluations start warm too: refined to their tolerance from the
+    cold start held @ b instead, the six loose evaluations of the
+    benchmark's n=10 PI solve took 88 float64 operator applications in
+    place of 50, and the seven of its n=12 instance 135 in place of 73.
     """
     d, held = aug.dim, prior.inv
     _, _, residual, _ = _side_system(aug, "value", np.eye(d))
     x = solve_linear_extended(held, prior.candidate.copy(), residual, HELD_CANDIDATE_TOL)
     if x is None or _positive_operator_test(aug, _unhvec(x, d)) is not True:
         return None
-    sol = _refine_sides(aug, held, prior.solution)
-    return None if sol is None else Evaluation(aug, True, sol, held, x)
+    sol = _refine_sides(aug, held, prior.solution, tolerance)
+    return None if sol is None else Evaluation(aug, True, sol, held, x, tolerance=tolerance)
 
 
 @dataclass(eq=False)
@@ -855,7 +877,9 @@ class Evaluation:
     ``exact_radius`` holds the spectral radius once it has been computed:
     by the fallback when the positive-operator test cannot decide, or on
     request by ``radius()``.  Only a loop that is
-    not stable keeps Psi_s (``psi``), for its radius.
+    not stable keeps Psi_s (``psi``), for its radius.  ``tolerance`` is the
+    relative tolerance of a loose evaluation (``evaluate``), None for an
+    exact one.
     """
 
     aug: AugmentedClosedLoop
@@ -865,6 +889,7 @@ class Evaluation:
     candidate: np.ndarray | None = None
     psi: np.ndarray | None = None
     exact_radius: float | None = None
+    tolerance: float | None = None
 
     def radius(self) -> float:
         """The exact spectral radius, computed on first request; Psi_s is
@@ -894,11 +919,24 @@ class Evaluation:
         return self.solution
 
 
-def evaluate(aug: AugmentedClosedLoop, prior: Evaluation | None = None) -> Evaluation:
+def evaluate(
+    aug: AugmentedClosedLoop, prior: Evaluation | None = None, tolerance: float | None = None
+) -> Evaluation:
     """Evaluate the policy of a closed loop: its mean-square stability and,
     when it is stable, both sides (P', S').  Never raises NotMsStable.
     A loop whose operator gain overflows float64 is not stable, with
     ``exact_radius`` inf (module docstring).
+
+    The evaluation is exact, each side within a float64 ulp of its largest
+    entry (``_refine_sides``), unless ``tolerance`` exceeds
+    HELD_FLOAT64_TOL: then it is loose, each side's float64 refinement
+    stops at that relative tolerance and the longdouble residual and its
+    correction are skipped.  The evaluation records the tolerance of a
+    loose evaluation (``Evaluation.tolerance``), None for an exact one.
+    Policy iteration asks for loose evaluations while its steps are large
+    (``riccati.policy_iteration_solve``).  The stability verdict does not
+    depend on it: the certificate's candidate is refined to
+    HELD_CANDIDATE_TOL either way.
 
     From HELD_INVERSE_MIN_UNKNOWNS unknowns on, the ``inv`` of ``prior``,
     an earlier evaluation of the same solve, is tried first, warm-started
@@ -918,9 +956,11 @@ def evaluate(aug: AugmentedClosedLoop, prior: Evaluation | None = None) -> Evalu
     d = aug.dim
     if not aug._gain < np.inf:  # Psi_s would overflow float64
         return Evaluation(aug, False, exact_radius=np.inf)
+    if not (tolerance is not None and tolerance > HELD_FLOAT64_TOL):  # also NaN
+        tolerance = None
     hold = d * (d + 1) // 2 >= HELD_INVERSE_MIN_UNKNOWNS
     if hold and prior is not None and prior.inv is not None:
-        evaluation = _evaluate_against(aug, prior)
+        evaluation = _evaluate_against(aug, prior, tolerance)
         if evaluation is not None:
             return evaluation
     psi = build_second_moment_matrix(aug, "value")
@@ -937,10 +977,12 @@ def evaluate(aug: AugmentedClosedLoop, prior: Evaluation | None = None) -> Evalu
     del psi  # a stable evaluation keeps no Psi_s, and the solves need none
     if inv is None:
         raise LyapunovSolveFailure("I - Psi_s of a loop inside the stability margin is singular")
-    sol = _refine_sides(aug, inv)
+    sol = _refine_sides(aug, inv, tolerance=tolerance)
     if sol is None:
         raise LyapunovSolveFailure("refinement against the inverse of I - Psi_s stopped contracting")
-    return Evaluation(aug, True, sol, inv if hold else None, candidate, exact_radius=radius)
+    return Evaluation(
+        aug, True, sol, inv if hold else None, candidate, exact_radius=radius, tolerance=tolerance
+    )
 
 
 def solve_lyapunov(aug: AugmentedClosedLoop, side: str) -> np.ndarray:

@@ -40,10 +40,11 @@ Two solvers are provided:
 * ``value_iteration_solve``: the contraction X <- X + R(X) from X = 0,
   taking each step and its norms in one pass; needs no stabilizing policy
   but converges at a linear rate.
-* ``policy_iteration_solve``: alternates exact policy evaluation (via the
-  generalized Lyapunov equations, ``moments.evaluate``) with the gain
-  update; needs a mean-square stabilizing initial policy, chosen by
-  default as ``stabilizing_initial_controller`` does, and converges in few
+* ``policy_iteration_solve``: alternates policy evaluation (via the
+  generalized Lyapunov equations, ``moments.evaluate``), inexact while the
+  steps are large and exact once they are small, with the gain update;
+  needs a mean-square stabilizing initial policy, chosen by default as
+  ``stabilizing_initial_controller`` does, and converges in few
   iterations.
 
 PI's fallback initial policy, the classical noise-free design, is value
@@ -101,6 +102,10 @@ OVERFLOW_GUARD = 1e100
 # is this close to rounding noise the iterates have stopped moving.  Measured
 # steps of converged policy iteration level off at 8-23 eps * ||X||.
 STEP_FLOOR_ULPS = 32
+# Forcing factor of policy iteration's inexact evaluations: iterate k >= 2
+# is evaluated to the relative tolerance FORCING * delta / ||X|| of the step
+# before it (``policy_iteration_solve``).
+FORCING = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,10 +121,13 @@ class QFunctionPair:
 @dataclass(frozen=True)
 class HistoryEntry:
     """One iteration record: step size (None for the first policy
-    evaluation) and cumulative wall-clock seconds."""
+    evaluation), cumulative wall-clock seconds and, for a loose policy
+    evaluation, the relative tolerance it was refined to (None for an exact
+    evaluation and for value iteration)."""
 
     delta: float | None
     seconds: float
+    tolerance: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,7 +378,7 @@ def policy_iteration_solve(
     tol: float = DEFAULT_TOL,
     max_iter: int = PI_MAX_ITER,
 ) -> SolveReport:
-    """Alternate exact policy evaluation and gain improvement.
+    """Alternate policy evaluation and gain improvement.
 
     The initial policy is evaluated (``moments.evaluate``: both
     generalized Lyapunov equations, then X extracted); each of at most
@@ -379,6 +387,18 @@ def policy_iteration_solve(
     Stops when successive evaluated X differ by at most ``tol`` (blockwise
     max Frobenius norm), or by at most STEP_FLOOR_ULPS float64 ulps of the
     iterate's norm when that is larger (see ``_step_converged``).
+
+    The evaluations are inexact early in a solve (the forcing rule of
+    inexact Newton-Kleinman methods): iterate k >= 2 is evaluated to the
+    relative tolerance tau_k = FORCING delta_{k-1} / ||X_{k-1}||, with the
+    step and norm of the stopping test, and loosely, without the
+    longdouble step, while tau_k exceeds ``moments.HELD_FLOAT64_TOL``
+    (``moments.evaluate``).  The initial evaluation, iterate 1, every
+    iterate with a smaller tau_k and the report's cost evaluation are
+    exact.  A loose evaluation never ends a solve: where its step passes
+    the stopping test, the same loop is evaluated again, exactly, and that
+    evaluation's step decides.  Each history entry records the tau_k its
+    evaluation used, None where it was exact.
 
     With ``initial`` None the solve starts from the policy that
     ``stabilizing_initial_controller`` returns, and from the evaluation
@@ -403,21 +423,36 @@ def policy_iteration_solve(
     X = moments.extract_tuple(evaluation.solution)
     trajectory = [X.blocks()]
     history = [HistoryEntry(delta=None, seconds=time.perf_counter() - start)]
+    tolerance = None
     for k in range(1, max_iter + 1):
         K, L = step.gains(*step.gain_blocks(X.blocks())[:4])
         aug = moments.build_augmented(problem, step.controller(K, L))
-        evaluation = moments.evaluate(aug, evaluation)
-        if not evaluation.stable:
-            raise IterateNotStabilizing(k, evaluation.radius())
+        evaluation = _iterate_evaluation(aug, evaluation, tolerance, k)
         previous, X = X, moments.extract_tuple(evaluation.solution)
-        delta = X.distance(previous)
+        delta, norm = X.distance(previous), X.max_norm()
+        if evaluation.tolerance is not None and _step_converged(delta, norm, tol):
+            # a loose evaluation never ends a solve: the loop is evaluated again, exactly
+            evaluation = _iterate_evaluation(aug, evaluation, None, k)
+            X = moments.extract_tuple(evaluation.solution)
+            delta, norm = X.distance(previous), X.max_norm()
         trajectory.append(X.blocks())
-        history.append(HistoryEntry(delta, time.perf_counter() - start))
-        if _step_converged(delta, X.max_norm(), tol):
+        history.append(HistoryEntry(delta, time.perf_counter() - start, evaluation.tolerance))
+        if _step_converged(delta, norm, tol):
             return _finalize_report(
                 problem, step, trajectory, history, "policy_iteration", evaluation
             )
+        tolerance = FORCING * delta / norm if norm > 0.0 else None
     raise MaxIterationsExceeded("policy iteration", max_iter, history[-1].delta)
+
+
+def _iterate_evaluation(aug, prior, tolerance, k) -> moments.Evaluation:
+    """``moments.evaluate(aug, prior, tolerance)`` of PI's iterate k;
+    IterateNotStabilizing, with the exact radius, where the loop is not
+    stable."""
+    evaluation = moments.evaluate(aug, prior, tolerance)
+    if not evaluation.stable:
+        raise IterateNotStabilizing(k, evaluation.radius())
+    return evaluation
 
 
 # ---------------------------------------------------------------------------

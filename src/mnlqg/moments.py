@@ -102,16 +102,17 @@ entry coupling two blocks takes one eigenvalue call, or one inverse, on
 the whole.  From HELD_INVERSE_MIN_UNKNOWNS unknowns on, a decoupled
 I - Psi_s, as at the open loop that policy iteration's default start
 evaluates first, is inverted block by block: its inverse is the
-block-diagonal matrix of the three blocks' inverses.  Of
-the blocks from POWER_BOUND_MIN_SIZE rows on, taken in hvec order, a block
-that a certified bound by repeated squaring (Gelfand's formula,
-``_power_bounds``) places below the largest radius found before it takes
-no eigenvalues.  At F = A the (x, x) block holds the radius: the other two
-carry no noise and have radius rho(A)^2, that of M -> A.T M A, and the
+block-diagonal matrix of the three blocks' inverses.  Of the three
+blocks, in hvec order, the first, (x, x), takes its eigenvalues, and each
+later block takes none where a certified bound by repeated squaring
+(Gelfand's formula, ``_power_bounds``) places it below the largest radius
+found before it.  At F = A the (x, x) block holds the radius: the other
+two carry no noise and have radius rho(A)^2, that of M -> A.T M A, and the
 (x, x) block adds to that map the positive A-noise terms, which cannot
-lower its radius (Damm 2004).  So from n = 6 on, where every block has
-21 rows or more, the (x, x) block, first, takes its eigenvalues, and the
-bounds skip the two after it.  A
+lower its radius (Damm 2004).  So at every radius of the benchmark
+generator's bisections the (x, x) block alone takes its eigenvalues, and
+the bounds skip the two after it.  A complex matrix, which no operator
+here is, takes one eigenvalue call on the whole.  A
 loop whose operator gain (``AugmentedClosedLoop._gain``) overflows float64
 has a Psi_s that float64 cannot hold; it counts as not stable, with radius
 inf, and Psi_s is not built.
@@ -157,35 +158,21 @@ COST_DUALITY_TOL = 1e-9
 
 # Loops with at least this many symmetric unknowns, n(2n+1) for the 2n x 2n
 # augmented state, hold their inverse of I - Psi_s for the next loop of the
-# same solve (``evaluate``).  Below it an inverse is cheaper than
-# refinement steps in Python.  Measured crossover, PI solves of the
-# benchmark's synthetic instances on one BLAS thread, medians of three runs
-# alternating the two paths: fresh inverses win at n = 7 (105 unknowns,
-# 19-27 ms against 22-30 ms), the held one from n = 8 (136 unknowns,
-# 20-31 ms against 31-43 ms).
+# same solve (``evaluate``).  Measured, PI solves of the benchmark's
+# synthetic instances (README table): fresh inverses win up to n = 5 (55
+# unknowns, 11.4-11.8 ms against 11.7-12.3 ms), the held one from n = 6
+# (78 unknowns, 8.1-8.2 ms against 9.9-10.9 ms).  The cut-over stays at
+# n = 8, since moving it changes the outputs of the solves it moves across
+# and also gates ``_inverse``'s block path.
 HELD_INVERSE_MIN_UNKNOWNS = 136
 # Refinement against a held inverse, relative to the largest entry: the
 # certificate's candidate need not be accurate; the float64 residual steps
 # of each side stop above their rounding floor, about cond(I - Psi_s) eps.
 HELD_CANDIDATE_TOL = 1e-6
 HELD_FLOAT64_TOL = 1e-11
-# Decoupled blocks (``spectral_radius``) at least this many rows square
-# are bounded by repeated squaring (``_power_bounds``) once a radius is
-# known, and skipped where the bound shows they cannot hold the radius;
-# smaller blocks take ``eigvals`` at once.  A bounded block that holds the
-# radius pays for both.  Measured crossover, one BLAS thread, when the
-# first bound took two squarings with their norms: about 9 us from 10 to
-# 21 rows, ``eigvals`` 18 us at 10, 41 us at 16 and 70 us at 21 (timeit,
-# best of 5; the first bound now takes one squaring, 9-10 us, and the
-# second 13-15 us, from 10 to 17 rows); generating the benchmark's
-# instances for seeds 11-20 (mean, best of 10 passes) took 6.6 ms at
-# n = 4 (blocks of 10, 16 and 10 rows) with every block bounded and 6.2 ms
-# with none, and 10.2 ms at n = 6 (21, 36 and 21) with every block bounded
-# and 11.3 ms with none.  So every block at n <= 4, as of the paper's
-# n = 2 experiment, keeps one ``eigvals`` call.
-POWER_BOUND_MIN_SIZE = 17
-# A block is skipped where its bound lies below the largest radius found so
-# far by this relative margin, after at most POWER_BOUND_SQUARINGS squarings.
+# A decoupled block after the first (``spectral_radius``) is skipped where
+# its bound lies below the largest radius found so far by this relative
+# margin, after at most POWER_BOUND_SQUARINGS squarings.
 POWER_BOUND_MARGIN = 1e-6
 POWER_BOUND_SQUARINGS = 4
 
@@ -532,25 +519,25 @@ def spectral_radius(matrix: np.ndarray) -> float:
     210 square at n=10.  Every other matrix takes one call on the whole,
     bitwise the radius ``la.eigvals`` gives.
 
-    Not every block needs its eigenvalues (``_largest_radius``).  Blocks
-    below POWER_BOUND_MIN_SIZE rows take them at once; the larger ones
-    follow in hvec order, and once a radius is known each is bounded by
-    repeated squaring (``_power_bounds``) and skipped where a bound,
-    refined while it is not, lies below the largest radius found so far
-    by the relative POWER_BOUND_MARGIN.  At the open loop with F = A the
-    (x, x) block holds the radius (module docstring), so from n = 6 on it
-    takes its eigenvalues first and without a bound, the other two are
+    Not every block needs its eigenvalues.  The first takes them; each
+    later block, in hvec order, is bounded by repeated squaring
+    (``_power_bounds``) and skipped where a bound, refined while it is not,
+    lies below the largest radius found so far by the relative
+    POWER_BOUND_MARGIN.  At the open loop with F = A the (x, x) block,
+    first, holds the radius (module docstring), so the other two are
     skipped, and a radius at n=10 takes the eigenvalues of one block 55
-    square.  On the benchmark generator's bisections at n = 6, 8, 10 and
-    12 (1,012 radii) the (x, x) block's computed radius was the largest
-    every time.  The radius stays bitwise the largest of all blocks'
+    square, at n=4 of one block 10 square.  On the benchmark generator's
+    bisections (seeds 11-20 at n = 1 to 6, 8 and 10, 11-13 at n = 12 and 11
+    at n = 16; 2,554 radii) every radius took the eigenvalues of the (x, x)
+    block alone.  The radius stays bitwise the largest of all blocks'
     computed radii: a skipped block's bound exceeds the radius of every
     perturbation of it within the backward error of ``eigvals``, so the
-    eigenvalues it would have computed are no larger than the bound, up
-    to the rounding of their magnitudes (a few units of u), and the
-    margin, 1e-6, is ten orders of magnitude above that rounding and
-    leaves room for a backward error beyond the bound's allowance: the
-    skipped block's computed radius would have stayed below the largest.
+    eigenvalues it would have computed are no larger than the bound, up to
+    the rounding of their magnitudes (a few units of u), and the margin,
+    1e-6, is ten orders of magnitude above that rounding and leaves room
+    for a backward error beyond the bound's allowance: the skipped block's
+    computed radius would have stayed below the largest.  The bounds are
+    for real blocks, so a complex matrix takes one call on the whole.
 
     ValueError naming the shape unless the matrix is square and not
     empty.  EigenvalueFailure, with ``la.eigvals``'s message, when an entry
@@ -562,36 +549,20 @@ def spectral_radius(matrix: np.ndarray) -> float:
         raise ValueError(f"spectral_radius needs a non-empty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise EigenvalueFailure("eigenvalue computation failed: Array must not contain infs or NaNs")
-    parts = _decoupled_blocks(a) or [a]
+    parts = [a] if a.dtype.kind == "c" else _decoupled_blocks(a) or [a]
+    radius = 0.0
     with np.errstate(all="ignore", invalid="raise"):
         try:
-            radius = _largest_radius(parts)
+            for part in parts:
+                limit = radius * (1.0 - POWER_BOUND_MARGIN)
+                if radius > 0.0 and any(b < limit for b in _power_bounds(part)):
+                    continue
+                # np.maximum keeps a NaN radius, which max() would drop
+                radius = float(np.maximum(radius, abs(_eigvals(part)).max()))
         except FloatingPointError as exc:
             raise EigenvalueFailure("eigenvalue computation failed: Eigenvalues did not converge") from exc
     if not np.isfinite(radius):
         raise EigenvalueFailure("eigenvalue computation produced non-finite values")
-    return radius
-
-
-def _largest_radius(parts) -> float:
-    """The largest of the computed radii of ``parts`` (``spectral_radius``):
-    the eigenvalues of each part below POWER_BOUND_MIN_SIZE rows, or of the
-    only part, in one concatenation as for one matrix; then each larger
-    block in the order of ``parts``, which is skipped where one of its
-    ``_power_bounds`` lies below (1 - POWER_BOUND_MARGIN) times the largest
-    radius so far.  Its further bounds are computed only while none does,
-    and none at all against a largest radius of 0, which no bound lies
-    below.  An inf or NaN bound skips no block."""
-    if len(parts) == 1:
-        small, large = parts, []
-    else:
-        small = [part for part in parts if part.shape[0] < POWER_BOUND_MIN_SIZE]
-        large = [part for part in parts if part.shape[0] >= POWER_BOUND_MIN_SIZE]
-    radius = float(abs(np.concatenate([_eigvals(part) for part in small])).max()) if small else 0.0
-    for part in large:
-        limit = radius * (1.0 - POWER_BOUND_MARGIN)
-        if not (radius > 0.0 and any(b < limit for b in _power_bounds(part))):
-            radius = max(radius, float(abs(_eigvals(part)).max()))
     return radius
 
 
@@ -607,31 +578,28 @@ def _power_bounds(block: np.ndarray):
     A computed product of real k x k matrices is off by at most
     gamma |X| |Y| entrywise, gamma = k u / (1 - k u) (Higham, *Accuracy and
     Stability of Numerical Algorithms*, sec. 3.5), so
-    e_j = (2 c_{j-1} + e_{j-1}) e_{j-1} + gamma c_{j-1}^2.  An entry of a
-    complex product sums 2k real products in each part, whose errors bound
-    its own by sqrt(2) times theirs.  Every scalar is rounded up by the
-    factor 1 + 2 t^2 u, t the real products per entry, above the relative
-    error of a norm's sum of squares and of each scalar operation.
-    Underflow, which the relative bounds leave out, adds at most t^2 times
-    the smallest normal float64 to a squared norm and to an e_j, and that
-    is added to both.  e_0 is not 0 but gamma c_0, an allowance for the
-    backward error of ``eigvals`` (LAPACK's QR algorithm finds the
-    eigenvalues of some B + E with ||E|| a small multiple of u ||B||):
-    each bound then holds for the radius of every such B + E, the radius
-    ``eigvals`` would report, up to the rounding of its magnitudes.  The
-    block is squared in the float64 or complex128 cast that ``eigvals``
-    takes.  Squarings that overflow give an inf or NaN bound, without a
-    warning.
+    e_j = (2 c_{j-1} + e_{j-1}) e_{j-1} + gamma c_{j-1}^2.  Every scalar
+    is rounded up by the factor 1 + 2 k^2 u, above the relative error of a
+    norm's sum of squares and of each scalar operation.  Underflow, which
+    the relative bounds leave out, adds at most k^2 times the smallest
+    normal float64 to a squared norm and to an e_j, and that is added to
+    both.  e_0 is not 0 but gamma c_0, an allowance for the backward error
+    of ``eigvals`` (LAPACK's QR algorithm finds the eigenvalues of some
+    B + E with ||E|| a small multiple of u ||B||): each bound then holds
+    for the radius of every such B + E, the radius ``eigvals`` would
+    report, up to the rounding of its magnitudes.  The block is real, as
+    every decoupled block ``spectral_radius`` bounds, and is squared in
+    the float64 cast that ``eigvals`` takes.  Squarings that overflow give
+    an inf or NaN bound, without a warning.
     """
-    complex_ = block.dtype.kind == "c"
-    C = block.astype(np.complex128 if complex_ else np.float64, copy=False)
-    t, u = C.shape[0] * (2 if complex_ else 1), np.finfo(np.float64).eps / 2
-    gamma, up = (math.sqrt(2.0) if complex_ else 1.0) * t * u / (1.0 - t * u), 1.0 + 2.0 * t * t * u
-    tiny = t * t * np.finfo(np.float64).tiny
+    C = block.astype(np.float64, copy=False)
+    k, u = C.shape[0], np.finfo(np.float64).eps / 2
+    gamma, up = k * u / (1.0 - k * u), 1.0 + 2.0 * k * k * u
+    tiny = k * k * np.finfo(np.float64).tiny
 
     def norm(X):
         x = X.ravel()
-        return math.sqrt(np.vdot(x, x).real + tiny) * up
+        return math.sqrt(np.vdot(x, x) + tiny) * up
 
     with np.errstate(over="ignore", invalid="ignore"):
         c = norm(C)
@@ -805,7 +773,9 @@ def _refine_sides(
     1.9e-4).  Closer to the boundary the error grows with
     cond(I - Psi_s) * eps_longdouble relative to the norm of the solution:
     at radius 0.99987, where it is 3.7e4, up to 5.3 ulps of an entry on
-    the value side and 3.6 on the covariance side.
+    the value side and 3.6 on the covariance side (measured against the
+    longdouble reference ``oracles.lyapunov_extended``, not an exact
+    solution).
     """
     eps, sides = np.finfo(np.float64).eps, []
     starts = (None, None) if start is None else (start.Pprime, start.Sprime)

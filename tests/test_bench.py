@@ -48,6 +48,12 @@ from oracles import (
 POOL_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "ensemble_pool.json"
 
 
+def pool_seeds():
+    """Seeds 7000-7199 and the seeds the benchmark's pool excludes."""
+    excluded = json.loads(POOL_FILE.read_text())["excluded"]
+    return list(range(7000, 7200)) + sorted(int(seed) for seed in excluded)
+
+
 def open_loop_radius(problem):
     aug = build_augmented(problem, open_loop_controller(problem))
     return spectral_radius(build_second_moment_matrix(aug, "value"))
@@ -164,8 +170,7 @@ class TestRandomProblem:
         seeds the benchmark's pool excludes.  Every matrix whose radius the
         bisection takes is bitwise the (x, x) block of the whole Psi_s at
         its midpoint."""
-        excluded = json.loads(POOL_FILE.read_text())["excluded"]
-        seeds = list(range(7000, 7200)) + sorted(int(seed) for seed in excluded)
+        seeds = pool_seeds()
         assert len(seeds) == 219
         fast, fast_radii = generate_recording_radii(monkeypatch, seeds)
         monkeypatch.setattr(mnlqg.bench, "_critical_noise_scale", critical_noise_scale_reference)
@@ -194,22 +199,27 @@ class TestRandomProblem:
         reference_radii = [M if M.shape == (2, 2) else xx_block(M) for M in reference_radii]
         assert [M.tobytes() for M in fast_radii] == [M.tobytes() for M in reference_radii]
 
-    def test_bitwise_equal_to_full_matrix_bisection(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "seeds, cases",
+        [
+            (pool_seeds(), [(11, 4), (11, 6), (11, 8), (11, 10)]),
+            (range(1000), [(11, 12), (12, 12), (13, 12), (11, 16)]),
+        ],
+        ids=["pool-seeds-n4-to-10", "seeds-0-to-999-n12-and-16"],
+    )
+    def test_bitwise_equal_to_full_matrix_bisection(self, monkeypatch, seeds, cases):
         """``random_problem`` bisects on the radius of the open loop's
         (x, x) hvec block, and ``spectral_radius`` takes a decoupled open
         loop's radius from its blocks, skipping those that a certified
         bound places below the largest radius; either may differ from a
         full-matrix ``eigvals`` in the last bits.  No bisection step
         flips: the instances are byte for byte those of bisections on the
-        full-matrix radius of the whole Psi_s, here (seeds 7000-7199 and
-        the seeds the benchmark's pool excludes) and in the benchmark's
-        generator at n = 4, 6, 8 and 10."""
-        excluded = json.loads(POOL_FILE.read_text())["excluded"]
-        seeds = list(range(7000, 7200)) + sorted(int(seed) for seed in excluded)
+        full-matrix radius of the whole Psi_s, for ``random_problem``'s
+        ``seeds`` and the benchmark generator's (seed, n) ``cases``."""
 
         def generate():
             randoms = [random_problem(seed) for seed in seeds]
-            synthetic = [synthetic_problem(11, n) for n in (4, 6, 8, 10)]
+            synthetic = [synthetic_problem(seed, n) for seed, n in cases]
             return [(save_problem(p), repr(eta)) for p, eta in randoms], [save_problem(p) for p in synthetic]
 
         blocks = generate()
@@ -217,7 +227,8 @@ class TestRandomProblem:
         monkeypatch.setattr(mnlqg.moments, "spectral_radius", specrad)
         monkeypatch.setattr(mnlqg, "spectral_radius", specrad)  # the generator's name
         full = generate()
-        assert blocks[1] == full[1]
+        for case, got, want in zip(cases, blocks[1], full[1]):
+            assert got == want, case
         for seed, got, want in zip(seeds, blocks[0], full[0]):
             assert got == want, seed
 

@@ -280,19 +280,27 @@ class TestEigenvalueWork:
     F), whose radii stand in for the full matrix's; any other loop takes
     one call on the whole."""
 
-    @pytest.mark.parametrize("side", ["value", "covariance"])
-    def test_random_open_loop(self, side, eigvals_shapes):
+    @pytest.mark.parametrize("side, shapes", [("value", [(3, 3), (3, 3)]), ("covariance", [(3, 3)])])
+    def test_random_open_loop(self, side, shapes, eigvals_shapes):
+        """At n=2 the (x, x) block takes its eigenvalues first, and the
+        bounds skip the 4 x 4 (xhat, x) block, and the (xhat, xhat) block
+        on the covariance side only.  The radius is bitwise the largest of
+        all three blocks'."""
         problem, _ = random_problem(7000)
         aug = build_augmented(problem, open_loop_controller(problem))
+        psi = build_second_moment_matrix(aug, side)
+        label = hvec_block_labels(2)
         eigvals_shapes.clear()
-        spectral_radius(build_second_moment_matrix(aug, side))
-        assert eigvals_shapes == [(3, 3), (4, 4), (3, 3)]
+        radius = spectral_radius(psi)
+        assert eigvals_shapes == shapes
+        assert radius == max(specrad(psi[np.ix_(label == b, label == b)]) for b in range(3))
 
-    def test_benchmark_instance_open_loops(self, eigvals_shapes, monkeypatch):
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_benchmark_instance_open_loops(self, n, eigvals_shapes, monkeypatch):
         """At F = A the (xhat, x) and (xhat, xhat) blocks have radius
         rho(A)^2, below the (x, x) block's: each radius of the bisection
-        takes the eigenvalues of one 55 x 55 block, and those of the
-        100 x 100 block never."""
+        takes the eigenvalues of one n(n+1)/2-square block (10 at n=4,
+        55 at n=10), and those of the n^2-square block never."""
         radii = []
 
         def counting(matrix):
@@ -300,13 +308,14 @@ class TestEigenvalueWork:
             return spectral_radius(matrix)
 
         monkeypatch.setattr(mnlqg, "spectral_radius", counting)  # the generator's name
-        problem = synthetic_problem(11, 10)
-        assert len(radii) > 3 and set(radii) == {(210, 210)}
-        assert eigvals_shapes == [(55, 55)] * len(radii)
+        problem = synthetic_problem(11, n)
+        xx = (n * (n + 1) // 2,) * 2
+        assert len(radii) > 3 and set(radii) == {(n * (2 * n + 1),) * 2}
+        assert eigvals_shapes == [xx] * len(radii)
         eigvals_shapes.clear()
         aug = build_augmented(problem, open_loop_controller(problem))
         spectral_radius(build_second_moment_matrix(aug, "value"))
-        assert eigvals_shapes == [(55, 55)]
+        assert eigvals_shapes == [xx]
 
     def test_benchmark_open_loop_bounds_no_xx_block(self, eigvals_shapes, monkeypatch):
         """The (x, x) block comes first and takes its eigenvalues at once:
@@ -386,11 +395,9 @@ class TestPowerBounds:
             "triangular": 10.0 * np.triu(rng.standard_normal((k, k)), 1) + np.diag(rng.uniform(-0.5, 0.5, k)),
             # the squared norm of B^16, near 1e-384, underflows
             "tiny nilpotent": Q @ (1e-12 * shift) @ Q.T,
-            "complex": (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / math.sqrt(2 * k),
-            "complex triangular": np.triu(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))),
         }
 
-    @pytest.mark.parametrize("k", [moments.POWER_BOUND_MIN_SIZE, 36, 55])
+    @pytest.mark.parametrize("k", [3, 4, 10, 16, 36, 55])  # the later blocks from n = 2 to 10
     def test_every_bound_is_at_least_the_radius(self, k):
         for name, block in self.blocks(np.random.default_rng(k), k).items():
             bounds = list(moments._power_bounds(block))
@@ -408,10 +415,10 @@ class TestPowerBounds:
         ],
     )
     def test_radius_is_bitwise_the_largest_block_radius(self, radii, shapes, eigvals_shapes):
-        """Tied and nearly tied blocks (n = 6: 21, 36 and 21 rows, all
-        above the crossover) take their eigenvalues; only a block well
-        below the largest radius found before it, in hvec order, is
-        skipped: a block of radius 0.5 first is no bound on the others."""
+        """Tied and nearly tied blocks (n = 6: 21, 36 and 21 rows) take
+        their eigenvalues; only a block well below the largest radius
+        found before it, in hvec order, is skipped: a block of radius 0.5
+        first is no bound on the others."""
         rng = np.random.default_rng(6)
         blocks = [scaled_to_radius(rng, k, r) for k, r in zip((21, 36, 21), radii)]
         M = decoupled(blocks)
@@ -428,10 +435,21 @@ class TestPowerBounds:
         assert spectral_radius(M) == specrad(block)
         assert eigvals_shapes == [(21, 21), (21, 21)]
 
-    def test_complex_blocks(self):
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_complex_blocks(self, n, eigvals_shapes):
+        """The bounds are for real blocks: a complex matrix, decoupled or
+        not, takes one eigenvalue call on the whole, bitwise
+        ``la.eigvals``'s radius."""
         rng = np.random.default_rng(9)
-        blocks = [scaled_to_radius(rng, k, r) * np.exp(1j * r) for k, r in zip((21, 36, 21), (0.7, 1.0, 1.0 - 1e-8))]
-        assert spectral_radius(decoupled(blocks)) == max(specrad(block) for block in blocks)
+        sizes = (n * (n + 1) // 2, n * n, n * (n + 1) // 2)
+        rotated = [scaled_to_radius(rng, k, r) * np.exp(1j * r) for k, r in zip(sizes, (0.7, 1.0, 1.0 - 1e-8))]
+        random = [(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / math.sqrt(2 * k) for k in sizes]
+        triangular = [np.triu(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) for k in sizes]
+        for blocks in (rotated, random, triangular):
+            M = decoupled(blocks)
+            eigvals_shapes.clear()
+            assert spectral_radius(M) == specrad(M)
+            assert eigvals_shapes == [M.shape]
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflowing_squares_are_not_skipped(self, sign, eigvals_shapes):
@@ -477,6 +495,22 @@ class TestPowerBounds:
         assert spectral_radius(decoupled(blocks)) == specrad(blocks[0])
         assert eigvals_shapes == [(21, 21)]
         assert products == [1, 1]
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_block_radius_is_a_failure(self, position, monkeypatch):
+        """A NaN eigenvalue of any block, without the invalid flag, is not
+        dropped from the largest radius: it fails as on a whole matrix."""
+        calls, seam = [], moments._eigvals
+
+        def nan_at_position(a):
+            calls.append(a.shape)
+            values = seam(a)
+            return np.full_like(values, np.nan) if len(calls) == position + 1 else values
+
+        monkeypatch.setattr(moments, "_eigvals", nan_at_position)
+        with pytest.raises(EigenvalueFailure, match="^eigenvalue computation produced non-finite values$"):
+            spectral_radius(decoupled([np.eye(3), np.eye(4), np.eye(3)]))
+        assert calls == [(3, 3), (4, 4), (3, 3)]
 
     def test_failures_keep_their_messages(self, monkeypatch):
         blocks = [0.5 * np.eye(21), np.full((36, 36), 1e308), np.eye(21)]
@@ -1154,7 +1188,8 @@ class TestExtendedPrecisionAccuracy:
     entry is within one of its own ulps, which is what the tests assert.
     At radius 0.99987 it stays within the policy-iteration stopping floor
     (riccati.STEP_FLOOR_ULPS), where 5.3 ulps (value) and 3.6 (covariance)
-    are measured; the floor relies on evaluations this accurate."""
+    are measured against this longdouble reference, not an exact solution;
+    the floor relies on evaluations this accurate."""
 
     @staticmethod
     def assert_within_one_ulp(aug):
@@ -1210,7 +1245,9 @@ class TestExtendedPrecisionAccuracy:
         """At radius 0.99987, cond(I - Psi_s) is about 3.7e4 and one ulp is
         out of reach (measured with the inverse of I - Psi_s and one
         longdouble residual per side: 5.3 ulps on the value side, 3.6 on
-        the covariance side); both stay below the 32-ulp stopping floor."""
+        the covariance side, against the longdouble reference
+        ``lyapunov_extended``, not an exact solution); both stay below the
+        32-ulp stopping floor."""
         from mnlqg.riccati import STEP_FLOOR_ULPS
 
         aug = six_state_loop(0.275)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import signal
 import sys
@@ -112,8 +113,8 @@ def _report_document(report, e_k=None):
 def cmd_solve(args) -> int:
     if args.max_iter is not None and args.max_iter < 0:
         raise ValueError("--max-iter must be >= 0")
-    if args.tol is not None and not args.tol >= 0.0:  # also rejects nan
-        raise ValueError("--tol must be a nonnegative number")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError("--tol must be a finite nonnegative number")
     problem, code = _load_problem_checked(args.problem)
     if code is not None:
         return code

@@ -32,9 +32,14 @@ over the stacked trajectory.
 critical-noise bisection with a whole problem, its open loop and its whole
 Psi_s assembled at every midpoint, where the generator forms only the
 (x, x) hvec block.
+``lyapunov_exact`` refines a float64 Lyapunov solution against residuals
+formed exactly in ``fractions.Fraction``: a reference exact on every
+platform, where ``lyapunov_extended`` is as precise as the platform's
+longdouble.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.linalg as la
@@ -308,6 +313,44 @@ def lyapunov_extended(aug, side):
         rhs = aug.Wprime.astype(ld)
     M = unvec(solve_by_extended_elimination(np.eye(T.shape[0], dtype=ld) - T, vec(rhs)))
     return 0.5 * (M + M.T)
+
+
+_exact = np.vectorize(Fraction, otypes=[object])
+
+
+def lyapunov_exact(aug, side, start, rounds=3):
+    """Generalized Lyapunov solution of the float64 data, exact in rationals,
+    refined from the float64 symmetric ``start``.
+
+    Y is kept as an exact sum of float64 matrices.  Each round forms the
+    residual rhs - Y + sum_i s2_i D_i.T Y D_i (D_i transposed on the
+    covariance side) exactly in Fractions, and adds to Y its float64 image
+    under the inverse of I - T restricted to symmetric matrices, T the
+    Kronecker operator.  That inverse is accurate to about cond(I - T) eps,
+    so each round shrinks Y's error by that factor.  Returns Y as an object
+    array of Fractions.
+    """
+    value = side == "value"
+    terms = [(s2, D if value else D.T) for s2, D in _terms(aug)]
+    T = sum(s2 * np.kron(D.T, D.T) for s2, D in terms)
+    correction = la.inv(np.eye(aug.dim * (aug.dim + 1) // 2) - restrict_to_symmetric(T))
+    exact_terms = [(Fraction(s2), _exact(D)) for s2, D in terms]
+    rhs = _exact(aug.Qprime if value else aug.Wprime)
+    Y = _exact(start)
+    for _ in range(rounds):
+        R = rhs - Y
+        for s2, D in exact_terms:
+            R = R + s2 * (D.T @ Y @ D)
+        Y = Y + _exact(unhvec(correction @ hvec(R.astype(float))))
+    return Y
+
+
+def ulps_off_exact(M, Y):
+    """|M - Y| entry by entry in ulps of that entry of the float64 M, each
+    ratio exact (an object array of Fractions); Y as from
+    ``lyapunov_exact``."""
+    ulp = _exact(np.spacing(np.abs(M)))
+    return abs(_exact(M) - Y) / ulp
 
 
 def _symmetrize(M):

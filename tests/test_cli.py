@@ -19,6 +19,7 @@ from mnlqg import (
     moments,
     open_loop_controller,
     pendulum_problem,
+    policy_iteration_solve,
     save_controller,
     save_problem,
     value_iteration_solve,
@@ -31,6 +32,7 @@ from conftest import (
     make_scalar_problem,
     make_singular_filter_problem,
     make_unstabilizable_problem,
+    synthetic_problem,
 )
 
 
@@ -38,6 +40,13 @@ from conftest import (
 def pendulum_file(tmp_path):
     path = tmp_path / "pendulum.json"
     path.write_text(save_problem(pendulum_problem(0.0)))
+    return str(path)
+
+
+@pytest.fixture
+def noisy_pendulum_file(tmp_path):
+    path = tmp_path / "noisy_pendulum.json"
+    path.write_text(save_problem(pendulum_problem(0.05)))
     return str(path)
 
 
@@ -284,15 +293,13 @@ class TestSolveCommand:
         printed = capsys.readouterr().out
         assert "iterations:" in printed and "cost:" in printed
 
-    def test_open_loop_init_on_openloop_unstable_system_exits_three(
-        self, pendulum_file, tmp_path, capsys
-    ):
-        out = tmp_path / "report.json"
-        code = main(
-            ["solve", pendulum_file, "--method", "pi", "--init", "open-loop", "--out", str(out)]
-        )
+    @pytest.mark.parametrize("eta", [0.0, 0.05])
+    def test_open_loop_init_on_openloop_unstable_system_exits_three(self, tmp_path, capsys, eta):
+        path, out = tmp_path / "pendulum.json", tmp_path / "report.json"
+        path.write_text(save_problem(pendulum_problem(eta)))
+        code = main(["solve", str(path), "--method", "pi", "--init", "open-loop", "--out", str(out)])
         assert code == 3
-        assert "not mean-square stabilizing" in capsys.readouterr().err
+        assert "initial policy is not mean-square stabilizing" in capsys.readouterr().err
 
     def test_vi_matches_pi_gains(self, pendulum_file, tmp_path):
         out_pi = tmp_path / "pi.json"
@@ -308,12 +315,43 @@ class TestSolveCommand:
         assert np.allclose(K_pi, K_vi, atol=1e-8)
         assert np.allclose(L_pi, L_vi, atol=1e-8)
 
-    def test_trace_flag_adds_e_k(self, scalar_file, tmp_path):
+    @pytest.mark.parametrize(
+        "problem, method, rows",
+        [("scalar", "vi", None), ("noisy-pendulum", "vi", None), ("noisy-pendulum", "pi", 31)],
+    )
+    def test_trace_flag_adds_e_k(
+        self, scalar_file, noisy_pendulum_file, tmp_path, problem, method, rows
+    ):
+        """Every history row has e_k, from 1.0 at the first iterate to 0.0 at
+        the last; PI on the pendulum at eta = 0.05 takes 30 steps."""
+        path = scalar_file if problem == "scalar" else noisy_pendulum_file
         out = tmp_path / "report.json"
-        assert main(["solve", scalar_file, "--method", "vi", "--trace", "--out", str(out)]) == 0
+        assert main(["solve", path, "--method", method, "--trace", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["history"][0]["e_k"] == 1.0
-        assert doc["history"][-1]["e_k"] == 0.0
+        e_k = [entry["e_k"] for entry in doc["history"]]
+        assert len(e_k) == doc["iterations"] + 1 and e_k[0] == 1.0 and e_k[-1] == 0.0, e_k
+        assert rows is None or len(e_k) == rows
+
+    @pytest.mark.parametrize("problem, explicit", [("n10", "open-loop"), ("noisy-pendulum", "lqg")])
+    def test_auto_init_matches_the_explicit_start(self, tmp_path, capsys, problem, explicit):
+        """--init auto picks the open loop where it is stable (the
+        benchmark's n=10 instance, seed 11) and the noise-free design where
+        it is not (the pendulum at eta = 0.05): the reports are those of
+        that start given explicitly, outside the wall-clock seconds, and
+        both converge."""
+        instance = synthetic_problem(11, 10) if problem == "n10" else pendulum_problem(0.05)
+        path = tmp_path / "problem.json"
+        path.write_text(save_problem(instance))
+        reports = []
+        for init in ("auto", explicit):
+            out = tmp_path / f"{init}.json"
+            assert main(["solve", str(path), "--method", "pi", "--init", init, "--out", str(out)]) == 0
+            assert "converged: true" in capsys.readouterr().out.splitlines()
+            document = json.loads(out.read_text())
+            for entry in document["history"]:
+                del entry["seconds"]
+            reports.append(document)
+        assert reports[0] == reports[1]
 
     def test_controller_file_init(self, scalar_file, tmp_path):
         problem = make_scalar_problem()
@@ -328,8 +366,9 @@ class TestSolveCommand:
         assert json.loads(out.read_text())["iterations"] <= 2
 
     @pytest.mark.parametrize(
-        "flags", [["--max-iter", "-1"], ["--tol", "nan"], ["--tol", "-0.5"]],
-        ids=["negative-max-iter", "nan-tol", "negative-tol"],
+        "flags",
+        [["--max-iter", "-1"], ["--tol", "nan"], ["--tol", "-0.5"], ["--tol", "inf"], ["--tol", "1e400"]],
+        ids=["negative-max-iter", "nan-tol", "negative-tol", "infinite-tol", "overflowing-tol"],
     )
     def test_bad_limit_is_input_error(self, scalar_file, tmp_path, capsys, flags):
         assert main(["solve", scalar_file, *flags, "--out", str(tmp_path / "r.json")]) == 2
@@ -416,10 +455,10 @@ class TestSolveCommand:
         the tests' warning filter)."""
         problem_path, ctrl_path = huge_gain_files(tmp_path, field)
         code = main(["solve", problem_path, "--init", ctrl_path, "--out", str(tmp_path / "r.json")])
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert code == 3 and len(errors) == 1, err
-        assert "unexpected error" not in err
+        assert out == "" and "unexpected error" not in err and not re.search(r"\bnan\b", err)
         assert errors[0] == (
             "error: initial policy is not mean-square stabilizing "
             "(second-moment spectral radius inf)"
@@ -438,6 +477,12 @@ class TestBenchPendulumCommand:
         assert all(row["converged"] == "true" for row in quiet)
         noisy = [row for row in rows if row["eta"] != "0.0"]
         assert all(row["converged"] == "false" and row["error"] for row in noisy)
+
+    def test_low_noise_levels_converge(self, tmp_path):
+        prefix = str(tmp_path / "pend")
+        assert main(["bench-pendulum", "--etas", "0,0.05", "--out", prefix]) == 0
+        rows = read_rows(f"{prefix}_summary.csv")
+        assert len(rows) == 4 and all(row["converged"] == "true" for row in rows), rows
 
     def test_single_method(self, tmp_path):
         prefix = str(tmp_path / "pend")
@@ -596,7 +641,8 @@ class TestBenchRandomCommand:
         assert [row["seed"] for row in rows] == ["42", "42", "44", "44"]
         assert outputs["2"] == outputs["1"]
 
-    def test_uneven_shares_match_serial(self, tmp_path, monkeypatch, forked):
+    @pytest.mark.parametrize("methods", ["pi,vi", "vi"])
+    def test_uneven_shares_match_serial(self, tmp_path, monkeypatch, forked, methods):
         """Five seeds over three processes: the rows and traces are those
         of --jobs 1 outside the wall-clock columns."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -604,7 +650,7 @@ class TestBenchRandomCommand:
         for jobs in ("1", "3"):
             prefix = str(tmp_path / f"jobs{jobs}")
             argv = ["bench-random", "--count", "5", "--seed", "7000", "--jobs", jobs]
-            assert main(argv + ["--out", prefix]) == 0
+            assert main(argv + ["--methods", methods, "--out", prefix]) == 0
             summary = read_rows(f"{prefix}_summary.csv")
             for row in summary:
                 del row["wall_seconds"], row["ratio_time"]
@@ -614,8 +660,24 @@ class TestBenchRandomCommand:
             outputs[jobs] = summary, trace
         assert len(forked) == 2
         assert_reaped(forked)
-        assert len(outputs["3"][0]) == 10
+        assert len(outputs["3"][0]) == 5 * len(methods.split(","))
         assert outputs["3"] == outputs["1"]
+
+    def test_methods_vi_rows_match_those_of_both_methods(self, tmp_path):
+        """The VI rows of --methods vi are those of --methods pi,vi,
+        outside the columns that compare the two methods."""
+        cells = ("seed", "iterations", "final_residual", "cost_J", "converged")
+        rows = {}
+        for methods in ("pi,vi", "vi"):
+            prefix = str(tmp_path / methods.replace(",", "_"))
+            argv = ["bench-random", "--count", "5", "--seed", "7000", "--methods", methods]
+            assert main(argv + ["--out", prefix]) == 0
+            rows[methods] = [
+                {cell: row[cell] for cell in cells}
+                for row in read_rows(f"{prefix}_summary.csv")
+                if row["method"] == "value_iteration"
+            ]
+        assert len(rows["vi"]) == 5 and rows["vi"] == rows["pi,vi"]
 
     def test_killed_child_exits_three(self, tmp_path, capsys, forked, child_begins_first):
         """A child that dies without reporting fails the command with its
@@ -746,19 +808,33 @@ class TestBenchRandomCommand:
 
 
 class TestRolloutCommand:
-    def test_rollout_smoke(self, scalar_file, tmp_path, capsys):
-        report = value_iteration_solve(make_scalar_problem())
-        ctrl_path = tmp_path / "ctrl.json"
-        ctrl_path.write_text(save_controller(report.controller))
+    @pytest.mark.parametrize(
+        "problem, horizon, trials", [("scalar", 200, 8), ("noisy-pendulum", 1000, 50)]
+    )
+    def test_rollout_smoke(self, tmp_path, capsys, problem, horizon, trials):
+        """A solved controller (VI on the scalar instance, PI on the
+        pendulum at eta = 0.05) rolls out to a finite cost estimate."""
+        if problem == "scalar":
+            instance = make_scalar_problem()
+            ctrl = value_iteration_solve(instance).controller
+        else:
+            instance = pendulum_problem(0.05)
+            ctrl = policy_iteration_solve(instance).controller
+        problem_path, ctrl_path = tmp_path / "problem.json", tmp_path / "ctrl.json"
+        problem_path.write_text(save_problem(instance))
+        ctrl_path.write_text(save_controller(ctrl))
         code = main(
             [
-                "rollout", scalar_file, str(ctrl_path),
-                "--horizon", "200", "--trials", "8", "--seed", "1",
+                "rollout", str(problem_path), str(ctrl_path),
+                "--horizon", str(horizon), "--trials", str(trials), "--seed", "1",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "cost_mean:" in out and "cost_stderr:" in out
+        lines = out.splitlines()
+        assert f"horizon: {horizon}" in lines and f"trials: {trials}" in lines, out
+        for name in ("cost_mean", "cost_stderr"):
+            assert math.isfinite(float(re.search(rf"^{name}: (.*)$", out, re.M).group(1))), out
 
     def test_unstable_controller_exits_three(self, scalar_file, tmp_path, capsys):
         ctrl_path = tmp_path / "ctrl.json"
@@ -800,7 +876,7 @@ class TestRolloutCommand:
         assert code == 0, err
         mean = float(re.search(r"^cost_mean: (.*)$", out, re.M).group(1))
         stderr = float(re.search(r"^cost_stderr: (.*)$", out, re.M).group(1))
-        assert mean > 1e160 and 0.0 < stderr < math.inf, out
+        assert mean > 1e160 and 1e160 < stderr < math.inf, out
         assert "error" not in err and "Warning" not in err
 
 
@@ -837,6 +913,7 @@ class TestControllerMisfit:
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert code == 2 and len(errors) == 1, err
         assert errors[0].startswith(f"error: {name} must have "), err
+        assert not re.search(r"\bnan\b", err), err
         if case != "K-vs-F":
             assert "for problem dimensions n=2, m=1, p=1" in errors[0], err
         assert out == "" and not report.exists()
@@ -956,11 +1033,11 @@ def _mutate(doc, field, kind, rng):
 
 class TestInputContractSweep:
     """Seeded mutations of every field of valid problem and controller
-    documents.  Each command that reads the document exits 2 and names the
-    field; none reaches "unexpected error".  A dimension that fits no
-    matrix it sizes, huge or merely mismatched, is named itself.  Every
-    output line is under 200 characters: a ragged matrix row, for one, is
-    named by its row, not by numpy's text."""
+    documents.  Each command that reads the document exits 2 with one error
+    line that names the field; none reaches "unexpected error".  A
+    dimension that fits no matrix it sizes, huge or merely mismatched, is
+    named itself.  Every output line is under 200 characters: a ragged
+    matrix row, for one, is named by its row, not by numpy's text."""
 
     @pytest.mark.parametrize("document, field, kind", SWEEP_CASES)
     def test_mutation_exits_two_naming_the_field(self, tmp_path, capsys, document, field, kind):
@@ -996,6 +1073,9 @@ class TestInputContractSweep:
                 assert code == 2, where
                 assert "unexpected error" not in err, where
                 assert named.search(out + err), where
+                assert len(re.findall(r"^error: ", out + err, re.M)) == 1, where
+                # nan is said only of an input that holds one, never of a cost
+                assert kind == "nonfinite" or not re.search(r"\bnan\b", out + err), where
                 assert max(map(len, (out + err).splitlines())) < 200, where
 
     def test_unmutated_documents_pass(self, tmp_path, capsys):

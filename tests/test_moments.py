@@ -42,11 +42,13 @@ from oracles import (
     hvec,
     is_ms_stable,
     lyapunov_by_recursion,
+    lyapunov_exact,
     lyapunov_extended,
     lyapunov_residual_full_terms,
     restrict_to_symmetric,
     second_moment_matrix_full_terms,
     specrad,
+    ulps_off_exact,
     unhvec,
 )
 
@@ -1184,12 +1186,10 @@ class TestExtendedPrecisionAccuracy:
     largest entry of the unrounded longdouble solution while cond(I - Psi_s)
     is moderate, a norm-wise bound: on the converged loop of the
     benchmark's n=10 instance 2 small entries of P' are more than one of
-    their own ulps off.  On the instances here (radius up to 0.984) every
+    their own ulps off.  On the instances here (radius up to 0.97) every
     entry is within one of its own ulps, which is what the tests assert.
-    At radius 0.99987 it stays within the policy-iteration stopping floor
-    (riccati.STEP_FLOOR_ULPS), where 5.3 ulps (value) and 3.6 (covariance)
-    are measured against this longdouble reference, not an exact solution;
-    the floor relies on evaluations this accurate."""
+    TestExactAccuracyNearTheBoundary checks the loops nearer the boundary
+    against an exact solution."""
 
     @staticmethod
     def assert_within_one_ulp(aug):
@@ -1230,24 +1230,28 @@ class TestExtendedPrecisionAccuracy:
         assert stable and radius > 0.9, "test construction should be stable near the boundary"
         self.assert_within_one_ulp(aug)
 
+
+class TestExactAccuracyNearTheBoundary:
+    """``evaluate`` against the exact rational solution of the float64 data
+    (``oracles.lyapunov_exact``), which needs no extended precision."""
+
     def test_covariance_side_near_the_boundary_with_dense_injected_noise(self):
         """The covariance solve runs on (I - Psi_s).T with the Omega scaling;
-        cond(I - Psi_s) is about 300 at this radius."""
+        cond(I - Psi_s) is about 300 at this radius, and every entry is
+        within 0.51 of its own ulps."""
         aug = six_state_loop(0.27)
         stable, radius = is_ms_stable(aug)
         assert stable and radius >= 0.98, "test construction should be stable near the boundary"
         assert np.all(aug.Wprime != 0.0)
         S = evaluate(aug).solution.Sprime
-        error = np.abs(S.astype(np.longdouble) - lyapunov_extended(aug, "covariance"))
-        assert np.all(error <= np.spacing(np.abs(S)))
+        assert np.all(ulps_off_exact(S, lyapunov_exact(aug, "covariance", S)) <= 1)
 
     def test_within_the_stopping_floor_at_the_boundary(self):
-        """At radius 0.99987, cond(I - Psi_s) is about 3.7e4 and one ulp is
-        out of reach (measured with the inverse of I - Psi_s and one
-        longdouble residual per side: 5.3 ulps on the value side, 3.6 on
-        the covariance side, against the longdouble reference
-        ``lyapunov_extended``, not an exact solution); both stay below the
-        32-ulp stopping floor."""
+        """At radius 0.99987, cond(I - Psi_s) is about 3.7e4 and one ulp of
+        each entry is out of reach on the covariance side: up to 0.84 ulps
+        of an entry on the value side and 2.81 on the covariance side, both
+        below the 32-ulp stopping floor (riccati.STEP_FLOOR_ULPS), which
+        relies on evaluations this accurate."""
         from mnlqg.riccati import STEP_FLOOR_ULPS
 
         aug = six_state_loop(0.275)
@@ -1255,8 +1259,7 @@ class TestExtendedPrecisionAccuracy:
         assert stable and radius > 0.9998, "test construction should sit at the boundary"
         sol = evaluate(aug).solution
         for side, M in (("value", sol.Pprime), ("covariance", sol.Sprime)):
-            error = np.abs(M.astype(np.longdouble) - lyapunov_extended(aug, side))
-            assert np.all(error <= STEP_FLOOR_ULPS * np.spacing(np.abs(M))), side
+            assert np.all(ulps_off_exact(M, lyapunov_exact(aug, side, M)) <= STEP_FLOOR_ULPS), side
 
 
 class TestEvaluationCost:

@@ -262,44 +262,48 @@ def validate(problem: ProblemInstance) -> ValidationReport:
     """Check the numeric invariants of a problem instance.
 
     Dimension consistency is enforced at construction time, so this reports
-    only data-level problems: noise standard deviations must be nonnegative,
-    with a square (the variance the solvers use) finite in float64, Q must be
-    symmetric positive definite, W symmetric positive definite (positive
-    semidefinite W is tolerated with a warning because the solver only needs
-    the W_yy Schur block to be invertible), and X0 symmetric positive
-    semidefinite.
+    only data-level problems: every matrix entry and noise standard
+    deviation must be finite (a non-finite matrix is checked no further),
+    noise standard deviations must be nonnegative, with a square (the
+    variance the solvers use) finite in float64, Q must be symmetric
+    positive definite, W symmetric positive definite (positive semidefinite
+    W is tolerated with a warning because the solver only needs the W_yy
+    Schur block to be invertible), and X0 symmetric positive semidefinite.
     """
-    violations: list[Violation] = []
     sys = problem.system
-    for name, terms in (
-        ("noise.A", sys.noise_a),
-        ("noise.B", sys.noise_b),
-        ("noise.C", sys.noise_c),
-    ):
-        for i, term in enumerate(terms):
-            if term.sigma < 0.0:
-                violations.append(
-                    Violation(f"{name}[{i}].sigma", "negative standard deviation", "error")
-                )
-            elif math.isinf(term.sigma * term.sigma):
-                violations.append(
-                    Violation(f"{name}[{i}].sigma", "squared overflows float64", "error")
-                )
+    noise = [
+        (f"noise.{key}[{i}]", term)
+        for key, terms in (("A", sys.noise_a), ("B", sys.noise_b), ("C", sys.noise_c))
+        for i, term in enumerate(terms)
+    ]
+    Q, W, X0 = problem.cost.Q, problem.noise.W, problem.noise.X0
+    matrices = [("A", sys.A), ("B", sys.B), ("C", sys.C)]
+    matrices += [(f"{name}.pattern", term.pattern) for name, term in noise]
+    matrices += [("Q", Q), ("W", W), ("X0", X0)]
+    non_finite = [name for name, M in matrices if not np.all(np.isfinite(M))]
+    violations = [Violation(name, "has a non-finite entry", "error") for name in non_finite]
 
-    Q = problem.cost.Q
-    if _check_symmetric(violations, "Q", Q) and not is_positive_definite(Q):
-        violations.append(Violation("Q", "not positive definite", "error"))
+    for name, term in noise:
+        if not math.isfinite(term.sigma):
+            violations.append(Violation(f"{name}.sigma", "must be a finite number", "error"))
+        elif term.sigma < 0.0:
+            violations.append(Violation(f"{name}.sigma", "negative standard deviation", "error"))
+        elif math.isinf(term.sigma * term.sigma):
+            violations.append(Violation(f"{name}.sigma", "squared overflows float64", "error"))
 
-    W = problem.noise.W
-    if _check_symmetric(violations, "W", W) and not is_positive_definite(W):
+    if "Q" not in non_finite and _check_symmetric(violations, "Q", Q):
+        if not is_positive_definite(Q):
+            violations.append(Violation("Q", "not positive definite", "error"))
+
+    if "W" not in non_finite and _check_symmetric(violations, "W", W) and not is_positive_definite(W):
         if is_positive_semidefinite(W):
             violations.append(Violation("W", "not positive definite", "warning"))
         else:
             violations.append(Violation("W", "not positive semidefinite", "error"))
 
-    X0 = problem.noise.X0
-    if _check_symmetric(violations, "X0", X0) and not is_positive_semidefinite(X0):
-        violations.append(Violation("X0", "not positive semidefinite", "error"))
+    if "X0" not in non_finite and _check_symmetric(violations, "X0", X0):
+        if not is_positive_semidefinite(X0):
+            violations.append(Violation("X0", "not positive semidefinite", "error"))
 
     return ValidationReport(tuple(violations))
 

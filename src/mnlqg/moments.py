@@ -763,18 +763,19 @@ def _refine_sides(
     operator application per side.
 
     The exactly symmetric result is within one float64 ulp of its largest
-    entry of the extended-precision solution while cond(I - Psi_s) stays
-    well below eps_float64 / eps_longdouble (about 2000 with 80-bit
+    entry of the exact solution of the float64 data while cond(I - Psi_s)
+    stays well below eps_float64 / eps_longdouble (about 2000 with 80-bit
     longdouble), as at radius 0.984, where it is 300.  The bound is
     norm-wise: on the converged loop of the benchmark's n=10 instance
     (radius 0.671, condition number 14.5) the cold start's largest error
-    is 0.31 ulp of the largest entry, while 2 of the 400 entries of P' are
-    more than one of their own ulps off (the worst 4.7, at an entry of
-    1.9e-4).  Closer to the boundary the error grows with
-    cond(I - Psi_s) * eps_longdouble relative to the norm of the solution:
-    at radius 0.99987, where it is 3.7e4, up to 0.84 ulps of an entry on
-    the value side and 2.81 on the covariance side (measured against the
-    exact rational solution ``oracles.lyapunov_exact``).
+    is 0.286 ulp of the largest entry on the value side and 0.489 on the
+    covariance side, while 2 of the 400 entries of P' are more than one of
+    their own ulps off (the worst 1.94, at an entry of 1.9e-4).  Closer to
+    the boundary the error grows with cond(I - Psi_s) * eps_longdouble
+    relative to the norm of the solution: at radius 0.99987, where it is
+    3.7e4, up to 0.84 ulps of an entry on the value side and 2.81 on the
+    covariance side.  Every figure is measured against the exact rational
+    solution of the tests' oracle ``lyapunov_exact``.
     """
     eps, sides = np.finfo(np.float64).eps, []
     starts = (None, None) if start is None else (start.Pprime, start.Sprime)

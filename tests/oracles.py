@@ -4,17 +4,15 @@ Everything here is deliberately written from the defining recursions and
 expectations, independent of the package's solver code paths: the classical
 decoupled Riccati designs are plain fixed-point iterations on the mean
 system, the second-moment operator is applied by expanding the expectation
-congruence term by term (no Kronecker products), the extended-precision
-Lyapunov reference assembles the Kronecker lift in longdouble and eliminates
-it with a plain Gaussian elimination (no LAPACK), the quadratic-form
+congruence term by term (no Kronecker products), the quadratic-form
 operators G(X) and H(X) are assembled as full matrices and cut into blocks
 (the package forms the blocks directly), and the scalar fixed point comes
 from the closed-form quadratic.  The second-moment operator on all (2n)^2
-entries (the Kronecker matrix, with ``vec``/``unvec``), its restriction to
-symmetric matrices column by column and the half-vectorization ``hvec``
-serve as references for the package's operator Psi_s, which acts on the
-lower-triangle entries only; ``is_ms_stable`` decides stability from the
-Kronecker matrix's spectral radius.  The ``*_full_terms`` functions form
+entries (the Kronecker matrix), its restriction to symmetric matrices
+column by column and the half-vectorization ``hvec`` serve as references
+for the package's operator Psi_s, which acts on the lower-triangle entries
+only; ``is_ms_stable`` decides stability from the Kronecker matrix's
+spectral radius.  The ``*_full_terms`` functions form
 Psi_s and the extended-precision residuals with every noise lift over the
 whole augmented state, the references for the package's sums, which touch
 each lift's block only.  ``monte_carlo_cost_reference``
@@ -33,9 +31,10 @@ critical-noise bisection with a whole problem, its open loop and its whole
 Psi_s assembled at every midpoint, where the generator forms only the
 (x, x) hvec block.
 ``lyapunov_exact`` refines a float64 Lyapunov solution against residuals
-formed exactly in ``fractions.Fraction``: a reference exact on every
-platform, where ``lyapunov_extended`` is as precise as the platform's
-longdouble.
+formed exactly in ``fractions.Fraction``: the accuracy reference, exact on
+every platform, with ``ulps_off_exact`` and ``ulps_of_largest_off_exact``
+measuring a float64 solution's distance from it entry by entry and
+norm-wise.
 """
 
 import math
@@ -56,18 +55,6 @@ from mnlqg.riccati import (
     VI_MAX_ITER,
     open_loop_controller,
 )
-
-
-def vec(M):
-    """Stack the columns of M into a vector (column-major)."""
-    return np.asarray(M).reshape(-1, order="F")
-
-
-def unvec(v):
-    """Inverse of ``vec`` for square matrices."""
-    v = np.asarray(v)
-    d = int(round(np.sqrt(v.size)))
-    return v.reshape((d, d), order="F")
 
 
 def _lower_pairs(d):
@@ -262,59 +249,6 @@ def scalar_noise_free_fixed_point():
     return p, s, k, ell
 
 
-def solve_by_extended_elimination(A, b):
-    """Solve A x = b by Gaussian elimination with partial pivoting in
-    extended precision.
-
-    Inputs are promoted to ``np.longdouble`` (80-bit on x86; identical to
-    float64 on platforms without extended precision); returns the
-    longdouble solution.
-    """
-    A = np.array(A, dtype=np.longdouble)
-    x = np.array(b, dtype=np.longdouble)
-    n = A.shape[0]
-    for k in range(n - 1):
-        pivot = k + int(np.argmax(np.abs(A[k:, k])))
-        if pivot != k:
-            A[[k, pivot]] = A[[pivot, k]]
-            x[[k, pivot]] = x[[pivot, k]]
-        if A[k, k] == 0.0:
-            raise la.LinAlgError("matrix is singular")
-        mult = A[k + 1 :, k] / A[k, k]
-        A[k + 1 :, k + 1 :] -= mult[:, None] * A[k, k + 1 :]
-        x[k + 1 :] -= mult * x[k]
-    if A[n - 1, n - 1] == 0.0:
-        raise la.LinAlgError("matrix is singular")
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - A[k, k + 1 :] @ x[k + 1 :]) / A[k, k]
-    return x
-
-
-def lyapunov_extended(aug, side):
-    """Generalized Lyapunov solution assembled and eliminated in longdouble.
-
-    Builds I - T with T = Phi.T (x) Phi.T + sum_i s2_i lift_i.T (x) lift_i.T
-    on the value side (no transposes on the covariance side) in extended
-    precision and returns the symmetrized longdouble solution, unrounded.
-    """
-    ld = np.longdouble
-    Phi = aug.Phi.astype(ld)
-    if side == "value":
-        T = np.kron(Phi.T, Phi.T)
-        for s2, lift in aug.lifts():
-            lifted = lift.astype(ld)
-            T = T + ld(s2) * np.kron(lifted.T, lifted.T)
-        rhs = aug.Qprime.astype(ld)
-    else:
-        T = np.kron(Phi, Phi)
-        for s2, lift in aug.lifts():
-            lifted = lift.astype(ld)
-            T = T + ld(s2) * np.kron(lifted, lifted)
-        rhs = aug.Wprime.astype(ld)
-    M = unvec(solve_by_extended_elimination(np.eye(T.shape[0], dtype=ld) - T, vec(rhs)))
-    return 0.5 * (M + M.T)
-
-
 _exact = np.vectorize(Fraction, otypes=[object])
 
 
@@ -351,6 +285,12 @@ def ulps_off_exact(M, Y):
     ``lyapunov_exact``."""
     ulp = _exact(np.spacing(np.abs(M)))
     return abs(_exact(M) - Y) / ulp
+
+
+def ulps_of_largest_off_exact(M, Y):
+    """max |M - Y| in ulps of the largest entry of the float64 M, the ratio
+    exact (a Fraction); Y as from ``lyapunov_exact``."""
+    return abs(_exact(M) - Y).max() / Fraction(np.spacing(np.abs(M).max()))
 
 
 def _symmetrize(M):

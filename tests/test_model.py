@@ -15,6 +15,7 @@ from mnlqg import (
     validate,
 )
 from mnlqg.exceptions import ParseError, SchemaError
+from mnlqg.model import Violation
 
 
 def identity_problem():
@@ -22,6 +23,29 @@ def identity_problem():
     return ProblemInstance(
         system, CostModel(np.eye(2)), NoiseModel(W=np.eye(2), X0=[[1.0]])
     )
+
+
+NOISY_FIELDS = ["A", "B", "C", "Q", "W", "X0"] + [
+    f"noise.{key}[0].{part}" for key in "ABC" for part in ("pattern", "sigma")
+]
+
+
+def noisy_problem_with(field, value):
+    """A one-state problem with noise on A, B and C, and ``value`` as the
+    first entry of ``field`` (one of ``NOISY_FIELDS``)."""
+    parts = {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "Q": np.eye(2), "W": np.eye(2), "X0": [[1.0]]}
+    for key in "ABC":
+        parts[f"noise.{key}[0].pattern"] = [[1.0]]
+        parts[f"noise.{key}[0].sigma"] = 0.1
+    parts = {name: np.array(part, dtype=float) for name, part in parts.items()}
+    parts[field].flat[0] = value
+    noise = {
+        key: (NoiseTerm(parts[f"noise.{key}[0].sigma"], parts[f"noise.{key}[0].pattern"]),) for key in "ABC"
+    }
+    system = SystemModel(
+        parts["A"], parts["B"], parts["C"], noise_a=noise["A"], noise_b=noise["B"], noise_c=noise["C"]
+    )
+    return ProblemInstance(system, CostModel(parts["Q"]), NoiseModel(W=parts["W"], X0=parts["X0"]))
 
 
 class TestValidate:
@@ -69,6 +93,16 @@ class TestValidate:
         )
         report = validate(problem)
         assert any(v.field == "noise.A[0].sigma" for v in report.errors)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", NOISY_FIELDS)
+    def test_non_finite_entry_is_one_error_naming_the_field(self, field, value):
+        """The loader's wording, with no exception and no warning (the
+        suite turns warnings into errors); a non-finite matrix is not
+        checked for symmetry or definiteness."""
+        message = "must be a finite number" if field.endswith("sigma") else "has a non-finite entry"
+        report = validate(noisy_problem_with(field, value))
+        assert report.errors == (Violation(field, message, "error"),)
 
 
 class TestConstruction:
